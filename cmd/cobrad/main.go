@@ -87,8 +87,9 @@
 //
 // The coordinator serves the full cobrad API plus the lease protocol
 // (POST /v1/leases/{acquire,renew,complete}, /v1/fleet status); sweep
-// cells are leased to workers instead of computed locally, their result
-// batches merge through the same reorder buffer, and the streams,
+// cells, and campaigns as one-cell jobs, are leased to workers instead
+// of computed locally, their result batches merge through the same
+// reorder buffer, and the streams,
 // aggregates, journal, and events are byte-identical to -role
 // standalone (the default). A worker that dies mid-cell simply misses
 // its heartbeat TTL: the lease expires and the cell's remaining trials
@@ -139,7 +140,7 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 		watch       = flag.Bool("watch", false, "client mode: poll the server at -addr and render a live status table instead of serving")
 		interval    = flag.Duration("interval", 2*time.Second, "with -watch: polling interval")
-		role        = flag.String("role", "standalone", "standalone (compute locally), coordinator (lease sweep cells to a worker fleet), or worker (pull cells from -coordinator)")
+		role        = flag.String("role", "standalone", "standalone (compute locally), coordinator (lease campaign and sweep cells to a worker fleet), or worker (pull cells from -coordinator)")
 		coordURL    = flag.String("coordinator", "", "with -role worker: the coordinator's base URL")
 		workerID    = flag.String("worker-id", "", "with -role worker: fleet worker id (default host-pid)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "with -role coordinator: lease heartbeat TTL; a worker silent this long loses its cell to re-lease")

@@ -135,10 +135,12 @@
 // spec as a standalone campaign, for every cell-worker count. cobrad
 // exposes sweeps at POST /v1/sweeps (status with per-cell scheduler
 // phases, NDJSON results in (cell, trial) order, and a cross-cell
-// summary table) with a -cell-workers default; cobrasim -sweep prints
-// the same grid as an aligned table or CSV; the experiment harness
-// drives its E6 rho sweep and E16 Watts–Strogatz beta sweep through the
-// same API, cells in parallel.
+// summary table) with a -cell-workers default, and runs a campaign job
+// as a sweep with one cell, so both kinds share one job path and differ
+// only in their wire encoding; cobrasim -sweep prints the same grid as
+// an aligned table or CSV; the experiment harness drives its E6 rho
+// sweep and E16 Watts–Strogatz beta sweep through the same API, cells
+// in parallel.
 //
 // # Durable jobs, priorities, deadlines
 //
@@ -188,10 +190,11 @@
 //
 // cobrad scales past one process without changing a byte of output:
 // `-role coordinator` turns the server into a lease authority that
-// offers sweep cells to `-role worker` processes over a journal-backed
-// lease protocol (heartbeat TTLs on the coordinator's clock; a dead
-// worker's lease expires and its cell's uncomputed tail is re-leased
-// elsewhere). Workers compute cells through the ordinary campaign
+// offers job cells — sweep cells, and each campaign as one cell — to
+// `-role worker` processes over a journal-backed lease protocol and
+// computes no trials itself (heartbeat TTLs on the coordinator's clock;
+// a dead worker's lease expires and its cell's uncomputed tail is
+// re-leased elsewhere). Workers compute cells through the ordinary campaign
 // machinery and stream results back; the coordinator merges them
 // through the same reorder buffer as a local run, so the NDJSON
 // stream, aggregates, journal, and event streams are byte-for-byte

@@ -349,33 +349,6 @@ func (c *Campaign) RunFrom(ctx context.Context, from int, online *stats.Online, 
 	return &Aggregate{Completed: online.N(), Rounds: summary}, nil
 }
 
-// Stream launches the campaign and returns a channel of per-trial results
-// in trial order plus a wait function returning the final aggregate. The
-// channel is unbuffered (consumer-paced) and closed when the campaign
-// finishes; cancel ctx to abandon it without draining.
-func (c *Campaign) Stream(ctx context.Context) (<-chan TrialResult, func() (*Aggregate, error)) {
-	out := make(chan TrialResult)
-	type outcome struct {
-		agg *Aggregate
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		agg, err := c.Run(ctx, func(r TrialResult) {
-			select {
-			case out <- r:
-			case <-ctx.Done():
-			}
-		})
-		close(out)
-		done <- outcome{agg, err}
-	}()
-	return out, func() (*Aggregate, error) {
-		o := <-done
-		return o.agg, o.err
-	}
-}
-
 // runTrial runs trial k in ws. The kernel seed is one Uint64 drawn from
 // the trial's stream — the same derivation as core.New / bips.New — so
 // the trajectory matches the non-batch library path exactly.

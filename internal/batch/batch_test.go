@@ -150,32 +150,6 @@ func TestCampaignMatchesNaiveLibraryLoop(t *testing.T) {
 	}
 }
 
-func TestCampaignStream(t *testing.T) {
-	spec := testSpec()
-	spec.Workers = 4
-	c, err := Compile(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, wait := c.Stream(context.Background())
-	var got []TrialResult
-	for r := range results {
-		got = append(got, r)
-	}
-	agg, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != spec.Trials || agg.Completed != spec.Trials {
-		t.Fatalf("streamed %d results, aggregate %d", len(got), agg.Completed)
-	}
-	for i, r := range got {
-		if r.Trial != i {
-			t.Fatalf("stream out of order at %d: %+v", i, r)
-		}
-	}
-}
-
 // Round-limit failures surface as errors and stop the campaign early.
 func TestCampaignRoundLimitError(t *testing.T) {
 	spec := testSpec()

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"github.com/repro/cobra/internal/stats"
+	"github.com/repro/cobra/internal/store"
 )
 
 // Per-job live event streams: GET /v1/campaigns/{id}/events and
@@ -89,13 +90,10 @@ func (s *Server) snapshotEvents(job *Job) eventSnap {
 		terminal: job.state.Terminal(),
 		wake:     job.notify,
 	}
-	if job.sweep != nil {
-		snap.st.Trials = len(job.cellSpecs) * job.sweep.Trials
-		snap.st.MeanRounds = meanRounds(job.cellOnline)
+	snap.st.Trials = len(job.cellSpecs) * job.sweep.Trials
+	snap.st.MeanRounds = meanRounds(job.cellOnline)
+	if job.kind == store.KindSweep {
 		snap.phases = append([]CellPhase(nil), job.cellPhases...)
-	} else {
-		snap.st.Trials = job.spec.Trials
-		snap.st.MeanRounds = meanRounds([]*stats.Online{job.online})
 	}
 	return snap
 }
@@ -139,10 +137,8 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 			httpError(w, http.StatusBadRequest, "cell must be a non-negative integer")
 			return
 		}
-		job.mu.Lock()
-		isSweep, cells := job.sweep != nil, len(job.cellSpecs)
-		job.mu.Unlock()
-		if !isSweep {
+		cells := len(job.cellSpecs) // fixed at submission
+		if job.kind != store.KindSweep {
 			httpError(w, http.StatusBadRequest, "cell filtering applies to sweep event streams")
 			return
 		}

@@ -143,9 +143,5 @@ func newServerMetrics(s *Server) *serverMetrics {
 // invoke it wherever a job reaches a terminal state (done, failed,
 // expired, shutdown aborts, queue drains).
 func (s *Server) countTerminal(job *Job, st JobState) {
-	kind := "campaign"
-	if job.sweep != nil {
-		kind = "sweep"
-	}
-	s.met.jobs.With(kind, string(st)).Inc()
+	s.met.jobs.With(string(job.kind), string(st)).Inc()
 }

@@ -193,21 +193,11 @@ func (s *Server) recoverJobs() error {
 			s.quarantine(rec.Header.ID, rec.Err)
 			continue
 		}
-		switch rec.Header.Kind {
-		case store.KindCampaign:
-			err = s.recoverCampaign(rec)
-		case store.KindSweep:
-			err = s.recoverSweep(rec)
-		default:
-			s.quarantine(rec.Header.ID, fmt.Errorf("unknown journal kind %q", rec.Header.Kind))
-			continue
-		}
-		if err != nil {
-			// One undecodable spec or terminal record must not take the
-			// whole store down with it: quarantine the journal, keep
-			// serving the healthy jobs (same policy as rec.Err above).
+		if err := s.recoverJob(rec); err != nil {
+			// One unknown kind, undecodable spec or terminal record must not
+			// take the whole store down with it: quarantine the journal,
+			// keep serving the healthy jobs (same policy as rec.Err above).
 			s.quarantine(rec.Header.ID, err)
-			continue
 		}
 	}
 	if maxID > s.nextID {
@@ -229,176 +219,78 @@ func idNumber(id string) int {
 	return n
 }
 
-func (s *Server) recoverCampaign(rec store.Recovered) error {
-	var spec Spec
-	if err := json.Unmarshal(rec.Header.Spec, &spec); err != nil {
-		return fmt.Errorf("%w: journal %s: bad campaign spec: %v", ErrInput, rec.Header.ID, err)
-	}
-	job, n, err := s.recoveredJob(rec, spec.Priority, spec.Deadline)
+// recoverJob rebuilds one journal's job. A sealed journal restores the
+// finished job as it was — results stay on disk. An unterminated one is
+// reopened for resumption: the committed prefix is kept (any torn tail
+// truncated), replayed into RAM, and the job requeued to compute only the
+// tail; a prefix that will not scan falls back to Reset and a
+// from-scratch re-run rather than losing the job.
+func (s *Server) recoverJob(rec store.Recovered) error {
+	spec, plan, err := decodeHeader(rec.Header)
 	if err != nil {
 		return err
 	}
-	job.spec = spec
-	if rec.Terminal != nil {
-		if err := applyTerminal(job, rec.Terminal); err != nil {
-			return err
-		}
-		if len(rec.Terminal.Final) > 0 {
-			var agg Aggregate
-			if err := json.Unmarshal(rec.Terminal.Final, &agg); err == nil {
-				job.final = &agg
-			}
-		}
-	} else if n > 0 {
-		if err := s.replayCampaign(job, n); err != nil {
-			if err := s.resetForRerun(job, err); err != nil {
-				return err
-			}
-		}
-	}
-	s.jobs[job.id] = job
-	s.order = append(s.order, job.id)
-	if rec.Terminal == nil {
-		s.queue.push(job, true)
-	}
-	return nil
-}
-
-func (s *Server) recoverSweep(rec store.Recovered) error {
-	var spec SweepSpec
-	if err := json.Unmarshal(rec.Header.Spec, &spec); err != nil {
-		return fmt.Errorf("%w: journal %s: bad sweep spec: %v", ErrInput, rec.Header.ID, err)
-	}
-	job, n, err := s.recoveredJob(rec, spec.Priority, spec.Deadline)
+	deadline, err := plan.DeadlineTime()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: journal %s: %v", ErrInput, rec.Header.ID, err)
 	}
-	job.sweep = &spec
-	job.cellSpecs = spec.Cells()
-	job.cellOnline = make([]*stats.Online, len(job.cellSpecs))
-	job.cellPhases = make([]CellPhase, len(job.cellSpecs))
-	for i := range job.cellOnline {
-		job.cellOnline[i] = stats.NewOnline()
-		job.cellPhases[i] = CellQueued
-	}
-	if rec.Terminal == nil && n > 0 {
-		if err := s.replaySweep(job, n); err != nil {
-			if err := s.resetForRerun(job, err); err != nil {
-				return err
-			}
-		}
-	}
-	if rec.Terminal != nil {
-		if err := applyTerminal(job, rec.Terminal); err != nil {
+	job := newJob(rec.Header.ID, rec.Header.Kind, spec, plan)
+	s.seq++
+	job.seq = s.seq
+	job.deadline = deadline
+	job.created = rec.Header.Created
+	job.queuedAt = time.Now() // admission wait restarts at recovery
+	if t := rec.Terminal; t != nil {
+		if err := applyTerminal(job, t); err != nil {
 			return err
 		}
-		if job.state == StateDone && len(rec.Terminal.Final) > 0 {
-			var cells []CellSummary
-			if err := json.Unmarshal(rec.Terminal.Final, &cells); err == nil {
-				job.cellFinal = cells
-			}
+		if job.state == StateDone && len(t.Final) > 0 {
+			job.restoreFinal(t.Final)
 		} else {
-			// A restored failed/expired sweep never committed its tail; no
+			// A restored failed/expired job never committed its tail; no
 			// per-cell phase survives the restart, so mark every cell as one
 			// that will never commit.
 			for i := range job.cellPhases {
 				job.cellPhases[i] = CellFailed
 			}
 		}
-	}
-	s.sweeps[job.id] = job
-	s.sweepOrder = append(s.sweepOrder, job.id)
-	if rec.Terminal == nil {
-		s.queue.push(job, true)
-	}
-	return nil
-}
-
-// recoveredJob builds the common Job shell for a recovered journal. For
-// unterminated journals it reopens the journal for resumption: the
-// committed prefix is kept (any torn tail truncated) and the returned
-// count tells the caller how many result records to replay into RAM; a
-// prefix that will not scan falls back to Reset and a from-scratch
-// re-run rather than losing the job.
-func (s *Server) recoveredJob(rec store.Recovered, priority int, deadline string) (*Job, int, error) {
-	dl, err := parseDeadline(deadline)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: journal %s: %v", ErrInput, rec.Header.ID, err)
-	}
-	s.seq++
-	job := &Job{
-		id:       rec.Header.ID,
-		state:    StateQueued,
-		online:   stats.NewOnline(),
-		notify:   make(chan struct{}),
-		created:  rec.Header.Created,
-		priority: priority,
-		deadline: dl,
-		seq:      s.seq,
-	}
-	job.queuedAt = time.Now() // admission wait restarts at recovery
-	n := 0
-	if rec.Terminal == nil {
-		j, cnt, err := s.store.ResumeAt(job.id)
+	} else {
+		j, n, err := s.store.ResumeAt(job.id)
 		if err != nil {
 			s.log().Warn("resume scan failed; re-running from scratch",
 				"job", job.id, "err", err)
 			if j, err = s.store.Reset(job.id); err != nil {
-				return nil, 0, err
+				return err
 			}
-			cnt = 0
+			n = 0
 		}
 		job.sink = newJournalSink(j)
-		n = cnt
-	}
-	return job, n, nil
-}
-
-// replayCampaign loads an interrupted campaign's committed prefix — n
-// result records — from its journal into RAM (results, count, online
-// fold), so the requeued job resumes at trial n instead of recomputing
-// the prefix. Replayed records never touch the trials-executed counter:
-// only genuinely computed trials count there.
-func (s *Server) replayCampaign(job *Job, n int) error {
-	if n > job.spec.Trials {
-		return fmt.Errorf("journal holds %d results for a %d-trial campaign", n, job.spec.Trials)
-	}
-	it, err := s.store.Results(job.id)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for it.Next() {
-		var r TrialResult
-		if err := json.Unmarshal(it.Line(), &r); err != nil {
-			return fmt.Errorf("undecodable result record %d: %v", len(job.results), err)
+		if n > 0 {
+			if err := s.replay(job, n); err != nil {
+				if err := s.resetForRerun(job, err); err != nil {
+					return err
+				}
+			}
 		}
-		if r.Trial != len(job.results) {
-			return fmt.Errorf("result record %d carries trial %d", len(job.results), r.Trial)
-		}
-		job.results = append(job.results, r)
-		job.online.Add(float64(r.Rounds))
+		s.queue.push(job, true)
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if len(job.results) != n {
-		return fmt.Errorf("journal replay read %d results, resume scan counted %d", len(job.results), n)
-	}
-	job.completed = n
-	job.started = true
+	s.table(job.kind)[job.id] = job
+	s.order = append(s.order, job)
 	return nil
 }
 
-// replaySweep is replayCampaign for sweep journals: records are
-// validated against the flattened (cell, trial) order — record i must
-// carry cell i/Trials, trial i%Trials — and folded into the per-cell
-// aggregates; fully-replayed cells are marked done so status reflects
-// the committed prefix.
-func (s *Server) replaySweep(job *Job, n int) error {
+// replay loads an interrupted job's committed prefix — n result records —
+// from its journal into RAM (results, count, per-cell folds, phases), so
+// the requeued job resumes at record n instead of recomputing the prefix.
+// Records are validated against the flattened (cell, trial) order:
+// record i must carry cell i/Trials, trial i%Trials (a campaign's records
+// carry no cell, which decodes as cell 0). Replayed records never touch
+// the trials-executed counter: only genuinely computed trials count
+// there.
+func (s *Server) replay(job *Job, n int) error {
 	trials := job.sweep.Trials
 	if n > len(job.cellSpecs)*trials {
-		return fmt.Errorf("journal holds %d results for a %d-trial sweep", n, len(job.cellSpecs)*trials)
+		return fmt.Errorf("journal holds %d results for a %d-trial job", n, len(job.cellSpecs)*trials)
 	}
 	it, err := s.store.Results(job.id)
 	if err != nil {
@@ -445,11 +337,9 @@ func (s *Server) resetForRerun(job *Job, cause error) error {
 		return err
 	}
 	job.sink = newJournalSink(j)
-	job.results = nil
 	job.cellResults = nil
 	job.completed = 0
 	job.started = false
-	job.online = stats.NewOnline()
 	for i := range job.cellOnline {
 		job.cellOnline[i] = stats.NewOnline()
 		job.cellPhases[i] = CellQueued
@@ -493,33 +383,22 @@ func (s *Server) reopenSink(job *Job) {
 	if job.completed == n {
 		return
 	}
-	if job.sweep != nil {
-		if n > len(job.cellResults) {
-			n = len(job.cellResults) // unreachable: disk never leads RAM
-		}
-		job.cellResults = job.cellResults[:n]
-		for i := range job.cellOnline {
-			job.cellOnline[i] = stats.NewOnline()
-		}
-		for _, r := range job.cellResults {
-			job.cellOnline[r.Cell].Add(float64(r.Rounds))
-		}
-		done := n / job.sweep.Trials
-		for i := range job.cellPhases {
-			if i < done {
-				job.cellPhases[i] = CellDone
-			} else {
-				job.cellPhases[i] = CellQueued
-			}
-		}
-	} else {
-		if n > len(job.results) {
-			n = len(job.results) // unreachable: disk never leads RAM
-		}
-		job.results = job.results[:n]
-		job.online = stats.NewOnline()
-		for _, r := range job.results {
-			job.online.Add(float64(r.Rounds))
+	if n > len(job.cellResults) {
+		n = len(job.cellResults) // unreachable: disk never leads RAM
+	}
+	job.cellResults = job.cellResults[:n]
+	for i := range job.cellOnline {
+		job.cellOnline[i] = stats.NewOnline()
+	}
+	for _, r := range job.cellResults {
+		job.cellOnline[r.Cell].Add(float64(r.Rounds))
+	}
+	done := n / job.sweep.Trials
+	for i := range job.cellPhases {
+		if i < done {
+			job.cellPhases[i] = CellDone
+		} else {
+			job.cellPhases[i] = CellQueued
 		}
 	}
 	job.completed = n
@@ -542,31 +421,15 @@ func applyTerminal(job *Job, t *store.Terminal) error {
 	return nil
 }
 
-// finishJob records a terminal transition for the retention policy and
-// applies it: beyond RetainResults finished jobs (or past RetainTTL),
-// the oldest finished jobs' result slices are dropped from RAM — their
-// status and aggregates stay, and their results are served from the
-// journal. Only durably persisted jobs are evicted, and never while a
-// results stream is following them; without a Store nothing is ever
-// evicted. TTL expiry is additionally enforced by the retention ticker
-// and on status/results reads, so it does not wait for the next job to
-// finish.
-func (s *Server) finishJob(job *Job) {
-	if s.store == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.mu.Lock()
-	persisted := job.persisted
-	job.mu.Unlock()
-	if persisted {
-		s.finishedJobs = append(s.finishedJobs, job)
-	}
-	s.evictLocked()
-}
-
-// evictLocked enforces the retention bounds against the server clock.
+// evictLocked enforces the retention bounds against the server clock:
+// beyond RetainResults finished jobs (or past RetainTTL), the oldest
+// finished jobs' result slices are dropped from RAM — their status and
+// aggregates stay, and their results are served from the journal. Only
+// durably persisted jobs are evicted (terminate registers them as it
+// publishes their terminal state), and never while a results stream is
+// following them; without a Store nothing is ever evicted. TTL expiry
+// is additionally enforced by the retention ticker and on status and
+// results reads, so it does not wait for the next job to finish.
 // Callers hold s.mu.
 func (s *Server) evictLocked() {
 	now := s.clock()
@@ -600,7 +463,6 @@ func tryEvict(job *Job) bool {
 	if !job.persisted || job.streams > 0 {
 		return false
 	}
-	job.results = nil
 	job.cellResults = nil
 	job.evicted = true
 	return true

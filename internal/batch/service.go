@@ -22,6 +22,10 @@ import (
 // graph cache, and (optionally) a durable job store. cmd/cobrad wraps it
 // in a process; tests drive it through httptest.
 //
+// A campaign job runs as a sweep with one cell: both kinds share one
+// submit path, run loop, status, list and results handler, recovery and
+// journal replay, and differ only in their wire encoding (wire.go).
+//
 // Endpoints:
 //
 //	POST /v1/campaigns            submit a Spec; 202 + {id, ...} or 400/503.
@@ -141,9 +145,9 @@ type ServerConfig struct {
 	QueueDepth int
 	// CacheSize is the LRU graph cache capacity (default 32).
 	CacheSize int
-	// MaxTrials bounds a single campaign's trial count — per-trial
-	// results are retained in memory for the results endpoint, so this
-	// caps per-job memory (default 1e6; ~56 bytes per trial).
+	// MaxTrials bounds a single job's trial count — per-trial results are
+	// retained in memory for the results endpoint, so this caps per-job
+	// memory (default 1e6; ~64 bytes per trial).
 	MaxTrials int
 	// RetainResults bounds how many finished jobs keep their per-trial
 	// result slices in RAM when a Store is attached: beyond it the oldest
@@ -174,17 +178,17 @@ type ServerConfig struct {
 	// job id and context fields. nil uses slog.Default(), which cmd/cobrad
 	// configures from -log-format.
 	Logger *slog.Logger
-	// Remote, when non-nil, turns the server into a fleet coordinator
-	// for sweeps: admitted cells are handed to Remote.RunCell instead of
-	// being compiled and computed locally, and the remotely computed
-	// trials flow through the exact same reorder buffer, journal sink,
-	// aggregates, and streams — byte-identical to local execution by the
-	// campaign determinism contract. Campaign (non-sweep) jobs still run
-	// locally. See internal/fleet for the coordinator implementation.
+	// Remote, when non-nil, turns the server into a fleet coordinator:
+	// admitted cells — a campaign job's one cell included — are handed to
+	// Remote.RunCell instead of being compiled and computed locally, and
+	// the remotely computed trials flow through the exact same reorder
+	// buffer, journal sink, aggregates, and streams — byte-identical to
+	// local execution by the campaign determinism contract. See
+	// internal/fleet for the coordinator implementation.
 	Remote CellRunner
 }
 
-// CellRunner executes one admitted sweep cell outside this process. The
+// CellRunner executes one admitted job cell outside this process. The
 // cell's trials [from, spec.Trials) must be delivered in trial order;
 // RunCell returns nil only once the cell is complete, an error when it
 // failed or was abandoned, and promptly when ctx is cancelled. deliver
@@ -216,13 +220,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Job is one submitted campaign or sweep and its accumulated results.
-// Campaign jobs use spec/results/online/final; sweep jobs (sweep != nil)
-// use sweep/cellSpecs/cellResults/cellOnline/cellFinal.
+// Every job runs as a sweep: a campaign's plan is its one-cell sweep, so
+// one run loop, one set of per-cell RAM state and one journal sink serve
+// both kinds, and kind only selects the wire encoding (wire.go).
 type Job struct {
 	id        string
-	spec      Spec
-	sweep     *SweepSpec
-	cellSpecs []Spec // expanded grid, fixed at submission
+	kind      store.Kind // wire encoding: campaign or sweep
+	spec      Spec       // campaign jobs: the submitted spec, echoed by status
+	sweep     SweepSpec  // the plan every job runs
+	cellSpecs []Spec     // expanded grid, fixed at submission
 
 	priority int       // queue ordering: higher first, ties by seq
 	deadline time.Time // zero = none; expired-in-queue jobs never run
@@ -232,14 +238,11 @@ type Job struct {
 
 	mu          sync.Mutex
 	state       JobState
-	results     []TrialResult
 	completed   int             // trials delivered (survives result eviction)
-	online      *stats.Online   // live partial aggregate while running
-	final       *Aggregate      // Run's own aggregate, once done
-	cellResults []CellResult    // sweep results in (cell, trial) order
+	cellResults []CellResult    // results in (cell, trial) order
 	cellOnline  []*stats.Online // live per-cell aggregates
 	cellPhases  []CellPhase     // per-cell scheduler phase (see CellPhase)
-	cellFinal   []CellSummary   // Sweep.Run's own summaries, once done
+	cellFinal   []CellSummary   // the run's own summaries, once done
 	errMsg      string
 	notify      chan struct{} // closed and replaced on every state change
 	created     time.Time
@@ -252,87 +255,28 @@ type Job struct {
 	preemptions int  // times the job was checkpointed and requeued
 }
 
-// jobStatus is the wire form of a job's status.
-type jobStatus struct {
-	ID        string   `json:"id"`
-	State     JobState `json:"state"`
-	Spec      Spec     `json:"spec"`
-	Trials    int      `json:"trials"`
-	Completed int      `json:"completed"`
-	// Preemptions counts how often the job was checkpointed at a trial
-	// boundary and requeued for a higher-priority submission; its results
-	// are unaffected (resume is byte-identical).
-	Preemptions int        `json:"preemptions,omitempty"`
-	Aggregate   *Aggregate `json:"aggregate,omitempty"`
-	Error       string     `json:"error,omitempty"`
-}
-
-func (j *Job) statusLocked() jobStatus {
-	st := jobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Spec:        j.spec,
-		Trials:      j.spec.Trials,
-		Completed:   j.completed,
-		Preemptions: j.preemptions,
-		Error:       j.errMsg,
+// newJob builds a queued job of kind running plan; spec is a campaign's
+// submitted Spec (zero for a sweep). Callers set deadline, seq and the
+// timestamps.
+func newJob(id string, kind store.Kind, spec Spec, plan SweepSpec) *Job {
+	cells := plan.Cells()
+	job := &Job{
+		id:         id,
+		kind:       kind,
+		spec:       spec,
+		sweep:      plan,
+		cellSpecs:  cells,
+		priority:   plan.Priority,
+		state:      StateQueued,
+		cellOnline: make([]*stats.Online, len(cells)),
+		cellPhases: make([]CellPhase, len(cells)),
+		notify:     make(chan struct{}),
 	}
-	if j.final != nil {
-		st.Aggregate = j.final
-	} else if j.online.N() > 0 {
-		if summary, err := j.online.Summary(); err == nil {
-			st.Aggregate = &Aggregate{Completed: j.online.N(), Rounds: summary}
-		}
+	for i := range cells {
+		job.cellOnline[i] = stats.NewOnline()
+		job.cellPhases[i] = CellQueued
 	}
-	return st
-}
-
-// sweepStatus is the wire form of a sweep job's status.
-type sweepStatus struct {
-	ID        string    `json:"id"`
-	State     JobState  `json:"state"`
-	Spec      SweepSpec `json:"spec"`
-	Cells     int       `json:"cells"`
-	Trials    int       `json:"trials"`    // total across cells
-	Completed int       `json:"completed"` // trials completed across cells
-	// Preemptions counts trial-boundary checkpoints (see jobStatus).
-	Preemptions int           `json:"preemptions,omitempty"`
-	CellAggs    []CellSummary `json:"cell_aggregates,omitempty"`
-	Error       string        `json:"error,omitempty"`
-}
-
-// sweepStatusLocked renders the job's wire status; withCells selects
-// whether the per-cell aggregates are included (the list endpoint skips
-// them to keep listings compact and each job's lock hold short).
-func (j *Job) sweepStatusLocked(withCells bool) sweepStatus {
-	st := sweepStatus{
-		ID:          j.id,
-		State:       j.state,
-		Spec:        *j.sweep,
-		Cells:       len(j.cellSpecs),
-		Trials:      len(j.cellSpecs) * j.sweep.Trials,
-		Completed:   j.completed,
-		Preemptions: j.preemptions,
-		Error:       j.errMsg,
-	}
-	if !withCells {
-		return st
-	}
-	if j.cellFinal != nil {
-		st.CellAggs = j.cellFinal
-		return st
-	}
-	for i, spec := range j.cellSpecs {
-		cs := cellSummary(i, spec, nil)
-		cs.Phase = j.cellPhases[i]
-		if o := j.cellOnline[i]; o.N() > 0 {
-			if summary, err := o.Summary(); err == nil {
-				cs.Aggregate = &Aggregate{Completed: o.N(), Rounds: summary}
-			}
-		}
-		st.CellAggs = append(st.CellAggs, cs)
-	}
-	return st
+	return job
 }
 
 // bump wakes every watcher of j. Callers hold j.mu.
@@ -362,10 +306,9 @@ type Server struct {
 	met *serverMetrics
 
 	mu           sync.Mutex
-	jobs         map[string]*Job
-	order        []string // submission order, for the list endpoint
-	sweeps       map[string]*Job
-	sweepOrder   []string
+	jobs         map[string]*Job // campaign jobs by id
+	sweeps       map[string]*Job // sweep jobs by id
+	order        []*Job          // every job in submission order, for the listings
 	nextID       int
 	seq          int               // queue tie-break sequence (includes recovered jobs)
 	finishedJobs []*Job            // terminal persisted jobs in finish order (retention)
@@ -407,10 +350,10 @@ func NewServerWith(cfg ServerConfig, st Store) (*Server, error) {
 		clock:   time.Now,
 	}
 	s.met = newServerMetrics(s)
-	s.mux.HandleFunc("/v1/campaigns", s.handleCampaigns)
-	s.mux.HandleFunc("/v1/campaigns/", s.handleCampaign)
-	s.mux.HandleFunc("/v1/sweeps", s.handleSweeps)
-	s.mux.HandleFunc("/v1/sweeps/", s.handleSweep)
+	s.mux.HandleFunc("/v1/campaigns", s.handleJobs(store.KindCampaign))
+	s.mux.HandleFunc("/v1/campaigns/", s.handleJob(store.KindCampaign))
+	s.mux.HandleFunc("/v1/sweeps", s.handleJobs(store.KindSweep))
+	s.mux.HandleFunc("/v1/sweeps/", s.handleJob(store.KindSweep))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.Handle("/metrics", s.met.reg.Handler())
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -568,17 +511,8 @@ func (s *Server) Close() {
 	s.cancel()      // abort running jobs
 	s.wg.Wait()
 	for _, job := range s.queue.drain() {
-		job.mu.Lock()
-		job.state = StateFailed
-		job.errMsg = "aborted: server shut down before the job started"
-		job.finished = time.Now()
-		for i := range job.cellPhases {
-			job.cellPhases[i] = CellFailed // drained sweep cells will never commit
-		}
-		job.bumpLocked()
-		job.mu.Unlock()
-		s.countTerminal(job, StateFailed)
-		job.sink.interrupt() // no terminal record: recovery requeues it
+		// No terminal record: recovery requeues it.
+		s.terminate(job, StateFailed, "aborted: server shut down before the job started", nil, false)
 	}
 }
 
@@ -612,22 +546,17 @@ func (s *Server) expireJob(job *Job) bool {
 	if started || job.deadline.IsZero() || time.Now().Before(job.deadline) {
 		return false
 	}
-	now := time.Now()
-	job.mu.Lock()
-	job.state = StateExpired
-	job.errMsg = fmt.Sprintf("deadline %s passed before the job started", job.deadline.Format(time.RFC3339))
-	job.finished = now
-	for i := range job.cellPhases {
-		job.cellPhases[i] = CellFailed // expired sweep cells will never commit
-	}
-	errMsg := job.errMsg
-	job.bumpLocked()
-	job.mu.Unlock()
-	s.countTerminal(job, StateExpired)
-	s.sealJob(job, StateExpired, 0, now, nil, errMsg)
+	s.terminate(job, StateExpired, fmt.Sprintf("deadline %s passed before the job started", job.deadline.Format(time.RFC3339)), nil, true)
 	return true
 }
 
+// runJob executes one run attempt of a job as a sweep against the
+// server's shared graph cache, accumulating results in (cell, trial)
+// order and tracking each cell's scheduler phase for the status endpoint.
+// A resumed job (a replayed journal prefix, or a preempted first
+// attempt) re-enters at the first undelivered (cell, trial): fully
+// delivered cells are never re-admitted and the head cell continues
+// mid-campaign. A campaign is the one-cell case.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	s.running[job] = struct{}{}
@@ -661,61 +590,68 @@ func (s *Server) runJob(job *Job) {
 		s.reopenSink(job)
 	}
 
-	// fail distinguishes a genuine failure (terminal record sealed in the
-	// journal) from a shutdown abort: the latter leaves the journal
-	// unterminated so the next recovery resumes the job from its committed
-	// prefix, byte-identical by the campaign determinism invariant.
-	// Journal sealing fsyncs, so it happens outside job.mu (like record on
-	// the hot path): status and list readers must never stall behind disk.
-	fail := func(err error) {
-		now := time.Now()
-		shutdown := s.ctx.Err() != nil
+	sweep, err := CompileSweep(job.sweep, s.cache)
+	if err != nil {
+		s.fail(job, err)
+		return
+	}
+	if job.kind == store.KindSweep {
+		// Observe-only cell-scheduler instruments, which count sweep cells;
+		// library callers of Sweep.Run leave these nil and take the exact
+		// same schedule.
+		sweep.stalls = s.met.stalls
+		sweep.reorder = s.met.reorder
+		sweep.cellWall = s.met.cellWall
+	}
+	sweep.OnCellPhase = func(cell int, phase CellPhase) {
 		job.mu.Lock()
-		job.state = StateFailed
-		job.errMsg = err.Error()
-		job.finished = now
-		completed := job.completed
+		job.cellPhases[cell] = phase
 		job.bumpLocked()
 		job.mu.Unlock()
-		s.countTerminal(job, StateFailed)
-		if shutdown {
-			job.sink.interrupt()
-			return
+	}
+	remote := s.cfg.Remote != nil
+	if remote {
+		jobID := job.id
+		sweep.Remote = func(ctx context.Context, cell int, spec Spec, from int, deliver func(TrialResult)) error {
+			return s.cfg.Remote.RunCell(ctx, jobID, cell, spec, from, deliver)
 		}
-		s.sealJob(job, StateFailed, completed, now, nil, err.Error())
-	}
-
-	if job.sweep != nil {
-		s.runSweepJob(job, runCtx, cancelRun, fail)
-		return
-	}
-
-	campaign, err := Compile(job.spec, s.cache)
-	if err != nil {
-		fail(err)
-		return
 	}
 	// Resume point: everything already in RAM (replayed journal prefix,
 	// or a preempted first attempt's delivered trials) is skipped; the
-	// online clone seeds RunFrom's aggregate fold so the final aggregate
-	// matches an uninterrupted run bit for bit.
+	// cloned per-cell folds seed RunFrom's aggregates so the final ones
+	// match an uninterrupted run bit for bit.
 	job.mu.Lock()
 	from := job.completed
-	online := job.online.Clone()
+	prefix := make([]*stats.Online, len(job.cellOnline))
+	for i, o := range job.cellOnline {
+		prefix[i] = o.Clone()
+	}
 	job.mu.Unlock()
 	if from > 0 {
-		s.met.resumeTail.Observe(float64(job.spec.Trials - from))
+		s.met.resumeTail.Observe(float64(len(job.cellSpecs)*job.sweep.Trials - from))
 	}
-	agg, err := campaign.RunFrom(runCtx, from, online, func(r TrialResult) {
-		job.sink.record(r)
-		s.met.trials.Inc()
-		s.met.roundsDense.Add(int64(r.DenseRounds))
-		s.met.roundsSparse.Add(int64(r.SparseRounds))
-		s.met.roundsTiled.Add(int64(r.TiledRounds))
+	lastCell := -1
+	cells, err := sweep.RunFrom(runCtx, from, prefix, func(r CellResult) {
+		if r.Cell != lastCell {
+			// A new cell starts committing: fsync the finished one (the
+			// sweep journal's commit boundary).
+			job.sink.boundary()
+			lastCell = r.Cell
+		}
+		job.sink.record(job.result(r))
+		if !remote {
+			// Coordinator mode: these trials were computed by fleet
+			// workers, not this process — the fleet counters receive
+			// them; trials_executed keeps its "computed here" meaning.
+			s.met.trials.Inc()
+			s.met.roundsDense.Add(int64(r.DenseRounds))
+			s.met.roundsSparse.Add(int64(r.SparseRounds))
+			s.met.roundsTiled.Add(int64(r.TiledRounds))
+		}
 		job.mu.Lock()
-		job.results = append(job.results, r)
+		job.cellResults = append(job.cellResults, r)
 		job.completed++
-		job.online.Add(float64(r.Rounds))
+		job.cellOnline[r.Cell].Add(float64(r.Rounds))
 		preempt := job.preempt
 		job.bumpLocked()
 		job.mu.Unlock()
@@ -732,19 +668,64 @@ func (s *Server) runJob(job *Job) {
 		if s.requeuePreempted(job, runCtx) {
 			return
 		}
-		fail(err)
+		s.fail(job, err)
 		return
 	}
+	for i := range cells {
+		cells[i].Phase = CellDone
+	}
+	s.terminate(job, StateDone, "", cells, true)
+}
+
+// fail ends a run attempt that stopped with err. A genuine failure seals
+// the journal with a terminal record; a shutdown abort leaves it
+// unterminated so the next recovery resumes the job from its committed
+// prefix, byte-identical by the campaign determinism invariant.
+func (s *Server) fail(job *Job, err error) {
+	s.terminate(job, StateFailed, job.failure(err), nil, s.ctx.Err() == nil)
+}
+
+// terminate moves job to its terminal state, once. With seal, the
+// terminal record is written first (fsync included, outside job.mu), and
+// the state becomes visible together with the durable verdict and the
+// job's retention entry: a client that observes done, failed or expired
+// never finds a job whose journal is not yet sealed or that retention
+// cannot evict yet. Shutdown aborts pass seal false and write no
+// terminal record, so recovery requeues them. Cells left running, and
+// every cell of a job that was still queued, end failed: no phantom
+// phase outlives the job (cells of a running job that were never
+// admitted stay queued — they genuinely never started).
+func (s *Server) terminate(job *Job, state JobState, errMsg string, cells []CellSummary, seal bool) {
 	now := time.Now()
+	persisted := false
+	if seal {
+		job.mu.Lock()
+		completed := job.completed
+		job.mu.Unlock()
+		persisted = job.sink.finish(state, completed, now, job.final(cells), errMsg)
+	} else {
+		job.sink.interrupt()
+	}
+	s.countTerminal(job, state)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	job.mu.Lock()
-	job.final = agg
-	job.state = StateDone
+	for i, ph := range job.cellPhases {
+		if ph == CellRunning || job.state == StateQueued {
+			job.cellPhases[i] = CellFailed
+		}
+	}
+	job.state = state
+	job.errMsg = errMsg
 	job.finished = now
-	completed := job.completed
+	job.cellFinal = cells
+	job.persisted = persisted
 	job.bumpLocked()
 	job.mu.Unlock()
-	s.countTerminal(job, StateDone)
-	s.sealJob(job, StateDone, completed, now, agg, "")
+	if persisted {
+		s.finishedJobs = append(s.finishedJobs, job)
+		s.evictLocked()
+	}
 }
 
 // requeuePreempted handles a run attempt that stopped because the job
@@ -764,16 +745,14 @@ func (s *Server) requeuePreempted(job *Job, runCtx context.Context) bool {
 	job.preemptions++
 	job.state = StateQueued
 	job.queuedAt = time.Now()
-	if job.sweep != nil {
-		// Cells whose every trial was delivered are done; the rest wait
-		// for the resumed attempt (the head cell re-enters mid-campaign).
-		done := job.completed / job.sweep.Trials
-		for i := range job.cellPhases {
-			if i < done {
-				job.cellPhases[i] = CellDone
-			} else {
-				job.cellPhases[i] = CellQueued
-			}
+	// Cells whose every trial was delivered are done; the rest wait for
+	// the resumed attempt (the head cell re-enters mid-campaign).
+	done := job.completed / job.sweep.Trials
+	for i := range job.cellPhases {
+		if i < done {
+			job.cellPhases[i] = CellDone
+		} else {
+			job.cellPhases[i] = CellQueued
 		}
 	}
 	job.bumpLocked()
@@ -787,16 +766,7 @@ func (s *Server) requeuePreempted(job *Job, runCtx context.Context) bool {
 		// The queue closed during the preemption window: Close's drain ran
 		// (or will run) without this job, so terminalize it here exactly
 		// like the drain path. The unterminated journal resumes next start.
-		job.mu.Lock()
-		job.state = StateFailed
-		job.errMsg = "aborted: server shut down before the job started"
-		job.finished = time.Now()
-		for i := range job.cellPhases {
-			job.cellPhases[i] = CellFailed
-		}
-		job.bumpLocked()
-		job.mu.Unlock()
-		s.countTerminal(job, StateFailed)
+		s.terminate(job, StateFailed, "aborted: server shut down before the job started", nil, false)
 	}
 	return true
 }
@@ -834,128 +804,18 @@ func (s *Server) maybePreempt(priority int) {
 	victim.mu.Unlock()
 }
 
-// sealJob writes a job's terminal record (fsync included) outside
-// job.mu, then records the durable verdict and applies retention.
-func (s *Server) sealJob(job *Job, state JobState, completed int, finished time.Time, final any, errMsg string) {
-	persisted := job.sink.finish(state, completed, finished, final, errMsg)
-	job.mu.Lock()
-	job.persisted = persisted
-	job.mu.Unlock()
-	s.finishJob(job)
-}
-
-// runSweepJob executes a sweep job against the server's shared graph
-// cache, accumulating results in (cell, trial) order and tracking each
-// cell's scheduler phase for the status endpoint. A resumed sweep (a
-// replayed journal prefix, or a preempted first attempt) re-enters at
-// the first undelivered (cell, trial): fully-delivered cells are never
-// re-admitted and the head cell continues mid-campaign.
-func (s *Server) runSweepJob(job *Job, runCtx context.Context, cancelRun context.CancelFunc, fail func(error)) {
-	sweep, err := CompileSweep(*job.sweep, s.cache)
-	if err != nil {
-		fail(err)
-		return
-	}
-	// Observe-only instruments for the cell scheduler; library callers of
-	// Sweep.Run leave these nil and take the exact same schedule.
-	sweep.stalls = s.met.stalls
-	sweep.reorder = s.met.reorder
-	sweep.cellWall = s.met.cellWall
-	sweep.OnCellPhase = func(cell int, phase CellPhase) {
-		job.mu.Lock()
-		job.cellPhases[cell] = phase
-		job.bumpLocked()
-		job.mu.Unlock()
-	}
-	remote := s.cfg.Remote != nil
-	if remote {
-		jobID := job.id
-		sweep.Remote = func(ctx context.Context, cell int, spec Spec, from int, deliver func(TrialResult)) error {
-			return s.cfg.Remote.RunCell(ctx, jobID, cell, spec, from, deliver)
+// handleJobs serves POST (submit) and GET (list) on /v1/campaigns and
+// /v1/sweeps.
+func (s *Server) handleJobs(kind store.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			s.submit(w, r, kind)
+		case http.MethodGet:
+			s.list(w, kind)
+		default:
+			httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		}
-	}
-	job.mu.Lock()
-	from := job.completed
-	prefix := make([]*stats.Online, len(job.cellOnline))
-	for i, o := range job.cellOnline {
-		prefix[i] = o.Clone()
-	}
-	job.mu.Unlock()
-	if from > 0 {
-		s.met.resumeTail.Observe(float64(len(job.cellSpecs)*job.sweep.Trials - from))
-	}
-	lastCell := -1
-	cells, err := sweep.RunFrom(runCtx, from, prefix, func(r CellResult) {
-		if r.Cell != lastCell {
-			// A new cell starts committing: fsync the finished one (the
-			// sweep journal's commit boundary).
-			job.sink.boundary()
-			lastCell = r.Cell
-		}
-		job.sink.record(r)
-		if !remote {
-			// Coordinator mode: these trials were computed by fleet
-			// workers, not this process — the fleet counters receive
-			// them; trials_executed keeps its "computed here" meaning.
-			s.met.trials.Inc()
-			s.met.roundsDense.Add(int64(r.DenseRounds))
-			s.met.roundsSparse.Add(int64(r.SparseRounds))
-			s.met.roundsTiled.Add(int64(r.TiledRounds))
-		}
-		job.mu.Lock()
-		job.cellResults = append(job.cellResults, r)
-		job.completed++
-		job.cellOnline[r.Cell].Add(float64(r.Rounds))
-		preempt := job.preempt
-		job.bumpLocked()
-		job.mu.Unlock()
-		if preempt {
-			// Checkpoint at this trial boundary (see the campaign path).
-			job.sink.boundary()
-			cancelRun()
-		}
-	})
-	if err != nil {
-		if s.requeuePreempted(job, runCtx) {
-			return
-		}
-		// Cells admitted but never committed are dead, not running: leave
-		// no phantom "running" phases behind on a failed job (cells still
-		// "queued" genuinely never started).
-		job.mu.Lock()
-		for i, ph := range job.cellPhases {
-			if ph == CellRunning {
-				job.cellPhases[i] = CellFailed
-			}
-		}
-		job.mu.Unlock()
-		fail(err)
-		return
-	}
-	for i := range cells {
-		cells[i].Phase = CellDone
-	}
-	now := time.Now()
-	job.mu.Lock()
-	job.cellFinal = cells
-	job.state = StateDone
-	job.finished = now
-	completed := job.completed
-	job.bumpLocked()
-	job.mu.Unlock()
-	s.countTerminal(job, StateDone)
-	s.sealJob(job, StateDone, completed, now, cells, "")
-}
-
-// handleCampaigns serves POST (submit) and GET (list) on /v1/campaigns.
-func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.submit(w, r)
-	case http.MethodGet:
-		s.list(w)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
 }
 
@@ -977,29 +837,13 @@ func applyQueueParams(r *http.Request, priority *int, deadline *string) error {
 	return nil
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if err := applyQueueParams(r, &spec.Priority, &spec.Deadline); err != nil {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind store.Kind) {
+	spec, plan, err := s.decodeSubmission(w, r, kind)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if spec.Trials > s.cfg.MaxTrials {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("trials %d exceeds this server's limit of %d (per-trial results are retained in memory)",
-				spec.Trials, s.cfg.MaxTrials))
-		return
-	}
-	deadline, _ := spec.DeadlineTime() // validated above
+	deadline, _ := plan.DeadlineTime() // validated above
 
 	// Cheap overload shed before any disk work; push re-checks below.
 	if s.queue.full() {
@@ -1010,25 +854,20 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextID++
 	s.seq++
-	id := fmt.Sprintf("c%06d", s.nextID)
+	id := fmt.Sprintf("%c%06d", kind[0], s.nextID) // c000042, s000043: one counter, both kinds
 	seq := s.seq
 	s.mu.Unlock()
-	job := &Job{
-		id:       id,
-		spec:     spec,
-		state:    StateQueued,
-		online:   stats.NewOnline(),
-		notify:   make(chan struct{}),
-		created:  time.Now(),
-		priority: spec.Priority,
-		deadline: deadline,
-		seq:      seq,
-	}
+	job := newJob(id, kind, spec, plan)
+	job.deadline = deadline
+	job.seq = seq
+	job.created = time.Now()
 	job.queuedAt = job.created
 
 	// The journal header must be durable before the 202: an acknowledged
-	// job is never forgotten by a crash.
-	sink, err := s.createJournal(store.KindCampaign, id, spec, job.created)
+	// job is never forgotten by a crash. It carries the effective spec
+	// (a sweep's cell_workers default already substituted), so a
+	// recovered re-run uses the same plan.
+	sink, err := s.createJournal(kind, id, job.headerSpec(), job.created)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "persist submission: "+err.Error())
 		return
@@ -1047,59 +886,82 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.jobs[id] = job
-	s.order = append(s.order, id)
+	s.table(kind)[id] = job
+	s.order = append(s.order, job)
 	s.mu.Unlock()
 	s.maybePreempt(job.priority)
-	w.Header().Set("Location", "/v1/campaigns/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]string{
+	url := route(kind) + id
+	w.Header().Set("Location", url)
+	body := map[string]string{
 		"id":          id,
-		"status_url":  "/v1/campaigns/" + id,
-		"results_url": "/v1/campaigns/" + id + "/results",
-	})
+		"status_url":  url,
+		"results_url": url + "/results",
+	}
+	if kind == store.KindSweep {
+		body["table_url"] = url + "/table"
+	}
+	writeJSON(w, http.StatusAccepted, body)
 }
 
-func (s *Server) list(w http.ResponseWriter) {
+// table is the id index of a kind's jobs. Callers hold s.mu.
+func (s *Server) table(kind store.Kind) map[string]*Job {
+	if kind == store.KindCampaign {
+		return s.jobs
+	}
+	return s.sweeps
+}
+
+func (s *Server) list(w http.ResponseWriter, kind store.Kind) {
 	s.mu.Lock()
-	out := make([]jobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		job := s.jobs[id]
+	out := make([]any, 0, len(s.table(kind)))
+	for _, job := range s.order {
+		if job.kind != kind {
+			continue
+		}
 		job.mu.Lock()
-		out = append(out, job.statusLocked())
+		out = append(out, job.statusLocked(false))
 		job.mu.Unlock()
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
+	writeJSON(w, http.StatusOK, map[string]any{string(kind) + "s": out})
 }
 
-// handleCampaign serves /v1/campaigns/{id} and /v1/campaigns/{id}/results.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	s.touchRetention()
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/campaigns/")
-	id, sub, _ := strings.Cut(rest, "/")
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such campaign "+id)
-		return
-	}
-	switch sub {
-	case "":
-		job.mu.Lock()
-		st := job.statusLocked()
-		job.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
-	case "results":
-		s.streamResults(w, r, job)
-	case "events":
-		s.streamEvents(w, r, job)
-	default:
-		httpError(w, http.StatusNotFound, "unknown subresource "+sub)
+// handleJob serves /v1/{campaigns,sweeps}/{id}, …/results, …/events and
+// (sweeps) …/table.
+func (s *Server) handleJob(kind store.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			httpError(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		s.touchRetention()
+		id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, route(kind)), "/")
+		s.mu.Lock()
+		job, ok := s.table(kind)[id]
+		s.mu.Unlock()
+		if !ok {
+			httpError(w, http.StatusNotFound, "no such "+string(kind)+" "+id)
+			return
+		}
+		switch {
+		case sub == "":
+			job.mu.Lock()
+			st := job.statusLocked(true)
+			job.mu.Unlock()
+			writeJSON(w, http.StatusOK, st)
+		case sub == "results":
+			s.streamResults(w, r, job)
+		case sub == "events":
+			s.streamEvents(w, r, job)
+		case sub == "table" && kind == store.KindSweep:
+			job.mu.Lock()
+			st := job.statusLocked(true).(sweepStatus)
+			job.mu.Unlock()
+			header, rows := SummaryTable(st.CellAggs)
+			writeJSON(w, http.StatusOK, map[string]any{"header": header, "rows": rows})
+		default:
+			httpError(w, http.StatusNotFound, "unknown subresource "+sub)
+		}
 	}
 }
 
@@ -1121,16 +983,54 @@ const (
 	StreamAborted = "aborted"
 )
 
-// streamResults writes the job's per-trial results as NDJSON in trial
-// order, following a live campaign until it reaches a terminal state.
-// Evicted (or restored-from-disk) jobs stream their journal instead —
-// the same bytes, by the journal format's construction.
+// streamResults writes the job's results as NDJSON in (cell, trial)
+// order — result lines in the job's wire encoding — following a live job
+// until it reaches a terminal state. Evicted (or restored-from-disk)
+// jobs stream their journal instead: the same bytes, by the journal
+// format's construction. The X-Cobrad-Stream trailer seals the stream:
+// "complete" after following the job to a terminal state, "aborted" when
+// server shutdown (or the client) truncated it.
 func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job) {
 	if s.claimStream(w, job) {
 		return // served from the journal
 	}
 	defer s.releaseStream(job)
-	streamNDJSON(s, w, r, job, func() []TrialResult { return job.results })
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Trailer", StreamTrailer)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	sent := 0
+	for {
+		job.mu.Lock()
+		chunk := job.cellResults[sent:] // append-only: the sent prefix never changes
+		terminal := job.state.Terminal()
+		wake := job.notify
+		job.mu.Unlock()
+
+		for _, res := range chunk {
+			if err := enc.Encode(job.result(res)); err != nil {
+				w.Header().Set(StreamTrailer, StreamAborted)
+				return
+			}
+		}
+		sent += len(chunk)
+		if flusher != nil && len(chunk) > 0 {
+			flusher.Flush()
+		}
+		if terminal {
+			w.Header().Set(StreamTrailer, StreamComplete)
+			return
+		}
+		select {
+		case <-wake:
+		case <-r.Context().Done():
+			w.Header().Set(StreamTrailer, StreamAborted)
+			return
+		case <-s.ctx.Done():
+			w.Header().Set(StreamTrailer, StreamAborted)
+			return
+		}
+	}
 }
 
 // claimStream routes the request to the journal when the job's results
@@ -1182,226 +1082,6 @@ func (s *Server) streamStored(w http.ResponseWriter, job *Job) {
 		return
 	}
 	w.Header().Set(StreamTrailer, StreamComplete)
-}
-
-// streamNDJSON is the shared live-follow loop behind the campaign and
-// sweep results endpoints: it encodes each element of the snapshot slice
-// as one NDJSON line, in order, waking on the job's notify channel until
-// the job reaches a terminal state. snapshot is called with job.mu held
-// and must return the job's full result slice (append-only, so the
-// delivered prefix never changes). The X-Cobrad-Stream trailer seals the
-// stream: "complete" after following the job to a terminal state,
-// "aborted" when server shutdown (or the client) truncated it.
-func streamNDJSON[T any](s *Server, w http.ResponseWriter, r *http.Request, job *Job, snapshot func() []T) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Trailer", StreamTrailer)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		job.mu.Lock()
-		chunk := snapshot()[sent:]
-		terminal := job.state.Terminal()
-		wake := job.notify
-		job.mu.Unlock()
-
-		for _, res := range chunk {
-			if err := enc.Encode(res); err != nil {
-				w.Header().Set(StreamTrailer, StreamAborted)
-				return
-			}
-		}
-		sent += len(chunk)
-		if flusher != nil && len(chunk) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			w.Header().Set(StreamTrailer, StreamComplete)
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			w.Header().Set(StreamTrailer, StreamAborted)
-			return
-		case <-s.ctx.Done():
-			w.Header().Set(StreamTrailer, StreamAborted)
-			return
-		}
-	}
-}
-
-// handleSweeps serves POST (submit) and GET (list) on /v1/sweeps.
-func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.submitSweep(w, r)
-	case http.MethodGet:
-		s.listSweeps(w)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-	}
-}
-
-func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
-	var spec SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if err := applyQueueParams(r, &spec.Priority, &spec.Deadline); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Overflow-safe form of cells*Trials > MaxTrials (Trials arrives as an
-	// arbitrary JSON integer; the product must never wrap past the cap).
-	if cells := spec.CellCount(); spec.Trials > s.cfg.MaxTrials/cells {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep total of %d cells x %d trials exceeds this server's limit of %d (per-trial results are retained in memory)",
-				cells, spec.Trials, s.cfg.MaxTrials))
-		return
-	}
-
-	// A submission that leaves cell-level parallelism unset inherits the
-	// server's -cell-workers default; the applied value is echoed in the
-	// job's status. Results are identical either way.
-	if spec.CellWorkers <= 0 {
-		spec.CellWorkers = s.cfg.CellWorkers
-	}
-
-	deadline, _ := spec.DeadlineTime() // validated above
-
-	// As for campaigns: shed overload before any disk work.
-	if s.queue.full() {
-		httpError(w, http.StatusServiceUnavailable, "campaign queue full, retry later")
-		return
-	}
-
-	s.mu.Lock()
-	s.nextID++
-	s.seq++
-	id := fmt.Sprintf("s%06d", s.nextID)
-	seq := s.seq
-	s.mu.Unlock()
-	cellSpecs := spec.Cells()
-	job := &Job{
-		id:         id,
-		sweep:      &spec,
-		cellSpecs:  cellSpecs,
-		state:      StateQueued,
-		online:     stats.NewOnline(),
-		cellOnline: make([]*stats.Online, len(cellSpecs)),
-		cellPhases: make([]CellPhase, len(cellSpecs)),
-		notify:     make(chan struct{}),
-		created:    time.Now(),
-		priority:   spec.Priority,
-		deadline:   deadline,
-		seq:        seq,
-	}
-	job.queuedAt = job.created
-	for i := range job.cellOnline {
-		job.cellOnline[i] = stats.NewOnline()
-		job.cellPhases[i] = CellQueued
-	}
-
-	// The journal header carries the effective spec (cell_workers default
-	// already substituted), so a recovered re-run uses the same plan.
-	sink, err := s.createJournal(store.KindSweep, id, spec, job.created)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "persist submission: "+err.Error())
-		return
-	}
-	job.sink = sink
-
-	// As for campaigns: reserve the queue slot before publishing the job.
-	if !s.queue.push(job, false) {
-		if sink != nil {
-			sink.interrupt()
-			_ = s.store.Remove(id)
-		}
-		httpError(w, http.StatusServiceUnavailable, "campaign queue full, retry later")
-		return
-	}
-	s.mu.Lock()
-	s.sweeps[id] = job
-	s.sweepOrder = append(s.sweepOrder, id)
-	s.mu.Unlock()
-	s.maybePreempt(job.priority)
-	w.Header().Set("Location", "/v1/sweeps/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"id":          id,
-		"status_url":  "/v1/sweeps/" + id,
-		"results_url": "/v1/sweeps/" + id + "/results",
-		"table_url":   "/v1/sweeps/" + id + "/table",
-	})
-}
-
-func (s *Server) listSweeps(w http.ResponseWriter) {
-	s.mu.Lock()
-	out := make([]sweepStatus, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		job := s.sweeps[id]
-		job.mu.Lock()
-		st := job.sweepStatusLocked(false)
-		job.mu.Unlock()
-		out = append(out, st)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": out})
-}
-
-// handleSweep serves /v1/sweeps/{id}, …/results and …/table.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	s.touchRetention()
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sweeps/")
-	id, sub, _ := strings.Cut(rest, "/")
-	s.mu.Lock()
-	job, ok := s.sweeps[id]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such sweep "+id)
-		return
-	}
-	switch sub {
-	case "":
-		job.mu.Lock()
-		st := job.sweepStatusLocked(true)
-		job.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
-	case "results":
-		s.streamSweepResults(w, r, job)
-	case "events":
-		s.streamEvents(w, r, job)
-	case "table":
-		job.mu.Lock()
-		st := job.sweepStatusLocked(true)
-		job.mu.Unlock()
-		header, rows := SummaryTable(st.CellAggs)
-		writeJSON(w, http.StatusOK, map[string]any{"header": header, "rows": rows})
-	default:
-		httpError(w, http.StatusNotFound, "unknown subresource "+sub)
-	}
-}
-
-// streamSweepResults writes the sweep's trial results as NDJSON in
-// (cell, trial) order, following a live sweep until it reaches a
-// terminal state (the sweep twin of streamResults).
-func (s *Server) streamSweepResults(w http.ResponseWriter, r *http.Request, job *Job) {
-	if s.claimStream(w, job) {
-		return // served from the journal
-	}
-	defer s.releaseStream(job)
-	streamNDJSON(s, w, r, job, func() []CellResult { return job.cellResults })
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

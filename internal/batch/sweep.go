@@ -230,6 +230,27 @@ func (s SweepSpec) Cells() []Spec {
 	return cells
 }
 
+// campaignSweep is the one-cell sweep a cobrad campaign job runs as. Its
+// cell is the campaign's Spec with Process lower-cased and Deadline, a
+// job-level field, dropped; Compile ignores both differences, so the
+// cell's results are the campaign's own, byte for byte.
+func campaignSweep(spec Spec) SweepSpec {
+	return SweepSpec{
+		Graphs:    []string{spec.Graph},
+		Processes: []string{spec.Process},
+		Branches:  []int{spec.Branch},
+		Rhos:      []float64{spec.Rho},
+		Lazy:      spec.Lazy,
+		Start:     spec.Start,
+		Trials:    spec.Trials,
+		Seed:      spec.Seed,
+		Workers:   spec.Workers,
+		MaxRounds: spec.MaxRounds,
+		Priority:  spec.Priority,
+		Deadline:  spec.Deadline,
+	}
+}
+
 // CellResult is one trial measurement tagged with its cell index; the
 // embedded TrialResult fields are flattened on the wire (the NDJSON line
 // format of GET /v1/sweeps/{id}/results).
@@ -386,7 +407,7 @@ func (sw *Sweep) RunFrom(ctx context.Context, from int, prefix []*stats.Online, 
 			return sw.cells[cell].Run(ctx, deliver)
 		},
 		wrap: func(cell int, err error) error {
-			return fmt.Errorf("cell %d (%s): %w", cell, cellName(sw.cellSpecs[cell]), err)
+			return &cellError{cell: cell, name: cellName(sw.cellSpecs[cell]), err: err}
 		},
 		onPhase:  sw.OnCellPhase,
 		stalls:   sw.stalls,
@@ -462,6 +483,18 @@ func cellSummary(i int, spec Spec, agg *Aggregate) CellSummary {
 		Aggregate: agg,
 	}
 }
+
+// cellError is the failure of one sweep cell, named by its grid
+// coordinates. A campaign job, a one-cell sweep, reports the cause alone,
+// as a standalone campaign does.
+type cellError struct {
+	cell int
+	name string
+	err  error
+}
+
+func (e *cellError) Error() string { return fmt.Sprintf("cell %d (%s): %v", e.cell, e.name, e.err) }
+func (e *cellError) Unwrap() error { return e.err }
 
 // cellName renders a cell's grid coordinates for error messages and logs.
 func cellName(s Spec) string {

@@ -34,7 +34,8 @@ type CoordinatorConfig struct {
 	Registry *obs.Registry
 }
 
-// cellKey identifies one sweep cell across the fleet.
+// cellKey identifies one job cell across the fleet: a sweep's cell, or
+// cell 0 of a campaign job.
 type cellKey struct {
 	job  string
 	cell int
@@ -655,7 +656,7 @@ func newFleetMetrics(reg *obs.Registry, c *Coordinator) *fleetMetrics {
 		grants:    reg.CounterVec("cobrad_fleet_leases_granted_total", "Cell leases granted, by worker.", "worker"),
 		renews:    reg.CounterVec("cobrad_fleet_lease_renewals_total", "Lease heartbeat renewals accepted, by worker.", "worker"),
 		expires:   reg.CounterVec("cobrad_fleet_leases_expired_total", "Leases retired for missing their heartbeat TTL, by worker.", "worker"),
-		completes: reg.CounterVec("cobrad_fleet_cells_completed_total", "Sweep cells completed by the fleet, by worker.", "worker"),
+		completes: reg.CounterVec("cobrad_fleet_cells_completed_total", "Job cells (sweep cells and campaigns) completed by the fleet, by worker.", "worker"),
 		results:   reg.CounterVec("cobrad_fleet_results_received_total", "Remotely computed trial results accepted into the reorder buffer, by worker.", "worker"),
 		remote:    reg.Counter("cobrad_fleet_trials_remote_total", "Remotely computed trial results accepted, all workers (coordinator roll-up)."),
 	}
@@ -664,7 +665,7 @@ func newFleetMetrics(reg *obs.Registry, c *Coordinator) *fleetMetrics {
 		defer c.mu.Unlock()
 		return int64(len(c.workers))
 	})
-	reg.GaugeFunc("cobrad_fleet_cells_open", "Sweep cells currently open for lease or under one.", func() int64 {
+	reg.GaugeFunc("cobrad_fleet_cells_open", "Job cells (sweep cells and campaigns) currently open for lease or under one.", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.cells))

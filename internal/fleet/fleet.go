@@ -1,17 +1,19 @@
-// Package fleet shards cobrad sweeps across a coordinator/worker fleet
+// Package fleet shards cobrad jobs across a coordinator/worker fleet
 // with zero change to results.
 //
-// Campaign determinism makes every sweep cell a pure, idempotent,
+// Campaign determinism makes every job cell a pure, idempotent,
 // resumable unit of work: cell c of a sweep is exactly the standalone
 // campaign of its Spec, trial k of that campaign is a pure function of
 // (spec, k), and the NDJSON encoding of each result is canonical
-// json.Marshal output. The fleet layer exploits that — it changes WHERE
-// cells compute, never WHAT they produce, so the coordinator's merged
-// result stream, aggregates, journal, SSE events, and /metrics are
-// byte-for-byte identical to a single-process run no matter how many
-// workers participate, which of them die, or how many times a cell is
-// re-leased (the fleet conformance suite pins this for 1 worker, 3
-// workers, a worker killed mid-cell, and forced lease expiry).
+// json.Marshal output. A campaign job runs as a one-cell sweep, so it
+// is leased as cell 0 of its job like any other cell. The fleet layer
+// exploits that — it changes WHERE cells compute, never WHAT they
+// produce, so the coordinator's merged result stream, aggregates,
+// journal, SSE events, and /metrics are byte-for-byte identical to a
+// single-process run no matter how many workers participate, which of
+// them die, or how many times a cell is re-leased (the fleet
+// conformance suite pins this for sweeps and campaigns with 1 worker,
+// 3 workers and a worker killed mid-cell, and for forced lease expiry).
 //
 // # Roles
 //

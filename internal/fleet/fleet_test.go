@@ -68,20 +68,40 @@ func newFleetEnv(t *testing.T, cfg CoordinatorConfig) *fleetEnv {
 	return &fleetEnv{ts: ts, svc: svc, co: co}
 }
 
-func postSweep(t *testing.T, url string, spec batch.SweepSpec) string {
+// goldenCampaign is the CI golden campaign (mean 26.703125).
+func goldenCampaign() batch.Spec {
+	return batch.Spec{Graph: "rreg:1024:3", Process: "cobra", Branch: 2, Trials: 64, Seed: 1}
+}
+
+// jobPath is a job's resource path: campaign ids start with c, sweep
+// ids with s.
+func jobPath(id string) string {
+	if strings.HasPrefix(id, "c") {
+		return "/v1/campaigns/" + id
+	}
+	return "/v1/sweeps/" + id
+}
+
+// postJob submits a sweep (batch.SweepSpec) or a campaign (batch.Spec)
+// and returns its id.
+func postJob(t *testing.T, url string, spec any) string {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	route := "/v1/sweeps"
+	if _, ok := spec.(batch.Spec); ok {
+		route = "/v1/campaigns"
+	}
+	resp, err := http.Post(url+route, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("sweep submit: status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, raw)
 	}
 	var out map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -90,39 +110,39 @@ func postSweep(t *testing.T, url string, spec batch.SweepSpec) string {
 	return out["id"]
 }
 
-type sweepState struct {
+type jobState struct {
 	State     string `json:"state"`
 	Completed int    `json:"completed"`
 	Error     string `json:"error"`
 }
 
-func getSweepState(t *testing.T, url, id string) sweepState {
+func getJobState(t *testing.T, url, id string) jobState {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/sweeps/" + id)
+	resp, err := http.Get(url + jobPath(id))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st sweepState
+	var st jobState
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func awaitSweepDone(t *testing.T, url, id string, timeout time.Duration) {
+func awaitJobDone(t *testing.T, url, id string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		st := getSweepState(t, url, id)
+		st := getJobState(t, url, id)
 		if st.State == "done" {
 			return
 		}
 		if st.State == "failed" || st.State == "expired" {
-			t.Fatalf("sweep %s reached %s: %s", id, st.State, st.Error)
+			t.Fatalf("job %s reached %s: %s", id, st.State, st.Error)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s stuck in %s (completed %d)", id, st.State, st.Completed)
+			t.Fatalf("job %s stuck in %s (completed %d)", id, st.State, st.Completed)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -132,7 +152,7 @@ func awaitSweepDone(t *testing.T, url, id string, timeout time.Duration) {
 // the byte-identity contract.
 func resultBytes(t *testing.T, url, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/sweeps/" + id + "/results")
+	resp, err := http.Get(url + jobPath(id) + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +167,10 @@ func resultBytes(t *testing.T, url, id string) []byte {
 	return raw
 }
 
-// standaloneGolden runs the sweep on an ordinary single-process server
+// standaloneGolden runs the job on an ordinary single-process server
 // and returns its result bytes — the reference every fleet topology
 // must reproduce exactly.
-func standaloneGolden(t *testing.T, spec batch.SweepSpec) []byte {
+func standaloneGolden(t *testing.T, spec any) []byte {
 	t.Helper()
 	svc := batch.NewServer(batch.ServerConfig{CellWorkers: 4, Logger: quietLogger()})
 	ts := httptest.NewServer(svc)
@@ -158,8 +178,8 @@ func standaloneGolden(t *testing.T, spec batch.SweepSpec) []byte {
 		ts.Close()
 		svc.Close()
 	}()
-	id := postSweep(t, ts.URL, spec)
-	awaitSweepDone(t, ts.URL, id, 60*time.Second)
+	id := postJob(t, ts.URL, spec)
+	awaitJobDone(t, ts.URL, id, 60*time.Second)
 	return resultBytes(t, ts.URL, id)
 }
 
@@ -216,74 +236,99 @@ func metricValue(t *testing.T, url, family string) float64 {
 
 // TestFleetConformance: the merged fleet stream is byte-identical to
 // the standalone run for 1 and for 3 workers, and the coordinator
-// computed none of it locally.
+// computed none of it locally — for a sweep, and for the golden
+// campaign, which runs as a one-cell sweep and is leased like any cell.
 func TestFleetConformance(t *testing.T) {
-	spec := testSweep()
-	golden := standaloneGolden(t, spec)
-	if len(golden) == 0 {
-		t.Fatal("empty golden")
-	}
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			env := newFleetEnv(t, CoordinatorConfig{TTL: 5 * time.Second})
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			for i := 0; i < workers; i++ {
-				startWorker(t, ctx, env, fmt.Sprintf("w%d", i+1), 15*time.Millisecond)
-			}
-			id := postSweep(t, env.ts.URL, spec)
-			awaitSweepDone(t, env.ts.URL, id, 60*time.Second)
-			got := resultBytes(t, env.ts.URL, id)
-			if !bytes.Equal(got, golden) {
-				t.Fatalf("fleet stream diverged from standalone: %d vs %d bytes", len(got), len(golden))
-			}
-			if n := env.svc.TrialsExecuted(); n != 0 {
-				t.Fatalf("coordinator computed %d trials locally", n)
-			}
-			if v := metricValue(t, env.ts.URL, "cobrad_fleet_trials_remote_total"); int(v) != len(spec.Graphs)*len(spec.Branches)*spec.Trials {
-				t.Fatalf("remote trial roll-up %v", v)
-			}
-		})
+	sweep := testSweep()
+	campaign := goldenCampaign()
+	for _, in := range []struct {
+		prefix string // subtest name prefix
+		spec   any
+		trials int
+	}{
+		{"", sweep, len(sweep.Graphs) * len(sweep.Branches) * sweep.Trials},
+		{"campaign/", campaign, campaign.Trials},
+	} {
+		golden := standaloneGolden(t, in.spec)
+		if len(golden) == 0 {
+			t.Fatal("empty golden")
+		}
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%sworkers=%d", in.prefix, workers), func(t *testing.T) {
+				env := newFleetEnv(t, CoordinatorConfig{TTL: 5 * time.Second})
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				for i := 0; i < workers; i++ {
+					startWorker(t, ctx, env, fmt.Sprintf("w%d", i+1), 15*time.Millisecond)
+				}
+				id := postJob(t, env.ts.URL, in.spec)
+				awaitJobDone(t, env.ts.URL, id, 60*time.Second)
+				got := resultBytes(t, env.ts.URL, id)
+				if !bytes.Equal(got, golden) {
+					t.Fatalf("fleet stream diverged from standalone: %d vs %d bytes", len(got), len(golden))
+				}
+				if n := env.svc.TrialsExecuted(); n != 0 {
+					t.Fatalf("coordinator computed %d trials locally", n)
+				}
+				if v := metricValue(t, env.ts.URL, "cobrad_fleet_trials_remote_total"); int(v) != in.trials {
+					t.Fatalf("remote trial roll-up %v, want %d", v, in.trials)
+				}
+			})
+		}
 	}
 }
 
 // TestFleetWorkerKilledMidCell: a worker hard-stopped mid-cell loses
 // its lease to TTL expiry, the cell's tail is re-leased to a second
-// worker, and the merged bytes still match the standalone golden.
+// worker, and the merged bytes still match the standalone golden — for
+// a sweep, and for a campaign (the sweep's first cell, submitted alone).
 func TestFleetWorkerKilledMidCell(t *testing.T) {
-	spec := testSweep()
-	spec.Graphs = []string{"grid:32:32"}
-	spec.Branches = []int{2, 3}
-	spec.Trials = 150
-	golden := standaloneGolden(t, spec)
+	sweep := testSweep()
+	sweep.Graphs = []string{"grid:32:32"}
+	sweep.Branches = []int{2, 3}
+	sweep.Trials = 150
+	for _, in := range []struct {
+		name string
+		spec any
+	}{
+		{"sweep", sweep},
+		{"campaign", sweep.Cells()[0]},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			golden := standaloneGolden(t, in.spec)
 
-	env := newFleetEnv(t, CoordinatorConfig{TTL: 250 * time.Millisecond})
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	_, doneA := startWorker(t, ctxA, env, "victim", 20*time.Millisecond)
+			env := newFleetEnv(t, CoordinatorConfig{TTL: 250 * time.Millisecond})
+			ctxA, cancelA := context.WithCancel(context.Background())
+			defer cancelA()
+			_, doneA := startWorker(t, ctxA, env, "victim", 20*time.Millisecond)
 
-	id := postSweep(t, env.ts.URL, spec)
-	deadline := time.Now().Add(30 * time.Second)
-	for getSweepState(t, env.ts.URL, id).Completed < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("victim made no progress")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancelA() // SIGKILL equivalent: abandon mid-cell, no complete, no drain
-	<-doneA
+			id := postJob(t, env.ts.URL, in.spec)
+			deadline := time.Now().Add(30 * time.Second)
+			for getJobState(t, env.ts.URL, id).Completed < 10 {
+				if time.Now().After(deadline) {
+					t.Fatal("victim made no progress")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			cancelA() // SIGKILL equivalent: abandon mid-cell, no complete, no drain
+			<-doneA
 
-	ctxB, cancelB := context.WithCancel(context.Background())
-	defer cancelB()
-	startWorker(t, ctxB, env, "successor", 20*time.Millisecond)
+			ctxB, cancelB := context.WithCancel(context.Background())
+			defer cancelB()
+			startWorker(t, ctxB, env, "successor", 20*time.Millisecond)
 
-	awaitSweepDone(t, env.ts.URL, id, 60*time.Second)
-	got := resultBytes(t, env.ts.URL, id)
-	if !bytes.Equal(got, golden) {
-		t.Fatalf("post-kill stream diverged from standalone: %d vs %d bytes", len(got), len(golden))
-	}
-	if v := metricValue(t, env.ts.URL, "cobrad_fleet_leases_expired_total"); v < 1 {
-		t.Fatalf("expected at least one expired lease, metric reads %v", v)
+			awaitJobDone(t, env.ts.URL, id, 60*time.Second)
+			got := resultBytes(t, env.ts.URL, id)
+			if !bytes.Equal(got, golden) {
+				t.Fatalf("post-kill stream diverged from standalone: %d vs %d bytes", len(got), len(golden))
+			}
+			if n := env.svc.TrialsExecuted(); n != 0 {
+				t.Fatalf("coordinator computed %d trials locally", n)
+			}
+			if v := metricValue(t, env.ts.URL, "cobrad_fleet_leases_expired_total"); v < 1 {
+				t.Fatalf("expected at least one expired lease, metric reads %v", v)
+			}
+		})
 	}
 }
 
@@ -300,7 +345,7 @@ func TestFleetLeaseExpiryRetry(t *testing.T) {
 	golden := standaloneGolden(t, spec)
 
 	env := newFleetEnv(t, CoordinatorConfig{TTL: 200 * time.Millisecond})
-	id := postSweep(t, env.ts.URL, spec)
+	id := postJob(t, env.ts.URL, spec)
 
 	// Manually play a worker that computes the cell, uploads 10 trials,
 	// then vanishes without completing.
@@ -348,7 +393,7 @@ func TestFleetLeaseExpiryRetry(t *testing.T) {
 	defer cancel()
 	startWorker(t, ctx, env, "steady", 20*time.Millisecond)
 
-	awaitSweepDone(t, env.ts.URL, id, 60*time.Second)
+	awaitJobDone(t, env.ts.URL, id, 60*time.Second)
 	if !bytes.Equal(resultBytes(t, env.ts.URL, id), golden) {
 		t.Fatal("expiry-retry stream diverged from standalone")
 	}
@@ -633,8 +678,19 @@ func TestCoordinatorRestartKeepsLiveLease(t *testing.T) {
 	defer cancel2()
 	snapshot, errCh2 := openCellDirect(t, co2, ctx2, "s000001", 0, 4)
 
-	// The restored lease holds the cell: nobody else can acquire it.
+	// RunCell opens the cell on its own goroutine: wait until the cell is
+	// open and the restored lease has reattached to it (next >= 0), so the
+	// acquire below tests the reattached lease rather than an empty table.
 	deadline := time.Now().Add(2 * time.Second)
+	for !leaseReattached(t, ts2.URL, grant.Lease) {
+		if time.Now().After(deadline) {
+			t.Fatal("re-offered cell never reattached to the restored lease")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// The restored lease holds the cell: nobody else can acquire it.
+	deadline = time.Now().Add(2 * time.Second)
 	for {
 		status, _ = postJSON(t, ts2.URL+"/v1/leases/acquire", acquireRequest{Worker: "thief"})
 		if status == http.StatusNoContent {
@@ -657,6 +713,30 @@ func TestCoordinatorRestartKeepsLiveLease(t *testing.T) {
 	if got := snapshot(); len(got) != 4 {
 		t.Fatalf("delivered %d results", len(got))
 	}
+}
+
+// leaseReattached reports whether GET /v1/fleet shows exactly one open
+// cell held by the given lease at a known resend point (next >= 0).
+func leaseReattached(t *testing.T, url, leaseID string) bool {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st fleetStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.OpenCells != 1 {
+		return false
+	}
+	for _, l := range st.Leases {
+		if l.Lease == leaseID {
+			return l.Next >= 0
+		}
+	}
+	return false
 }
 
 // TestLeaseSpecHashMismatch: a grant carries the canonical spec hash;
@@ -833,9 +913,9 @@ func TestWorkerDrainFinishesCell(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w, done := startWorker(t, ctx, env, "drainer", 15*time.Millisecond)
-	id := postSweep(t, env.ts.URL, spec)
+	id := postJob(t, env.ts.URL, spec)
 	deadline := time.Now().Add(30 * time.Second)
-	for getSweepState(t, env.ts.URL, id).Completed == 0 {
+	for getJobState(t, env.ts.URL, id).Completed == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no progress before drain")
 		}
@@ -863,5 +943,5 @@ func awaitDrainedSweep(t *testing.T, env *fleetEnv, id string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startWorker(t, ctx, env, "finisher", 15*time.Millisecond)
-	awaitSweepDone(t, env.ts.URL, id, 60*time.Second)
+	awaitJobDone(t, env.ts.URL, id, 60*time.Second)
 }
