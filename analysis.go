@@ -3,8 +3,6 @@ package cobra
 import (
 	"io"
 
-	"github.com/repro/cobra/internal/bips"
-	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/exact"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/spectral"
@@ -13,7 +11,7 @@ import (
 
 // This file extends the facade with the analysis layer: exact
 // (non-Monte-Carlo) computations on small graphs, full spectra, walk
-// mixing times, deterministic parallel engines and graph serialisation.
+// mixing times and graph serialisation.
 
 // --- Exact analysis (small graphs; see internal/exact) ---
 
@@ -69,28 +67,6 @@ func StationaryDistribution(g *Graph) []float64 {
 // bounded internally).
 func WalkMixingTime(g *Graph, src int, eps float64) (int, error) {
 	return walk.MixingTime(g, src, eps, 0)
-}
-
-// --- Deterministic parallel engines ---
-
-// ParallelCoverTime runs COBRA with the vertex-parallel round engine:
-// same dynamics as CoverTime, trajectory deterministic in seed and
-// independent of worker count. Prefer for very large graphs.
-func ParallelCoverTime(g *Graph, cfg Config, start int, seed uint64, workers int) (int, error) {
-	p, err := core.NewParallel(g, cfg.core(), []int{start}, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	return p.Run()
-}
-
-// ParallelInfectionTime runs BIPS with the vertex-parallel round engine.
-func ParallelInfectionTime(g *Graph, cfg Config, source int, seed uint64, workers int) (int, error) {
-	p, err := bips.NewParallel(g, cfg.bips(), source, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	return p.Run()
 }
 
 // --- Graph serialisation ---

@@ -70,24 +70,6 @@ func TestFacadeStationaryAndMixing(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelEngines(t *testing.T) {
-	g := Complete(128)
-	rounds, err := ParallelCoverTime(g, DefaultConfig(), 0, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds < 3 || rounds > 80 {
-		t.Fatalf("parallel cover %d", rounds)
-	}
-	rounds, err = ParallelInfectionTime(g, DefaultConfig(), 0, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds < 3 || rounds > 80 {
-		t.Fatalf("parallel infection %d", rounds)
-	}
-}
-
 func TestFacadeSerialisation(t *testing.T) {
 	g := Petersen()
 	var buf bytes.Buffer

@@ -1,7 +1,7 @@
 package cobra
 
 // Benchmark harness: one testing.B benchmark per experiment in DESIGN.md
-// §4 (E1–E14 and the three ablations). Each benchmark regenerates its
+// §4 (E1–E14 and the two ablations). Each benchmark regenerates its
 // experiment table at Quick scale per iteration, so `go test -bench .`
 // exercises the full reproduction pipeline; `cmd/experiments -scale full`
 // produces the EXPERIMENTS.md numbers. Micro-benchmarks for the hot
@@ -51,9 +51,6 @@ func BenchmarkAblationReplacement(b *testing.B) {
 	benchExperiment(b, experiments.AblationReplacement)
 }
 func BenchmarkAblationLazy(b *testing.B) { benchExperiment(b, experiments.AblationLazy) }
-func BenchmarkAblationParallelRound(b *testing.B) {
-	benchExperiment(b, experiments.AblationParallel)
-}
 
 // --- Hot-loop micro-benchmarks ---
 
@@ -147,12 +144,11 @@ func BenchmarkE14Concentration(b *testing.B) { benchExperiment(b, experiments.E1
 // --- Adaptive frontier-engine micro-benchmarks ---
 //
 // Sparse vs dense vs adaptive rounds on ≥10^5-vertex workloads across the
-// families the engine targets: a circulant expander stand-in, a 2-d grid,
-// and the two scale-free generators. These measure the representation
-// crossover the Adaptive mode is built on (see internal/engine): wide
-// frontiers should favour the dense word scan, near-empty frontiers the
-// sparse slice. Worker count is pinned to 1 so the numbers isolate the
-// representation, not goroutine scaling.
+// families the engine targets: a random 8-regular expander (the paper's
+// regime), a ring-lattice circulant, a 2-d grid, and the two scale-free
+// generators. These measure the representation crossover the Adaptive
+// mode is built on (see internal/engine): wide frontiers should favour
+// the dense word scan, near-empty frontiers the sparse slice.
 
 var (
 	engineBenchOnce   sync.Once
@@ -162,6 +158,10 @@ var (
 func engineBenchGraph(b *testing.B, name string) *graph.Graph {
 	b.Helper()
 	engineBenchOnce.Do(func() {
+		rreg, err := graph.RandomRegular(200_000, 8, xrand.New(4))
+		if err != nil {
+			panic(err)
+		}
 		ba, err := graph.BarabasiAlbert(200_000, 3, xrand.New(1))
 		if err != nil {
 			panic(err)
@@ -171,30 +171,29 @@ func engineBenchGraph(b *testing.B, name string) *graph.Graph {
 			panic(err)
 		}
 		engineBenchGraphs = map[string]*graph.Graph{
-			"expander": graph.Chord(200_000, 4), // 8-regular circulant
-			"grid":     graph.Grid(450, 450),    // n = 202500
-			"ba":       ba,
-			"ws":       ws,
+			"rreg":      rreg,
+			"circulant": graph.Chord(200_000, 4), // C_n(1..4): diameter ≈ n/8
+			"grid":      graph.Grid(450, 450),    // n = 202500
+			"ba":        ba,
+			"ws":        ws,
 		}
 	})
 	return engineBenchGraphs[name]
 }
 
 var engineBenchModes = []struct {
-	name      string
-	mode      engine.Mode
-	tileWords int
+	name string
+	mode engine.Mode
 }{
-	{"sparse", engine.ForceSparse, 0},
-	{"dense", engine.ForceDense, 0}, // tiled, the default dense path
-	{"dense-untiled", engine.ForceDense, -1},
-	{"adaptive", engine.Adaptive, 0},
+	{"sparse", engine.ForceSparse},
+	{"dense", engine.ForceDense},
+	{"adaptive", engine.Adaptive},
 }
 
 // BenchmarkEngineCobraWide measures one fully-active COBRA round — the
 // wide-frontier regime where the dense word scan should win.
 func BenchmarkEngineCobraWide(b *testing.B) {
-	for _, gname := range []string{"expander", "grid", "ba", "ws"} {
+	for _, gname := range []string{"rreg", "circulant", "grid", "ba", "ws"} {
 		g := engineBenchGraph(b, gname)
 		all := make([]int, g.N())
 		for i := range all {
@@ -202,7 +201,7 @@ func BenchmarkEngineCobraWide(b *testing.B) {
 		}
 		for _, m := range engineBenchModes {
 			b.Run(gname+"/"+m.name, func(b *testing.B) {
-				k, err := engine.NewCobra(g, engine.Params{Branch: 2, Mode: m.mode, TileWords: m.tileWords, Workers: 1}, all, 1)
+				k, err := engine.NewCobra(g, engine.Params{Branch: 2, Mode: m.mode}, all, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,10 +219,10 @@ func BenchmarkEngineCobraWide(b *testing.B) {
 // the narrow-frontier regime where the sparse slice avoids every Θ(n)
 // touch and the dense scan pays the full word sweep for one vertex.
 func BenchmarkEngineCobraNarrow(b *testing.B) {
-	g := engineBenchGraph(b, "expander")
+	g := engineBenchGraph(b, "circulant")
 	for _, m := range engineBenchModes {
-		b.Run("expander/"+m.name, func(b *testing.B) {
-			k, err := engine.NewCobra(g, engine.Params{Branch: 1, Mode: m.mode, TileWords: m.tileWords, Workers: 1}, []int{0}, 1)
+		b.Run("circulant/"+m.name, func(b *testing.B) {
+			k, err := engine.NewCobra(g, engine.Params{Branch: 1, Mode: m.mode}, []int{0}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +240,7 @@ func BenchmarkEngineCobraNarrow(b *testing.B) {
 // candidate list, while the dense path is the paper's flat Θ(n·b) scan —
 // the regime motivating the adaptive switch.
 func BenchmarkEngineBipsWide(b *testing.B) {
-	for _, gname := range []string{"expander", "ws"} {
+	for _, gname := range []string{"rreg", "circulant", "ws"} {
 		g := engineBenchGraph(b, gname)
 		all := make([]int, g.N())
 		for i := range all {
@@ -249,7 +248,7 @@ func BenchmarkEngineBipsWide(b *testing.B) {
 		}
 		for _, m := range engineBenchModes {
 			b.Run(gname+"/"+m.name, func(b *testing.B) {
-				k, err := engine.NewBips(g, engine.Params{Branch: 2, Mode: m.mode, TileWords: m.tileWords, Workers: 1}, 0, 1)
+				k, err := engine.NewBips(g, engine.Params{Branch: 2, Mode: m.mode}, 0, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,59 +264,47 @@ func BenchmarkEngineBipsWide(b *testing.B) {
 }
 
 var (
-	engineScalingOnce  sync.Once
-	engineScalingGraph *graph.Graph
+	engineWideOnce  sync.Once
+	engineWideGraph *graph.Graph
 )
 
-// BenchmarkEngineTiledScaling measures one wide COBRA round on a
-// 2·10^7-vertex circulant across worker counts — the tiled kernel's
-// scaling story (ROADMAP item 3). The kernel is workspace-backed, so the
-// measured rounds must also be allocation-free; the "wmax" sub-benchmark
-// pins GOMAXPROCS for cross-host comparison. The w8-vs-w1 ratio is gated
-// in CI against the BENCH artifact.
-func BenchmarkEngineTiledScaling(b *testing.B) {
-	engineScalingOnce.Do(func() {
-		engineScalingGraph = graph.Chord(20_000_000, 4)
+// BenchmarkEngineWideDenseRound measures one wide COBRA round on a
+// 2·10^7-vertex circulant through a workspace. CI tracks it per commit
+// and asserts 0 allocs/op: steady-state dense rounds must not allocate
+// even at this size.
+func BenchmarkEngineWideDenseRound(b *testing.B) {
+	engineWideOnce.Do(func() {
+		engineWideGraph = graph.Chord(20_000_000, 4)
 	})
-	g := engineScalingGraph
+	g := engineWideGraph
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
 	}
-	configs := []struct {
-		name    string
-		workers int
-	}{
-		{"w1", 1}, {"w2", 2}, {"w4", 4}, {"w8", 8}, {"wmax", 0},
+	ws := engine.NewWorkspace()
+	k, err := engine.NewCobraWith(ws, g, engine.Params{Branch: 2, Mode: engine.ForceDense}, all, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			ws := engine.NewWorkspace()
-			k, err := engine.NewCobraWith(ws, g,
-				engine.Params{Branch: 2, Mode: engine.ForceDense, Workers: c.workers}, all, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			k.Step() // warm up: spawn the pool, settle the frontier
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Step()
-			}
-		})
+	k.Step() // settle the frontier
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
 	}
 }
 
-// BenchmarkEngineCoverAdaptive runs a full COBRA cover on a 10^5-vertex
-// expander in each mode: end to end, the adaptive engine should match or
-// beat both forced modes because a cover passes through both regimes.
+// BenchmarkEngineCoverAdaptive runs a full COBRA cover on the random
+// 8-regular expander in each mode; a cover passes through both regimes
+// (about 28 rounds here). Adaptive need not win: in BENCH_baseline.json,
+// measured on the circulant, it took 111 s against 99 s for forced dense.
 func BenchmarkEngineCoverAdaptive(b *testing.B) {
-	g := engineBenchGraph(b, "expander")
+	g := engineBenchGraph(b, "rreg")
 	for _, m := range engineBenchModes {
-		b.Run("expander/"+m.name, func(b *testing.B) {
+		b.Run("rreg/"+m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k, err := engine.NewCobra(g, engine.Params{Branch: 2, Mode: m.mode, TileWords: m.tileWords, Workers: 1}, []int{0}, uint64(i))
+				k, err := engine.NewCobra(g, engine.Params{Branch: 2, Mode: m.mode}, []int{0}, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

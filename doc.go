@@ -44,16 +44,14 @@
 //
 // # Determinism contract
 //
-// All four round paths — COBRA and BIPS, serial and parallel — run on one
-// shared frontier kernel (internal/engine). The randomness of every
-// (round, vertex) pair derives from the run's master seed through a
-// stateless stream hash, so a trajectory is a pure function of that seed:
-// independent of worker count, of goroutine scheduling, and of the
-// sparse/dense frontier representation the kernel picks per round. The
-// serial constructors draw the master seed as one Uint64 from the RNG you
-// pass; the parallel constructors take it directly. Identical seeds give
-// identical per-round sets, cover times, infection traces, and
-// transmission counts on every engine.
+// Both processes, COBRA and BIPS, run on one shared frontier kernel
+// (internal/engine). The randomness of every (round, vertex) pair derives
+// from the run's master seed through a stateless stream hash, so a
+// trajectory is a pure function of that seed: independent of the
+// sparse/dense frontier representation the kernel picks per round, and of
+// how many trials run beside it. The constructors draw the master seed as
+// one Uint64 from the RNG you pass. Identical seeds give identical
+// per-round sets, cover times, infection traces, and transmission counts.
 //
 // # Performance notes
 //
@@ -61,36 +59,25 @@
 // BFS idea applied to branching walks. A sparse round iterates an
 // active-vertex slice and touches O(|frontier|·b) memory (COBRA),
 // respectively O(vol(A_t)) (BIPS); a dense round scans the frontier
-// bitset 64 vertices per word with no member slice at all.
+// bitset 64 vertices per word with no member slice at all, and sums its
+// bookkeeping — next-frontier popcount, frontier volume, newly-covered
+// count — in the pass that stores each word. Every round runs on the
+// calling goroutine: the paper's bounds are distributions over
+// independent trials, so the batch layer parallelises across trials and
+// sweep cells instead. Steady-state wide rounds are allocation-free under
+// workspace reuse at 2·10^7 vertices (BenchmarkEngineWideDenseRound).
 //
-// Dense rounds are tiled: the bitset is sharded into cache-sized word
-// tiles (engine.DefaultTileWords, sized to keep a tile's frontier, next
-// and covered words plus its CSR offsets L2-resident) that a pool of
-// persistent worker goroutines pulls off an atomic cursor. Each tile
-// pass fuses its bookkeeping — next-frontier popcount, frontier volume,
-// newly-covered count — into the word scan, and the per-tile partials
-// fold serially in ascending tile order, so the trajectory and every
-// statistic remain a pure function of the seed regardless of tiling or
-// worker count (the crossengine suites pin tiled, untiled and
-// single-word-tile variants byte-for-byte). COBRA pushes that stay
-// inside the scanned tile use plain stores (the scanner owns the tile's
-// words until the round barrier); only cross-tile pushes pay for the
-// shared atomic set, so rounds on locally-connected graphs are almost
-// entirely lock-free. Steady-state wide rounds are allocation-free under
-// workspace reuse at 2·10^7 vertices (BenchmarkEngineTiledScaling).
-//
-// Measured on 2·10^5-vertex workloads on the tiled kernel
-// (BenchmarkEngineCobraWide/-Narrow, BenchmarkEngineBipsWide in
-// bench_test.go): fully-active COBRA rounds run 2–3× faster dense than
-// sparse, fully-infected BIPS rounds 2–4× faster dense, while a
-// single-particle round is ~80× faster sparse. The adaptive defaults —
-// dense when |C_t| > n/64 for COBRA (engine.DefaultDenseDiv,
-// re-measured on the tiled kernel: breakeven sits near n/96–n/128, see
+// Measured on 2·10^5-vertex workloads (BenchmarkEngineCobraWide/-Narrow,
+// BenchmarkEngineBipsWide in bench_test.go): fully-active COBRA rounds
+// run 2–3× faster dense than sparse, fully-infected BIPS rounds 2–4×
+// faster dense, while a single-particle round is ~80× faster sparse. The
+// adaptive defaults — dense when |C_t| > n/64 for COBRA
+// (engine.DefaultDenseDiv: breakeven sits near n/96–n/128, see
 // BenchmarkEngineCrossover), when vol(A_t) > n for BIPS (confirmed:
 // sparse and dense cross within a few percent at vol(A_t) ≈ n) — sit
 // inside those crossovers and are not a public knob; the forced modes
-// and tile-width override (internal/engine Params.Mode, Params.TileWords)
-// exist for the repository's own benchmarks and equivalence tests.
+// (internal/engine Params.Mode) exist for the repository's own
+// benchmarks and equivalence tests.
 //
 // # Batch campaigns and the cobrad service
 //

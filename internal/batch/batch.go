@@ -197,10 +197,10 @@ type TrialResult struct {
 	// Sent and Coalesced are the COBRA transmission counters (0 for BIPS).
 	Sent      int64 `json:"sent,omitempty"`
 	Coalesced int64 `json:"coalesced,omitempty"`
-	// DenseRounds/SparseRounds/TiledRounds report which representation the
-	// adaptive kernel picked, for capacity diagnostics. Tiled is the default
-	// dense path; DenseRounds counts only the legacy flat scan
-	// (Params.TileWords = -1).
+	// DenseRounds is always 0. It is kept, in this position, so that old
+	// journals replay byte for byte and readers of its key still work.
+	// SparseRounds and TiledRounds report how many rounds the adaptive
+	// kernel ran sparse and dense, for capacity diagnostics.
 	DenseRounds  int `json:"dense_rounds"`
 	SparseRounds int `json:"sparse_rounds"`
 	TiledRounds  int `json:"tiled_rounds"`
@@ -353,7 +353,7 @@ func (c *Campaign) RunFrom(ctx context.Context, from int, online *stats.Online, 
 // the trial's stream — the same derivation as core.New / bips.New — so
 // the trajectory matches the non-batch library path exactly.
 func (c *Campaign) runTrial(ws *engine.Workspace, k int, rng *xrand.RNG) (TrialResult, error) {
-	par := engine.Params{Branch: c.spec.Branch, Rho: c.spec.Rho, Lazy: c.spec.Lazy, Workers: 1}
+	par := engine.Params{Branch: c.spec.Branch, Rho: c.spec.Rho, Lazy: c.spec.Lazy}
 	seed := rng.Uint64()
 	var kern *engine.Kernel
 	var err error
@@ -377,7 +377,6 @@ func (c *Campaign) runTrial(ws *engine.Workspace, k int, rng *xrand.RNG) (TrialR
 		Rounds:       kern.Round(),
 		Sent:         kern.Sent(),
 		Coalesced:    kern.Coalesced(),
-		DenseRounds:  kern.DenseRounds(),
 		SparseRounds: kern.SparseRounds(),
 		TiledRounds:  kern.TiledRounds(),
 	}, nil

@@ -23,9 +23,8 @@ type serverMetrics struct {
 
 	// Engine result path.
 	trials       *obs.Counter // trials executed by this process (replay excluded)
-	roundsDense  *obs.Counter // cobrad_rounds_total{repr="dense"} (legacy flat scan)
 	roundsSparse *obs.Counter // cobrad_rounds_total{repr="sparse"}
-	roundsTiled  *obs.Counter // cobrad_rounds_total{repr="tiled"} (default dense path)
+	roundsTiled  *obs.Counter // cobrad_rounds_total{repr="tiled"} (dense rounds)
 
 	// Scheduler.
 	jobs      *obs.CounterVec // terminal transitions by kind and state
@@ -63,7 +62,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Trials computed by this process; journal replay is excluded, so after a restart it counts exactly the resumed tail.")
 	rounds := reg.CounterVec("cobrad_rounds_total",
 		"Engine rounds executed, by the representation the adaptive kernel chose.", "repr")
-	m.roundsDense = rounds.With("dense")
 	m.roundsSparse = rounds.With("sparse")
 	m.roundsTiled = rounds.With("tiled")
 

@@ -425,7 +425,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"backpressure_stalls": s.met.stalls.Value(),
 		"event_streams":       s.met.eventStreams.Value(),
 		"admission_waits":     s.met.admission.Count(),
-		"rounds_dense":        s.met.roundsDense.Value(),
 		"rounds_sparse":       s.met.roundsSparse.Value(),
 		"rounds_tiled":        s.met.roundsTiled.Value(),
 	})
@@ -644,7 +643,6 @@ func (s *Server) runJob(job *Job) {
 			// workers, not this process — the fleet counters receive
 			// them; trials_executed keeps its "computed here" meaning.
 			s.met.trials.Inc()
-			s.met.roundsDense.Add(int64(r.DenseRounds))
 			s.met.roundsSparse.Add(int64(r.SparseRounds))
 			s.met.roundsTiled.Add(int64(r.TiledRounds))
 		}

@@ -164,19 +164,18 @@ func TestStatsFullCounterSet(t *testing.T) {
 		"cache_hits", "cache_misses", "cache_evictions", "cache_size",
 		"journal_appends", "journal_fsyncs", "journal_quarantines",
 		"backpressure_stalls", "event_streams", "admission_waits",
-		"rounds_dense", "rounds_sparse", "rounds_tiled",
+		"rounds_sparse", "rounds_tiled",
 	} {
 		statInt(t, stats, key)
 	}
 	if _, ok := stats["queue_depth_by_band"]; !ok {
 		t.Fatal("/v1/stats missing queue_depth_by_band")
 	}
-	// Every trial's rounds split into sparse, tiled-dense and legacy
-	// flat-dense phases; the three counters summed must cover at least one
-	// round per trial.
-	d, sp, td := statInt(t, stats, "rounds_dense"), statInt(t, stats, "rounds_sparse"), statInt(t, stats, "rounds_tiled")
-	if d+sp+td < int64(testSpec().Trials) {
-		t.Fatalf("rounds_dense %d + rounds_sparse %d + rounds_tiled %d < %d trials", d, sp, td, testSpec().Trials)
+	// Every trial's rounds split into sparse and dense ("tiled") phases;
+	// the two counters summed must cover at least one round per trial.
+	sp, td := statInt(t, stats, "rounds_sparse"), statInt(t, stats, "rounds_tiled")
+	if sp+td < int64(testSpec().Trials) {
+		t.Fatalf("rounds_sparse %d + rounds_tiled %d < %d trials", sp, td, testSpec().Trials)
 	}
 }
 

@@ -15,13 +15,12 @@
 // C_t = (N(A) ∪ {v}) \ Bfix, exposing the super-martingale increments Y_l
 // of Section 3 for direct empirical verification.
 //
-// Since the internal/engine refactor, the plain round of both Process and
-// ParallelProcess runs on the shared adaptive frontier kernel: early
-// rounds evaluate only the candidate neighbourhood of the infected set
-// (Θ(vol(A_t)) work), wide rounds fall back to the paper's flat Θ(n·b)
-// scan, and the trajectory is a pure function of the master seed (for
-// Process, one Uint64 drawn from the supplied RNG), independent of worker
-// count and representation.
+// The plain round of Process runs on the shared adaptive frontier kernel
+// in internal/engine: early rounds evaluate only the candidate
+// neighbourhood of the infected set (Θ(vol(A_t)) work), wide rounds fall
+// back to the paper's Θ(n·b) scan, and the trajectory is a pure function
+// of the master seed (one Uint64 drawn from the supplied RNG), independent
+// of the representation.
 package bips
 
 import (
@@ -85,8 +84,8 @@ func (c Config) maxRounds(n int) int {
 }
 
 // engineParams maps the configuration onto the shared kernel.
-func (c Config) engineParams(workers int) engine.Params {
-	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy, Workers: workers}
+func (c Config) engineParams() engine.Params {
+	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
 }
 
 // translateEngineErr maps kernel errors onto this package's exported
@@ -100,8 +99,8 @@ func translateEngineErr(err error) error {
 	return err
 }
 
-// Process is a single BIPS run on the serial path of the shared frontier
-// kernel. Not safe for concurrent use.
+// Process is a single BIPS run on the shared frontier kernel. Not safe for
+// concurrent use.
 type Process struct {
 	g      *graph.Graph
 	cfg    Config
@@ -129,7 +128,7 @@ func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, source int, rng *
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("%w: %d", ErrSource, source)
 	}
-	k, err := engine.NewBipsWith(ws, g, cfg.engineParams(1), source, rng.Uint64())
+	k, err := engine.NewBipsWith(ws, g, cfg.engineParams(), source, rng.Uint64())
 	if err != nil {
 		return nil, translateEngineErr(err)
 	}

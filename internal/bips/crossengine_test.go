@@ -1,8 +1,6 @@
 package bips
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/repro/cobra/internal/bitset"
@@ -11,9 +9,9 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
-// Cross-engine equivalence for BIPS: serial Process, ParallelProcess at
-// several worker counts, and the kernel in all three representation
-// modes must produce identical infection traces for a fixed master seed.
+// Cross-engine equivalence for BIPS: the Process and the kernel in all
+// three representation modes must produce identical infection traces for
+// a fixed master seed.
 
 type bipsEngine interface {
 	Step()
@@ -58,36 +56,13 @@ func TestCrossEngineEquivalenceBIPS(t *testing.T) {
 				t.Fatal(err)
 			}
 			engines["serial"] = serial
-			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				p, err := NewParallel(g, cfg, 0, kseed, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[fmt.Sprintf("parallel-%d", w)] = p
-			}
 			for name, mode := range map[string]engine.Mode{
 				"forced-sparse": engine.ForceSparse,
 				"forced-dense":  engine.ForceDense,
 				"adaptive":      engine.Adaptive,
 			} {
-				par := cfg.engineParams(2)
+				par := cfg.engineParams()
 				par.Mode = mode
-				k, err := engine.NewBips(g, par, 0, kseed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[name] = kernelFace{k}
-			}
-			// Tiled vs untiled byte-identity: forced-dense above is the
-			// tiled kernel; pin it against the legacy flat scan and a
-			// 1-word tile width.
-			for name, tileWords := range map[string]int{
-				"dense-untiled": -1,
-				"dense-tile-1":  1,
-			} {
-				par := cfg.engineParams(2)
-				par.Mode = engine.ForceDense
-				par.TileWords = tileWords
 				k, err := engine.NewBips(g, par, 0, kseed)
 				if err != nil {
 					t.Fatal(err)

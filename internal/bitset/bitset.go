@@ -1,21 +1,11 @@
-// Package bitset implements dense bit sets over the vertex range [0, n).
-//
-// Two variants are provided:
-//
-//   - Set: a plain, single-goroutine bit set. This is the representation of
-//     the informed/infected vertex sets in the serial simulation engines.
-//   - Atomic: a bit set whose Set operation is safe for concurrent writers,
-//     used by the parallel round engine where many workers mark vertices of
-//     the next infected set simultaneously.
-//
-// Both store one bit per vertex in []uint64 words, so a 1M-vertex set is
+// Package bitset implements dense bit sets over the vertex range [0, n):
+// the representation of the informed/infected vertex sets in the
+// simulation engines. A Set is for use by one goroutine at a time. It
+// stores one bit per vertex in []uint64 words, so a 1M-vertex set is
 // 128 KiB — small enough to stay cache-resident across rounds.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const wordBits = 64
 
@@ -101,40 +91,18 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Words exposes the backing word array for word-level scans (one bit per
-// item, 64 items per word, LSB = lowest item). The slice aliases the set's
-// storage: callers must treat it as read-only. This is the hook the dense
-// frontier engine uses to iterate wide vertex sets without materialising a
-// member slice.
-func (s *Set) Words() []uint64 { return s.words }
-
 // WordCount returns the number of backing words, (n+63)/64.
 func (s *Set) WordCount() int { return len(s.words) }
 
-// Word returns backing word i (items [64i, 64i+64)).
+// Word returns backing word i: items [64i, 64i+64), lowest item in the
+// least significant bit. This is the hook the dense frontier engine uses
+// to scan wide vertex sets without materialising a member slice.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 
-// SetWord overwrites backing word i wholesale. This is the mutation dual
-// of Words(), used by the tiled dense engine whose tiles own disjoint word
-// ranges; the caller is responsible for keeping tail bits beyond n zero.
+// SetWord overwrites backing word i wholesale, for the dense frontier
+// engine's word-at-a-time writes; the caller is responsible for keeping
+// tail bits beyond n zero.
 func (s *Set) SetWord(i int, w uint64) { s.words[i] = w }
-
-// UnionCount adds every member of other to s and returns the number of
-// items that were newly added (present in other but not previously in s).
-// Capacities must match. This fuses the covered-set fold of a simulation
-// round into a single word scan.
-func (s *Set) UnionCount(other *Set) int {
-	if s.n != other.n {
-		panic("bitset: UnionCount capacity mismatch")
-	}
-	added := 0
-	for i, w := range other.words {
-		old := s.words[i]
-		added += bits.OnesCount64(w &^ old)
-		s.words[i] = old | w
-	}
-	return added
-}
 
 // Union adds every member of other to s. Capacities must match.
 func (s *Set) Union(other *Set) {
@@ -195,84 +163,5 @@ func (s *Set) ForEach(fn func(i int)) {
 			fn(base + tz)
 			w &= w - 1
 		}
-	}
-}
-
-// Atomic is a bit set with a concurrency-safe Set operation. Reads
-// (Contains, Count) are safe only after all writers have synchronised (for
-// example, after a WaitGroup barrier at the end of a simulation round).
-type Atomic struct {
-	words []uint64
-	n     int
-}
-
-// NewAtomic returns an empty atomic set with capacity n.
-func NewAtomic(n int) *Atomic {
-	if n < 0 {
-		panic("bitset: negative capacity")
-	}
-	return &Atomic{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
-}
-
-// Len returns the capacity n.
-func (a *Atomic) Len() int { return a.n }
-
-// Set marks item i as present. Safe for concurrent callers. The
-// already-set fast path is a plain atomic load; setting is one locked OR,
-// cheaper under contention than a CAS loop.
-func (a *Atomic) Set(i int) {
-	addr := &a.words[i/wordBits]
-	mask := uint64(1) << (uint(i) % wordBits)
-	if atomic.LoadUint64(addr)&mask != 0 {
-		return
-	}
-	atomic.OrUint64(addr, mask)
-}
-
-// Contains reports whether item i is present. Uses an atomic load, so it is
-// safe to interleave with writers, though the answer is only a snapshot.
-func (a *Atomic) Contains(i int) bool {
-	return atomic.LoadUint64(&a.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Count returns the population count. Call only after writers are quiesced.
-func (a *Atomic) Count() int {
-	c := 0
-	for i := range a.words {
-		c += bits.OnesCount64(atomic.LoadUint64(&a.words[i]))
-	}
-	return c
-}
-
-// Reset removes all items. Call only while no writers are active.
-func (a *Atomic) Reset() {
-	for i := range a.words {
-		atomic.StoreUint64(&a.words[i], 0)
-	}
-}
-
-// Word returns backing word i with an atomic load; the value is exact only
-// after writers are quiesced.
-func (a *Atomic) Word(i int) uint64 {
-	return atomic.LoadUint64(&a.words[i])
-}
-
-// ClearWord zeroes backing word i. Call only while no writers are active on
-// that word.
-func (a *Atomic) ClearWord(i int) {
-	atomic.StoreUint64(&a.words[i], 0)
-}
-
-// WordCount returns the number of backing words, (n+63)/64.
-func (a *Atomic) WordCount() int { return len(a.words) }
-
-// Snapshot copies the atomic set into a plain Set of the same capacity.
-// Call only after writers are quiesced.
-func (a *Atomic) Snapshot(dst *Set) {
-	if dst.n != a.n {
-		panic("bitset: Snapshot capacity mismatch")
-	}
-	for i := range a.words {
-		dst.words[i] = atomic.LoadUint64(&a.words[i])
 	}
 }

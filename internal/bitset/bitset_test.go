@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -243,83 +242,11 @@ func TestUnionCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestAtomicBasics(t *testing.T) {
-	a := NewAtomic(130)
-	if a.Len() != 130 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	a.Set(0)
-	a.Set(129)
-	a.Set(129)
-	if !a.Contains(0) || !a.Contains(129) || a.Contains(64) {
-		t.Fatal("atomic membership wrong")
-	}
-	if a.Count() != 2 {
-		t.Fatalf("Count = %d", a.Count())
-	}
-	a.Reset()
-	if a.Count() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestAtomicConcurrentSet(t *testing.T) {
-	const n = 4096
-	const workers = 8
-	a := NewAtomic(n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker sets an overlapping arithmetic progression.
-			for i := w; i < n; i += 2 {
-				a.Set(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := a.Count(); got != n {
-		t.Fatalf("concurrent Set lost updates: count %d, want %d", got, n)
-	}
-}
-
-func TestAtomicSnapshot(t *testing.T) {
-	a := NewAtomic(100)
-	a.Set(3)
-	a.Set(77)
-	s := New(100)
-	a.Snapshot(s)
-	if s.Count() != 2 || !s.Contains(3) || !s.Contains(77) {
-		t.Fatal("Snapshot mismatch")
-	}
-}
-
-func TestAtomicSnapshotMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewAtomic(10).Snapshot(New(11))
-}
-
 func BenchmarkSet(b *testing.B) {
 	s := New(1 << 20)
 	for i := 0; i < b.N; i++ {
 		s.Set(i & ((1 << 20) - 1))
 	}
-}
-
-func BenchmarkAtomicSet(b *testing.B) {
-	s := NewAtomic(1 << 20)
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			s.Set(i & ((1 << 20) - 1))
-			i += 7919
-		}
-	})
 }
 
 func BenchmarkCount(b *testing.B) {

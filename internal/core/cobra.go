@@ -10,12 +10,10 @@
 // — the set semantics make coalescing implicit. The cover time is the
 // number of rounds until the union of all C_t equals V.
 //
-// Since the internal/engine refactor, both the serial Process and the
-// ParallelProcess delegate their round loop to the shared adaptive
-// frontier kernel: the trajectory of a run is a pure function of its
-// master seed (for Process, one Uint64 drawn from the supplied RNG),
-// independent of worker count and of the sparse/dense representation the
-// kernel picks per round.
+// Process delegates its round loop to the shared adaptive frontier kernel
+// in internal/engine: the trajectory of a run is a pure function of its
+// master seed (one Uint64 drawn from the supplied RNG), independent of the
+// sparse/dense representation the kernel picks per round.
 package core
 
 import (
@@ -82,8 +80,8 @@ func (c Config) maxRounds(n int) int {
 }
 
 // engineParams maps the configuration onto the shared kernel.
-func (c Config) engineParams(workers int) engine.Params {
-	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy, Workers: workers}
+func (c Config) engineParams() engine.Params {
+	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
 }
 
 // translateEngineErr maps kernel errors onto this package's exported
@@ -97,9 +95,9 @@ func translateEngineErr(err error) error {
 	return err
 }
 
-// Process is a single COBRA run on the serial (single-goroutine) path of
-// the shared frontier kernel. It is not safe for concurrent use; run one
-// Process per goroutine (see internal/sim for the parallel trial harness).
+// Process is a single COBRA run on the shared frontier kernel. It is not
+// safe for concurrent use; run one Process per goroutine (see internal/sim
+// for the parallel trial harness).
 type Process struct {
 	g   *graph.Graph
 	cfg Config
@@ -131,7 +129,7 @@ func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start []int, rng 
 			return nil, fmt.Errorf("%w: vertex %d out of range", ErrStart, v)
 		}
 	}
-	k, err := engine.NewCobraWith(ws, g, cfg.engineParams(1), start, rng.Uint64())
+	k, err := engine.NewCobraWith(ws, g, cfg.engineParams(), start, rng.Uint64())
 	if err != nil {
 		return nil, translateEngineErr(err)
 	}

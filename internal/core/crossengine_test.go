@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/repro/cobra/internal/bitset"
@@ -11,10 +9,9 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
-// Cross-engine equivalence: for a fixed master seed, the serial Process,
-// ParallelProcess at several worker counts, and the adaptive kernel in
-// all three representation modes must produce bit-identical trajectories
-// — the determinism contract of internal/engine.
+// Cross-engine equivalence: for a fixed master seed, the Process and the
+// kernel in all three representation modes must produce bit-identical
+// trajectories — the determinism contract of internal/engine.
 
 // cobraEngine is the common face of every COBRA round engine under test.
 type cobraEngine interface {
@@ -42,40 +39,13 @@ func crossEngines(t *testing.T, g *graph.Graph, cfg Config, start []int, masterS
 		t.Fatal(err)
 	}
 	engines["serial"] = serial
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		p, err := NewParallel(g, cfg, start, kseed, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[fmt.Sprintf("parallel-%d", w)] = p
-	}
 	for name, mode := range map[string]engine.Mode{
 		"forced-sparse": engine.ForceSparse,
 		"forced-dense":  engine.ForceDense,
 		"adaptive":      engine.Adaptive,
 	} {
-		par := cfg.engineParams(2)
+		par := cfg.engineParams()
 		par.Mode = mode
-		k, err := engine.NewCobra(g, par, start, kseed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[name] = kernelFace{k}
-	}
-	// Tiled vs untiled byte-identity: the default forced-dense engine above
-	// runs the tiled kernel; pin it against the legacy flat scan
-	// (TileWords -1) and a pathological 1-word tile width.
-	for name, tileWords := range map[string]int{
-		"dense-untiled":   -1,
-		"dense-tile-1":    1,
-		"adaptive-tile-1": 1,
-	} {
-		par := cfg.engineParams(2)
-		par.Mode = engine.ForceDense
-		if name == "adaptive-tile-1" {
-			par.Mode = engine.Adaptive
-		}
-		par.TileWords = tileWords
 		k, err := engine.NewCobra(g, par, start, kseed)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +110,7 @@ func TestCrossEngineEquivalenceCOBRA(t *testing.T) {
 	}
 }
 
-// Cover times through the Run drivers must agree too (they share the
+// Cover times through the Run driver must agree too (it shares the
 // per-step states above, but Run adds the round-cap bookkeeping).
 func TestCrossEngineCoverTimesViaRun(t *testing.T) {
 	g := graph.Hypercube(8)
@@ -155,16 +125,17 @@ func TestCrossEngineCoverTimesViaRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewParallel(g, cfg, []int{3}, kseed, 0)
+		par := cfg.engineParams()
+		par.Mode = engine.ForceDense
+		k, err := engine.NewCobra(g, par, []int{3}, kseed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := par.Run()
-		if err != nil {
-			t.Fatal(err)
+		for !k.Complete() {
+			k.Step()
 		}
-		if st != pt {
-			t.Fatalf("seed %d: serial cover %d != parallel cover %d", seed, st, pt)
+		if st != k.Round() {
+			t.Fatalf("seed %d: Run cover %d != forced-dense cover %d", seed, st, k.Round())
 		}
 	}
 }

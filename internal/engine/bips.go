@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sync"
-
-	"github.com/repro/cobra/internal/xrand"
-)
+import "github.com/repro/cobra/internal/xrand"
 
 // BIPS round kernels. One round: every vertex u pulls b (or b+1 with
 // probability Rho) uniform random neighbours — itself with probability 1/2
@@ -60,15 +56,11 @@ func (k *Kernel) bipsSparse() {
 		}
 	}
 	k.newList = k.newList[:0]
-	if nw := k.parallelRounds(len(k.candList)); nw <= 1 {
-		for _, u32 := range k.candList {
-			u := int(u32)
-			if u == k.source || k.bipsInfected(u) {
-				k.newList = append(k.newList, u32)
-			}
+	for _, u32 := range k.candList {
+		u := int(u32)
+		if u == k.source || k.bipsInfected(u) {
+			k.newList = append(k.newList, u32)
 		}
-	} else {
-		k.bipsEvalParallel(nw)
 	}
 	// Swap the frontier: clear the old members, set the new. All reads of
 	// k.cur above see A_t because newList is built on the side.
@@ -85,82 +77,34 @@ func (k *Kernel) bipsSparse() {
 	k.frontierVol = vol
 	k.curList, k.newList = k.newList, k.curList
 	k.curListOK = true
-	k.volOK = true
 }
 
-// bipsEvalParallel fans candidate decisions across workers into worker-
-// local buffers (candidates are distinct, so no claims are needed).
-func (k *Kernel) bipsEvalParallel(nw int) {
-	var wg sync.WaitGroup
-	chunk := (len(k.candList) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		if lo >= len(k.candList) {
-			k.bufs[w] = k.bufs[w][:0]
-			continue
-		}
-		hi := lo + chunk
-		if hi > len(k.candList) {
-			hi = len(k.candList)
-		}
-		wg.Add(1)
-		go func(w int, cands []int32) {
-			defer wg.Done()
-			buf := k.bufs[w][:0]
-			for _, u32 := range cands {
-				u := int(u32)
-				if u == k.source || k.bipsInfected(u) {
-					buf = append(buf, u32)
-				}
-			}
-			k.bufs[w] = buf
-		}(w, k.candList[lo:hi])
-	}
-	wg.Wait()
-	for w := 0; w < nw; w++ {
-		k.newList = append(k.newList, k.bufs[w]...)
-	}
-}
-
-// bipsDense re-decides every vertex in a flat scan. Workers own
-// word-aligned vertex ranges, so their writes to the plain next bitset
-// touch disjoint words and need no atomics.
+// bipsDense re-decides every vertex in one scan. Each next word is built
+// in a register and stored once, overwriting whatever the buffer held, and
+// the frontier count and volume are summed on the way; the frontier swap
+// afterwards is a pointer exchange.
 func (k *Kernel) bipsDense() {
-	n := k.g.N()
-	k.nextPlain.Reset()
-	if nw := k.parallelRounds(n); nw <= 1 {
-		for u := 0; u < n; u++ {
+	next, g := k.next, k.g
+	n := g.N()
+	frontierN, vol := 0, 0
+	for wi := 0; wi < next.WordCount(); wi++ {
+		base := wi * 64
+		hi := base + 64
+		if hi > n {
+			hi = n
+		}
+		var w uint64
+		for u := base; u < hi; u++ {
 			if u == k.source || k.bipsInfected(u) {
-				k.nextPlain.Set(u)
+				w |= 1 << uint(u-base)
+				frontierN++
+				vol += g.Degree(u)
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		nWords := (n + 63) / 64
-		chunkW := (nWords + nw - 1) / nw
-		for w := 0; w < nw; w++ {
-			lo := w * chunkW * 64
-			if lo >= n {
-				break
-			}
-			hi := lo + chunkW*64
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for u := lo; u < hi; u++ {
-					if u == k.source || k.bipsInfected(u) {
-						k.nextPlain.Set(u)
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+		next.SetWord(wi, w)
 	}
-	k.cur.CopyFrom(k.nextPlain)
+	k.cur, k.next = k.next, k.cur
+	k.frontierN = frontierN
+	k.frontierVol = vol
 	k.curListOK = false
-	k.ensureList() // rebuild members + volume in one scan
-	k.frontierN = len(k.curList)
 }

@@ -2,10 +2,7 @@ package engine
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
-	"github.com/repro/cobra/internal/bitset"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -15,8 +12,8 @@ import (
 // C_{t+1}. Multiple arrivals coalesce via set semantics.
 //
 // The draw structure per vertex (fractional-branch Bernoulli first, then
-// per-particle lazy coin and neighbour index) is fixed across all four
-// paths below, so every representation consumes the (round, vertex) stream
+// per-particle lazy coin and neighbour index) is fixed across both paths
+// below, so every representation consumes the (round, vertex) stream
 // identically and the trajectories agree bit for bit.
 
 // drawCount draws the number of particles v sends this round.
@@ -45,23 +42,19 @@ func (k *Kernel) cobraSparse() {
 	k.bumpEpoch()
 	k.newList = k.newList[:0]
 	var sent int64
-	if nw := k.parallelRounds(len(k.curList)); nw <= 1 {
-		for _, v32 := range k.curList {
-			v := int(v32)
-			rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-			b := k.drawCount(&rng)
-			deg := k.g.Degree(v)
-			for i := 0; i < b; i++ {
-				t := k.drawTarget(v, deg, &rng)
-				if k.stamp[t] != k.epoch {
-					k.stamp[t] = k.epoch
-					k.newList = append(k.newList, int32(t))
-				}
+	for _, v32 := range k.curList {
+		v := int(v32)
+		rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
+		b := k.drawCount(&rng)
+		deg := k.g.Degree(v)
+		for i := 0; i < b; i++ {
+			t := k.drawTarget(v, deg, &rng)
+			if k.stamp[t] != k.epoch {
+				k.stamp[t] = k.epoch
+				k.newList = append(k.newList, int32(t))
 			}
-			sent += int64(b)
 		}
-	} else {
-		sent = k.cobraSparseParallel(nw)
+		sent += int64(b)
 	}
 	// Maintain the authoritative bitset incrementally and fold the new
 	// frontier into the covered set: O(|old| + |new|), not O(n).
@@ -84,154 +77,57 @@ func (k *Kernel) cobraSparse() {
 	k.frontierVol = vol
 	k.curList, k.newList = k.newList, k.curList
 	k.curListOK = true
-	k.volOK = true
 }
 
-// cobraSparseParallel fans the active slice across workers; next-frontier
-// membership is claimed with CAS stamps and each claimer records its wins
-// in a worker-local buffer, so no Θ(n) scan is needed to collect members.
-// Which worker wins a contended claim is scheduling-dependent, but the
-// claimed set — the only observable — is not.
-func (k *Kernel) cobraSparseParallel(nw int) int64 {
-	var wg sync.WaitGroup
-	chunk := (len(k.curList) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		if lo >= len(k.curList) {
-			k.bufs[w] = k.bufs[w][:0]
-			k.sentParts[w] = 0
-			continue
-		}
-		hi := lo + chunk
-		if hi > len(k.curList) {
-			hi = len(k.curList)
-		}
-		wg.Add(1)
-		go func(w int, verts []int32) {
-			defer wg.Done()
-			buf := k.bufs[w][:0]
-			var sent int64
-			for _, v32 := range verts {
-				v := int(v32)
-				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-				b := k.drawCount(&rng)
-				deg := k.g.Degree(v)
-				for i := 0; i < b; i++ {
-					t := k.drawTarget(v, deg, &rng)
-					if k.claimStamp(t) {
-						buf = append(buf, int32(t))
-					}
-				}
-				sent += int64(b)
-			}
-			k.bufs[w] = buf
-			k.sentParts[w] = sent
-		}(w, k.curList[lo:hi])
-	}
-	wg.Wait()
-	var sent int64
-	for w := 0; w < nw; w++ {
-		k.newList = append(k.newList, k.bufs[w]...)
-		sent += k.sentParts[w]
-	}
-	return sent
-}
-
-// claimStamp marks t in the current stamp generation; true if this caller
-// won the claim.
-func (k *Kernel) claimStamp(t int) bool {
-	addr := &k.stamp[t]
-	for {
-		old := atomic.LoadUint32(addr)
-		if old == k.epoch {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, k.epoch) {
-			return true
-		}
-	}
-}
-
-// cobraDense runs one round as a word-level scan of the frontier bitset:
-// the word fetch is hoisted and up to 64 active vertices are decoded per
-// fetched word, with no member slice materialised in either direction.
+// cobraDense runs one round as two word scans. The scan draws every
+// frontier vertex's pushes into next, decoding up to 64 active vertices
+// per fetched word. The fold then moves each next word into cur (zeroing
+// it, which restores the zero-after-fold invariant), ORs it into covered,
+// and sums the frontier count, volume and newly-covered count on the way.
 func (k *Kernel) cobraDense() {
-	words := k.cur.Words()
+	cur, next, covered, g := k.cur, k.next, k.covered, k.g
+	nw := cur.WordCount()
 	var sent int64
-	var next *bitset.Set
-	if nw := k.parallelRounds(k.frontierN); nw <= 1 {
-		k.nextPlain.Reset()
-		for wi, word := range words {
-			base := wi * 64
-			for word != 0 {
-				v := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-				b := k.drawCount(&rng)
-				deg := k.g.Degree(v)
-				for i := 0; i < b; i++ {
-					k.nextPlain.Set(k.drawTarget(v, deg, &rng))
-				}
-				sent += int64(b)
+	for wi := 0; wi < nw; wi++ {
+		word := cur.Word(wi)
+		base := wi * 64
+		for word != 0 {
+			v := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
+			b := k.drawCount(&rng)
+			deg := g.Degree(v)
+			for i := 0; i < b; i++ {
+				next.Set(k.drawTarget(v, deg, &rng))
 			}
+			sent += int64(b)
 		}
-		next = k.nextPlain
-	} else {
-		sent = k.cobraDenseParallel(words, nw)
-		k.nextAtomic.Snapshot(k.scratch)
-		next = k.scratch
 	}
-	k.cur.CopyFrom(next)
-	k.frontierN = k.cur.Count()
-	k.nCov += k.covered.UnionCount(k.cur)
-	k.sent += sent
-	k.coalesced += sent - int64(k.frontierN)
-	k.curListOK = false
-	k.volOK = false
-}
-
-// cobraDenseParallel splits the word array across workers; targets land in
-// the atomic next set since pushes cross chunk boundaries.
-func (k *Kernel) cobraDenseParallel(words []uint64, nw int) int64 {
-	k.nextAtomic.Reset()
-	var wg sync.WaitGroup
-	chunk := (len(words) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		if lo >= len(words) {
-			k.sentParts[w] = 0
+	frontierN, vol, newCov := 0, 0, 0
+	for wi := 0; wi < nw; wi++ {
+		w := next.Word(wi)
+		if w != 0 {
+			next.SetWord(wi, 0)
+		}
+		cur.SetWord(wi, w)
+		if w == 0 {
 			continue
 		}
-		hi := lo + chunk
-		if hi > len(words) {
-			hi = len(words)
+		old := covered.Word(wi)
+		if newBits := w &^ old; newBits != 0 {
+			covered.SetWord(wi, old|w)
+			newCov += bits.OnesCount64(newBits)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var sent int64
-			for wi := lo; wi < hi; wi++ {
-				word := words[wi]
-				base := wi * 64
-				for word != 0 {
-					v := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-					b := k.drawCount(&rng)
-					deg := k.g.Degree(v)
-					for i := 0; i < b; i++ {
-						k.nextAtomic.Set(k.drawTarget(v, deg, &rng))
-					}
-					sent += int64(b)
-				}
-			}
-			k.sentParts[w] = sent
-		}(w, lo, hi)
+		frontierN += bits.OnesCount64(w)
+		base := wi * 64
+		for bw := w; bw != 0; bw &= bw - 1 {
+			vol += g.Degree(base + bits.TrailingZeros64(bw))
+		}
 	}
-	wg.Wait()
-	var sent int64
-	for w := 0; w < nw; w++ {
-		sent += k.sentParts[w]
-	}
-	return sent
+	k.frontierN = frontierN
+	k.frontierVol = vol
+	k.nCov += newCov
+	k.sent += sent
+	k.coalesced += sent - int64(frontierN)
+	k.curListOK = false
 }

@@ -16,35 +16,34 @@
 //     the graph (early rounds, b = 1 walks, long sparse tails).
 //   - Dense: the frontier lives in its bitset and rounds are word-level
 //     scans: 64 vertices per fetched word, with the per-word fetch hoisted
-//     out of the per-vertex draw loop, and no member slice is ever
-//     materialised. This wins once the frontier spans a constant fraction
-//     of the graph (wide mid-phase rounds on expanders and the scale-free
-//     families), where the sparse slice and stamp traffic costs more than
-//     scanning n/64 words.
+//     out of the per-vertex draw loop, the frontier count, volume and
+//     covered-set fold summed in the pass that stores each word, and no
+//     member slice ever materialised. This wins once the frontier spans a
+//     constant fraction of the graph (wide mid-phase rounds on expanders
+//     and the scale-free families), where the sparse slice and stamp
+//     traffic costs more than scanning n/64 words.
 //
 // Determinism contract: the randomness of every (round, vertex) pair is
 // drawn from a stateless stream keyed by the master seed,
 // xrand.NewStream(seed, round<<32|vertex). A vertex's decisions in a round
 // are therefore a pure function of (seed, round, vertex, frontier), so the
 // trajectory — every per-round frontier set and derived statistic — is
-// identical across representations (sparse, dense, adaptive) and across
-// any number of workers, including the serial path. It depends only on
-// the seed. This keying is byte-compatible with the pre-engine parallel
-// processes, whose trajectories it preserves exactly.
+// identical across representations (sparse, dense, adaptive). It depends
+// only on the seed.
 //
-// Dense rounds run tiled by default (tile.go): cache-sized word tiles
-// pulled off an atomic cursor by persistent pool workers, with per-tile
-// frontier/volume counts fused into the scans and folded in tile order.
+// Every round runs on the calling goroutine. The paper's bounds describe
+// distributions over independent trials, so callers parallelise across
+// trials and sweep cells (internal/batch, internal/sim), never within a
+// round.
 //
 // The crossover defaults (|C_t| > n/64 for COBRA, vol(A_t) > n for BIPS)
-// were re-measured on the tiled kernel with BenchmarkEngineCrossover in
-// tile_test.go; see doc.go ("Performance notes") for guidance.
+// were measured with BenchmarkEngineCrossover in dense_test.go; see doc.go
+// ("Performance notes") for guidance.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"github.com/repro/cobra/internal/bitset"
 	"github.com/repro/cobra/internal/graph"
@@ -85,13 +84,12 @@ const (
 )
 
 // DefaultDenseDiv is the COBRA crossover divisor: a round goes dense when
-// |frontier| > n/DefaultDenseDiv. Re-measured on the tiled kernel
-// (BenchmarkEngineCrossover in tile_test.go, 8-regular 2^18-vertex
-// circulant): both representations pay the same |C_t|·b draw cost, but the
-// tiled scan-and-fold costs less per member than the sparse stamp/dedup
-// traffic, so dense wins everywhere above ≈ n/128 and ties near n/96; 64
-// keeps a safety margin on the sparse side of that tie. (The PR 1 flat
-// kernel measured 8 here; the tiled fold moved the crossover.)
+// |frontier| > n/DefaultDenseDiv. Measured with BenchmarkEngineCrossover
+// (dense_test.go, 8-regular 2^18-vertex circulant): both representations
+// pay the same |C_t|·b draw cost, but the dense scan-and-fold costs less
+// per member than the sparse stamp/dedup traffic, so dense wins everywhere
+// above ≈ n/128 and ties near n/96; 64 keeps a safety margin on the sparse
+// side of that tie.
 const DefaultDenseDiv = 64
 
 // DefaultMaxRounds is the shared default cap on a single run over an
@@ -120,20 +118,14 @@ type Params struct {
 	Lazy bool
 	// Mode picks the representation policy (default Adaptive).
 	Mode Mode
-	// Workers bounds round-level parallelism: 1 keeps every round on the
-	// calling goroutine; <= 0 selects GOMAXPROCS. Worker count never
-	// affects the trajectory, only wall-clock time.
+	// Workers is ignored: every round runs on the calling goroutine.
+	//
+	// Deprecated: parallelise across trials instead (batch.Spec.Workers,
+	// sim.Runner.Workers).
 	Workers int
 	// DenseDiv overrides the COBRA sparse→dense crossover (dense when
 	// |frontier|·DenseDiv > n); 0 selects DefaultDenseDiv.
 	DenseDiv int
-	// TileWords overrides the dense tile width in 64-vertex bitset words:
-	// 0 selects DefaultTileWords (sized to L2, see tile.go), a positive
-	// value forces that width, and -1 disables tiling entirely, keeping
-	// dense rounds on the legacy flat scan (the reference path for the
-	// equivalence suites and crossover measurements). Like Workers, the
-	// setting never affects the trajectory, only wall-clock time.
-	TileWords int
 }
 
 // Validate checks the parameters.
@@ -147,32 +139,24 @@ func (p Params) Validate() error {
 	if p.DenseDiv < 0 {
 		return fmt.Errorf("%w: DenseDiv must be >= 0, got %d", ErrConfig, p.DenseDiv)
 	}
-	if p.TileWords < -1 {
-		return fmt.Errorf("%w: TileWords must be >= -1, got %d", ErrConfig, p.TileWords)
-	}
 	return nil
 }
 
-// Kernel is one frontier simulation. It is not safe for concurrent use by
-// multiple goroutines (its own workers synchronise internally).
+// Kernel is one frontier simulation. It is not safe for concurrent use.
 type Kernel struct {
 	g        *graph.Graph
 	kind     Kind
 	par      Params
 	seed     uint64
 	source   int // Bips only
-	workers  int
 	denseDiv int
 
 	// Frontier state. cur is always authoritative; curList mirrors it
 	// when curListOK (maintained by sparse rounds, rebuilt on demand).
-	// frontierVol is trusted when volOK — tiled dense rounds fuse the
-	// volume into their word scans, so volOK can hold while the member
-	// mirror is stale.
+	// Both representations maintain frontierN and frontierVol.
 	cur         *bitset.Set
 	curList     []int32
 	curListOK   bool
-	volOK       bool
 	frontierN   int
 	frontierVol int // Σ deg(v) over the frontier; see FrontierVolume
 
@@ -184,31 +168,18 @@ type Kernel struct {
 
 	round int
 
-	// Round scratch.
-	nextPlain  *bitset.Set
-	nextAtomic *bitset.Atomic
-	scratch    *bitset.Set
-	stamp      []uint32
-	epoch      uint32
-	newList    []int32
-	candList   []int32
-	bufs       [][]int32
-	sentParts  []int64
+	// Round scratch. Invariant (zero-after-fold): between COBRA rounds
+	// next is all-zero — the dense fold zeroes every word it consumes,
+	// sparse rounds never touch it, and the workspace resets it when a
+	// kernel is (re)acquired — so no round pays an up-front Θ(n) Reset.
+	next     *bitset.Set
+	stamp    []uint32
+	epoch    uint32
+	newList  []int32
+	candList []int32
 
-	// Tiled dense state (tile.go). tileCur is the shared tile cursor of
-	// the in-flight pass; tileN/tileVol/tileNew hold the per-tile partial
-	// counts folded serially in tile order after each pass.
-	tileWords int // words per tile; 0 disables tiling (legacy flat scan)
-	tiles     int
-	tileCur   int64
-	tileN     []int32
-	tileVol   []int64
-	tileNew   []int32
-	pool      *roundPool
-
-	denseRounds  int
 	sparseRounds int
-	tiledRounds  int
+	denseRounds  int
 }
 
 // NewCobra creates a COBRA kernel with initial frontier C_0 = start.
@@ -241,7 +212,6 @@ func newCobra(g *graph.Graph, par Params, start []int, seed uint64, ws *Workspac
 	}
 	k.frontierN = len(k.curList)
 	k.curListOK = true
-	k.volOK = true
 	return k, nil
 }
 
@@ -265,7 +235,6 @@ func newBips(g *graph.Graph, par Params, source int, seed uint64, ws *Workspace)
 	k.frontierN = 1
 	k.frontierVol = g.Degree(source)
 	k.curListOK = true
-	k.volOK = true
 	return k, nil
 }
 
@@ -283,10 +252,6 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 			ws.checked = g
 		}
 	}
-	workers := par.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	denseDiv := par.DenseDiv
 	if denseDiv == 0 {
 		denseDiv = DefaultDenseDiv
@@ -294,45 +259,19 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	n := g.N()
 	var k *Kernel
 	if ws != nil {
-		k = ws.acquire(n, workers, kind)
+		k = ws.acquire(n, kind)
 	} else {
 		k = &Kernel{
-			cur:       bitset.New(n),
-			nextPlain: bitset.New(n),
-			stamp:     make([]uint32, n),
-		}
-		if workers > 1 {
-			k.bufs = make([][]int32, workers)
-			k.sentParts = make([]int64, workers)
-			k.scratch = bitset.New(n)
-			if kind == Cobra {
-				k.nextAtomic = bitset.NewAtomic(n)
-			}
+			cur:   bitset.New(n),
+			next:  bitset.New(n),
+			stamp: make([]uint32, n),
 		}
 	}
 	k.g = g
 	k.kind = kind
 	k.par = par
 	k.seed = seed
-	k.workers = workers
 	k.denseDiv = denseDiv
-	if tw := par.TileWords; tw >= 0 && par.Mode != ForceSparse {
-		if tw == 0 {
-			tw = DefaultTileWords
-		}
-		k.tileWords = tw
-		k.tiles = (k.cur.WordCount() + tw - 1) / tw
-		if ws != nil {
-			k.tileN, k.tileVol, k.tileNew = ws.tileScratch(k.tiles)
-		} else {
-			k.tileN = make([]int32, k.tiles)
-			k.tileVol = make([]int64, k.tiles)
-			k.tileNew = make([]int32, k.tiles)
-		}
-		if workers > 1 {
-			k.attachPool(ws)
-		}
-	}
 	return k, nil
 }
 
@@ -354,15 +293,8 @@ func (k *Kernel) Frontier() *bitset.Set { return k.cur }
 func (k *Kernel) FrontierCount() int { return k.frontierN }
 
 // FrontierVolume returns Σ_{v ∈ frontier} deg(v) — d(A_t) in the paper's
-// Section 3 notation. Sparse and tiled dense rounds maintain the volume as
-// they go; it rebuilds the member mirror only if a legacy (untiled) dense
-// round left both stale.
-func (k *Kernel) FrontierVolume() int {
-	if !k.volOK {
-		k.ensureList()
-	}
-	return k.frontierVol
-}
+// Section 3 notation, maintained by every round without a rescan.
+func (k *Kernel) FrontierVolume() int { return k.frontierVol }
 
 // Covered returns the cumulative visited set of a COBRA kernel (nil for
 // BIPS). Read-only.
@@ -388,18 +320,15 @@ func (k *Kernel) Sent() int64 { return k.sent }
 // Sent() − Σ_{t>=1} |C_t|.
 func (k *Kernel) Coalesced() int64 { return k.coalesced }
 
-// DenseRounds returns how many completed rounds ran in the legacy flat
-// dense representation (TileWords -1); with tiling enabled (the default)
-// dense rounds are counted by TiledRounds instead.
-func (k *Kernel) DenseRounds() int { return k.denseRounds }
-
 // SparseRounds returns how many completed rounds ran in the sparse
 // representation.
 func (k *Kernel) SparseRounds() int { return k.sparseRounds }
 
-// TiledRounds returns how many completed rounds ran in the tiled dense
-// representation (tile.go), the default dense path.
-func (k *Kernel) TiledRounds() int { return k.tiledRounds }
+// TiledRounds returns how many completed rounds ran in the dense
+// representation. The name matches batch.TrialResult's tiled_rounds key
+// and the repr="tiled" metric label, which old journals and dashboards
+// read.
+func (k *Kernel) TiledRounds() int { return k.denseRounds }
 
 // InstallFrontier replaces the frontier with the given member set and
 // advances the round counter, as if a Step produced it. This is the hook
@@ -431,36 +360,25 @@ func (k *Kernel) InstallFrontier(members []int) {
 	k.frontierN = len(k.curList)
 	k.frontierVol = vol
 	k.curListOK = true
-	k.volOK = true
 	k.round++
 }
 
 // Step advances the kernel by one round in the representation chosen by
-// the mode policy: sparse, tiled dense (the default dense path), or the
-// legacy flat dense scan when tiling is disabled (TileWords -1).
+// the mode policy: sparse or dense.
 func (k *Kernel) Step() {
-	dense := k.useDense()
-	switch {
-	case !dense:
-		k.sparseRounds++
-		if k.kind == Cobra {
-			k.cobraSparse()
-		} else {
-			k.bipsSparse()
-		}
-	case k.tileWords > 0:
-		k.tiledRounds++
-		if k.kind == Cobra {
-			k.cobraDenseTiled()
-		} else {
-			k.bipsDenseTiled()
-		}
-	default:
+	if k.useDense() {
 		k.denseRounds++
 		if k.kind == Cobra {
 			k.cobraDense()
 		} else {
 			k.bipsDense()
+		}
+	} else {
+		k.sparseRounds++
+		if k.kind == Cobra {
+			k.cobraSparse()
+		} else {
+			k.bipsSparse()
 		}
 	}
 	k.round++
@@ -482,38 +400,15 @@ func (k *Kernel) useDense() bool {
 	if k.kind == Cobra {
 		return k.frontierN*k.denseDiv > k.g.N()
 	}
-	return k.FrontierVolume() > k.g.N()
+	return k.frontierVol > k.g.N()
 }
 
-// parallelRounds reports how many workers to fan a round of the given
-// item count across; tiny rounds stay serial because goroutine overhead
-// dominates, and wider rounds get at most one worker per
-// minItemsPerWorker items so the per-worker slice always outweighs the
-// handoff cost (see the measured floor constants in tile.go). The answer
-// never affects the trajectory.
-func (k *Kernel) parallelRounds(items int) int {
-	if k.workers <= 1 || items < minParallelItems {
-		return 1
-	}
-	nw := items / minItemsPerWorker
-	if nw > k.workers {
-		nw = k.workers
-	}
-	return nw
-}
-
-// ensureList rebuilds the member mirror (and frontier volume) from the
-// authoritative bitset after a dense round invalidated it.
+// ensureList rebuilds the member mirror from the authoritative bitset
+// after a dense round invalidated it.
 func (k *Kernel) ensureList() {
 	k.curList = k.curList[:0]
-	vol := 0
-	k.cur.ForEach(func(v int) {
-		k.curList = append(k.curList, int32(v))
-		vol += k.g.Degree(v)
-	})
-	k.frontierVol = vol
+	k.cur.ForEach(func(v int) { k.curList = append(k.curList, int32(v)) })
 	k.curListOK = true
-	k.volOK = true
 }
 
 // bumpEpoch opens a fresh stamp generation, clearing the array only on

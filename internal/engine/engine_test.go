@@ -17,7 +17,6 @@ func TestParamsValidate(t *testing.T) {
 		{Branch: 1, Rho: -0.5},
 		{Branch: 1, Rho: 1.5},
 		{Branch: 1, DenseDiv: -2},
-		{Branch: 1, TileWords: -2},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); !errors.Is(err, ErrConfig) {
@@ -56,7 +55,7 @@ func TestConstructorsReject(t *testing.T) {
 // run that starts narrow and goes wide.
 func TestAdaptiveUsesBothRepresentations(t *testing.T) {
 	g := graph.Hypercube(10) // n = 1024
-	k, err := NewCobra(g, Params{Branch: 2, Workers: 1}, []int{0}, 7)
+	k, err := NewCobra(g, Params{Branch: 2}, []int{0}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +69,6 @@ func TestAdaptiveUsesBothRepresentations(t *testing.T) {
 		t.Fatalf("adaptive run used sparse=%d tiled=%d rounds; want both > 0",
 			k.SparseRounds(), k.TiledRounds())
 	}
-	// With tiling enabled (the default) no round may fall back to the
-	// legacy flat dense scan.
-	if k.DenseRounds() != 0 {
-		t.Fatalf("adaptive tiled run used %d legacy dense rounds", k.DenseRounds())
-	}
 }
 
 // Forced modes must report only their own representation.
@@ -84,7 +78,7 @@ func TestForcedModesAreForced(t *testing.T) {
 		mode Mode
 		name string
 	}{{ForceSparse, "sparse"}, {ForceDense, "dense"}} {
-		k, err := NewCobra(g, Params{Branch: 2, Mode: tc.mode, Workers: 1}, []int{0}, 3)
+		k, err := NewCobra(g, Params{Branch: 2, Mode: tc.mode}, []int{0}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +87,8 @@ func TestForcedModesAreForced(t *testing.T) {
 		}
 		switch tc.mode {
 		case ForceSparse:
-			if k.DenseRounds() != 0 {
-				t.Fatalf("%s: %d dense rounds", tc.name, k.DenseRounds())
+			if k.TiledRounds() != 0 {
+				t.Fatalf("%s: %d dense rounds", tc.name, k.TiledRounds())
 			}
 		case ForceDense:
 			if k.SparseRounds() != 0 {
@@ -112,7 +106,7 @@ func TestKernelBookkeepingInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{Adaptive, ForceSparse, ForceDense} {
-		k, err := NewCobra(g, Params{Branch: 2, Mode: mode, Workers: 2}, []int{0, 5}, 11)
+		k, err := NewCobra(g, Params{Branch: 2, Mode: mode}, []int{0, 5}, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +129,7 @@ func TestKernelBookkeepingInvariants(t *testing.T) {
 
 func TestInstallFrontier(t *testing.T) {
 	g := graph.Cycle(10)
-	k, err := NewBips(g, Params{Branch: 2, Workers: 1}, 0, 5)
+	k, err := NewBips(g, Params{Branch: 2}, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +160,11 @@ func TestInstallFrontier(t *testing.T) {
 }
 
 // COBRA transmissions/coalescences must satisfy the defining identity in
-// every representation, including parallel workers.
+// every representation.
 func TestSentCoalescedIdentity(t *testing.T) {
 	g := graph.Complete(200)
 	for _, mode := range []Mode{ForceSparse, ForceDense, Adaptive} {
-		k, err := NewCobra(g, Params{Branch: 2, Mode: mode, Workers: 4}, []int{0}, 9)
+		k, err := NewCobra(g, Params{Branch: 2, Mode: mode}, []int{0}, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

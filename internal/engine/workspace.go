@@ -23,7 +23,7 @@ import (
 //   - Trajectories are unchanged: a kernel built with NewCobraWith /
 //     NewBipsWith produces bit-for-bit the trajectory of one built with
 //     NewCobra / NewBips from the same (graph, params, start, seed) —
-//     workspace reuse, like worker count, is invisible to the trajectory.
+//     workspace reuse is invisible to the trajectory.
 //   - Graphs of different sizes may share a Workspace; buffers are
 //     reallocated when the vertex count changes and reused otherwise.
 type Workspace struct {
@@ -31,24 +31,12 @@ type Workspace struct {
 	checked *graph.Graph // last graph whose connectivity was verified
 	kern    Kernel       // the (single) kernel backed by this workspace
 
-	cur, nextPlain, scratch *bitset.Set
-	covered                 *bitset.Set
-	nextAtomic              *bitset.Atomic
-	stamp                   []uint32
-	epoch                   uint32
-	curList, newList        []int32
-	candList                []int32
-	bufs                    [][]int32
-	sentParts               []int64
-
-	// Tiled round scratch: per-tile partial counts (tile.go) and the
-	// persistent worker pool shared by every parallel tiled kernel built
-	// through this workspace. The pool's goroutines are released by the
-	// workspace's finalizer.
-	tileN   []int32
-	tileVol []int64
-	tileNew []int32
-	pool    *roundPool
+	cur, next        *bitset.Set
+	covered          *bitset.Set
+	stamp            []uint32
+	epoch            uint32
+	curList, newList []int32
+	candList         []int32
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily by the
@@ -77,36 +65,27 @@ func (ws *Workspace) reclaim() {
 	}
 	ws.curList, ws.newList, ws.candList = k.curList, k.newList, k.candList
 	ws.epoch = k.epoch
-	if k.bufs != nil {
-		ws.bufs = k.bufs
-	}
 }
 
 // acquire resets ws for a kernel on an n-vertex graph and hands its
 // buffers to ws.kern, which the caller finishes initialising.
-func (ws *Workspace) acquire(n, workers int, kind Kind) *Kernel {
+func (ws *Workspace) acquire(n int, kind Kind) *Kernel {
 	ws.reclaim()
 	if ws.n != n {
 		ws.cur = bitset.New(n)
-		ws.nextPlain = bitset.New(n)
+		ws.next = bitset.New(n)
 		ws.stamp = make([]uint32, n)
 		ws.epoch = 0
 		ws.covered = nil
-		ws.scratch = nil
-		ws.nextAtomic = nil
 		ws.curList = ws.curList[:0]
 		ws.newList = ws.newList[:0]
 		ws.candList = ws.candList[:0]
 		ws.n = n
 	} else {
+		// A BIPS kernel leaves its previous frontier in next, while a
+		// COBRA kernel's dense fold needs next all-zero (zero-after-fold).
 		ws.cur.Reset()
-		ws.nextPlain.Reset()
-		// The tiled paths rely on the next sets being all-zero at kernel
-		// construction (zero-after-fold invariant); a legacy flat dense
-		// round of the previous kernel can leave the atomic set dirty.
-		if ws.nextAtomic != nil {
-			ws.nextAtomic.Reset()
-		}
+		ws.next.Reset()
 	}
 	if kind == Cobra {
 		if ws.covered == nil {
@@ -115,53 +94,19 @@ func (ws *Workspace) acquire(n, workers int, kind Kind) *Kernel {
 			ws.covered.Reset()
 		}
 	}
-	if workers > 1 {
-		if len(ws.bufs) < workers {
-			ws.bufs = append(ws.bufs, make([][]int32, workers-len(ws.bufs))...)
-		}
-		if len(ws.sentParts) < workers {
-			ws.sentParts = make([]int64, workers)
-		}
-		if ws.scratch == nil {
-			ws.scratch = bitset.New(n)
-		}
-		if kind == Cobra && ws.nextAtomic == nil {
-			ws.nextAtomic = bitset.NewAtomic(n)
-		}
-	}
 
 	k := &ws.kern
 	*k = Kernel{
-		cur:       ws.cur,
-		nextPlain: ws.nextPlain,
-		stamp:     ws.stamp,
-		epoch:     ws.epoch,
-		curList:   ws.curList[:0],
-		newList:   ws.newList[:0],
-		candList:  ws.candList[:0],
+		cur:      ws.cur,
+		next:     ws.next,
+		stamp:    ws.stamp,
+		epoch:    ws.epoch,
+		curList:  ws.curList[:0],
+		newList:  ws.newList[:0],
+		candList: ws.candList[:0],
 	}
 	if kind == Cobra {
 		k.covered = ws.covered
 	}
-	if workers > 1 {
-		k.bufs = ws.bufs[:workers]
-		k.sentParts = ws.sentParts[:workers]
-		k.scratch = ws.scratch
-		if kind == Cobra {
-			k.nextAtomic = ws.nextAtomic
-		}
-	}
 	return k
-}
-
-// tileScratch returns per-tile counter scratch of the given length,
-// growing the backing arrays only when a kernel needs more tiles than any
-// predecessor.
-func (ws *Workspace) tileScratch(tiles int) ([]int32, []int64, []int32) {
-	if cap(ws.tileN) < tiles {
-		ws.tileN = make([]int32, tiles)
-		ws.tileVol = make([]int64, tiles)
-		ws.tileNew = make([]int32, tiles)
-	}
-	return ws.tileN[:tiles], ws.tileVol[:tiles], ws.tileNew[:tiles]
 }

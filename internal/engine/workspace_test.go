@@ -49,7 +49,7 @@ func TestWorkspaceTrajectoriesMatchFresh(t *testing.T) {
 		graph.Grid(24, 24),
 		graph.Cycle(301),
 	}
-	par := Params{Branch: 2, Workers: 1}
+	par := Params{Branch: 2}
 	ws := NewWorkspace()
 	for trial := 0; trial < 3; trial++ {
 		for _, g := range graphs {
@@ -75,24 +75,6 @@ func TestWorkspaceTrajectoriesMatchFresh(t *testing.T) {
 			}
 			sameTrajectory(t, "bips "+g.Name(), freshB, reusedB, 1<<20)
 		}
-	}
-}
-
-// Workspace reuse with the parallel round path must also be invisible.
-func TestWorkspaceParallelMatchesSerial(t *testing.T) {
-	g := graph.Hypercube(11)
-	ws := NewWorkspace()
-	for trial := 0; trial < 2; trial++ {
-		seed := uint64(42 + trial)
-		serial, err := NewCobra(g, Params{Branch: 2, Workers: 1}, []int{0}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := NewCobraWith(ws, g, Params{Branch: 2, Workers: 4}, []int{0}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTrajectory(t, "cobra parallel", serial, par, 1<<20)
 	}
 }
 

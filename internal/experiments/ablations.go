@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/repro/cobra/internal/bitset"
 	"github.com/repro/cobra/internal/core"
@@ -136,64 +135,4 @@ func AblationLazy(p Params) (*sim.Table, error) {
 			fmtRatio(lazy/plain))
 	}
 	return tb, nil
-}
-
-// AblationParallel compares the serial round engine against the
-// deterministic hashed-randomness parallel engine: both simulate the same
-// process, so mean cover times must agree within sampling error (they use
-// different random streams, not different dynamics).
-func AblationParallel(p Params) (*sim.Table, error) {
-	trials := pick(p, 8, 40)
-	tb := sim.NewTable("A3: engine ablation — serial vs deterministic-parallel rounds",
-		"graph", "serial mean", "parallel mean", "rel diff", "sigma")
-	tb.Note = "same dynamics, different streams: difference must be within a few standard errors"
-	gen := xrand.New(p.Seed ^ 0xa3)
-
-	rr, err := graph.RandomRegular(pick(p, 128, 1024), 3, gen)
-	if err != nil {
-		return nil, err
-	}
-	graphs := []*graph.Graph{rr, graph.Complete(pick(p, 128, 1024))}
-	for gi, g := range graphs {
-		runner := sim.Runner{Seed: p.Seed ^ uint64(0xa300+gi), Workers: p.Workers}
-		serialXs, err := runner.Run(trials, coverTrial(g, core.Config{Branch: 2}))
-		if err != nil {
-			return nil, err
-		}
-		parXs, err := runner.Run(trials, func(trial int, rng *xrand.RNG) (float64, error) {
-			proc, err := core.NewParallel(g, core.Config{Branch: 2}, []int{0}, rng.Uint64(), 0)
-			if err != nil {
-				return 0, err
-			}
-			t, err := proc.Run()
-			return float64(t), err
-		})
-		if err != nil {
-			return nil, err
-		}
-		ms, ss := meanStd(serialXs)
-		mp, sp2 := meanStd(parXs)
-		pooled := math.Sqrt(ss*ss/float64(len(serialXs)) + sp2*sp2/float64(len(parXs)))
-		sigma := 0.0
-		if pooled > 0 {
-			sigma = math.Abs(ms-mp) / pooled
-		}
-		tb.AddRow(g.Name(), fmt.Sprintf("%.1f", ms), fmt.Sprintf("%.1f", mp),
-			fmt.Sprintf("%.3f", math.Abs(ms-mp)/ms), fmt.Sprintf("%.2f", sigma))
-	}
-	return tb, nil
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	if len(xs) > 1 {
-		std = math.Sqrt(std / float64(len(xs)-1))
-	}
-	return mean, std
 }

@@ -97,7 +97,6 @@ func All() []Experiment {
 		{"E16", "Watts–Strogatz gap sweep — cover across the small-world transition", E16SmallWorld},
 		{"A1", "Ablation — with vs without replacement neighbour sampling", AblationReplacement},
 		{"A2", "Ablation — lazy overhead on non-bipartite graphs", AblationLazy},
-		{"A3", "Ablation — serial vs deterministic-parallel round engine", AblationParallel},
 	}
 }
 

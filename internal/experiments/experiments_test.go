@@ -14,7 +14,7 @@ func quickParams() Params { return Params{Seed: 2024, Scale: Quick} }
 
 func TestRegistryComplete(t *testing.T) {
 	exps := All()
-	if len(exps) != 19 {
+	if len(exps) != 18 {
 		t.Fatalf("registry has %d entries", len(exps))
 	}
 	seen := map[string]bool{}
@@ -27,7 +27,7 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, id := range []string{"E1", "E4", "E10", "E12", "E15", "E16", "A3"} {
+	for _, id := range []string{"E1", "E4", "E10", "E12", "E15", "E16"} {
 		if !seen[id] {
 			t.Fatalf("missing experiment %s", id)
 		}
@@ -310,19 +310,6 @@ func TestAblations(t *testing.T) {
 		}
 		if ratio < 1.2 || ratio > 4 {
 			t.Fatalf("A2 %s: lazy/plain = %.2f not ~2", row[0], ratio)
-		}
-	}
-	a3, err := AblationParallel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range a3.Rows {
-		sigma, err := strconv.ParseFloat(row[len(row)-1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sigma > 6 {
-			t.Fatalf("A3 %s: engines differ by %.1f sigma", row[0], sigma)
 		}
 	}
 }
