@@ -621,6 +621,13 @@ func (s *Server) runJob(job *Job) {
 	// match an uninterrupted run bit for bit.
 	job.mu.Lock()
 	from := job.completed
+	// Size the retained results once for the whole job, copying any
+	// replayed prefix, instead of growing them an append at a time.
+	if total := min(len(job.cellSpecs)*job.sweep.Trials, s.cfg.MaxTrials); cap(job.cellResults) < total {
+		results := make([]CellResult, len(job.cellResults), total)
+		copy(results, job.cellResults)
+		job.cellResults = results
+	}
 	prefix := make([]*stats.Online, len(job.cellOnline))
 	for i, o := range job.cellOnline {
 		prefix[i] = o.Clone()

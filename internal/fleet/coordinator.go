@@ -71,7 +71,10 @@ type openCell struct {
 // batch.CellRunner. It is an http.Handler serving the lease protocol
 // plus the /v1/fleet status endpoint.
 type Coordinator struct {
-	ttl    time.Duration
+	ttl time.Duration
+	// hold bounds a held acquire: the expiry-scan interval, TTL/4 clamped
+	// to [10ms, 1s], so it stays far below a worker client's timeout.
+	hold   time.Duration
 	log    *store.LeaseLog
 	logger *slog.Logger
 	met    *fleetMetrics
@@ -86,6 +89,9 @@ type Coordinator struct {
 	nextLease  uint64
 	closed     bool
 	stopping   bool // BeginShutdown called: withdrawals preserve leases
+	// opened is closed and replaced whenever a cell becomes acquirable or
+	// shutdown begins, waking every held acquire to rescan the table.
+	opened chan struct{}
 
 	stop chan struct{}
 	tick *time.Ticker
@@ -113,6 +119,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		leases:     make(map[string]*lease),
 		leaseByKey: make(map[cellKey]*lease),
 		workers:    make(map[string]time.Time),
+		opened:     make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
 	if cfg.Store != nil {
@@ -135,14 +142,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		}
 	}
 	c.met = newFleetMetrics(cfg.Registry, c)
-	interval := ttl / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+	c.hold = ttl / 4
+	if c.hold < 10*time.Millisecond {
+		c.hold = 10 * time.Millisecond
 	}
-	if interval > time.Second {
-		interval = time.Second
+	if c.hold > time.Second {
+		c.hold = time.Second
 	}
-	c.tick = time.NewTicker(interval)
+	c.tick = time.NewTicker(c.hold)
 	c.wg.Add(1)
 	go c.expiryLoop()
 	return c, nil
@@ -184,17 +191,21 @@ func (c *Coordinator) setClock(now func() time.Time) {
 // keep their leases instead of releasing them, so the journaled lease
 // table still holds the live set and a restarted coordinator restores
 // it — workers renew across the restart and reattach when the recovered
-// sweep re-offers their cells. Call before the batch server's Close;
-// Close the coordinator after.
+// sweep re-offers their cells. Held acquires are answered 204 at once,
+// and later ones are not held, so an HTTP server's drain never waits on
+// them. Call before the batch server's Close; Close the coordinator
+// after.
 func (c *Coordinator) BeginShutdown() {
 	c.mu.Lock()
 	c.stopping = true
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
-// Close stops the expiry scanner and closes the lease log. Open cells
-// are the batch server's to cancel (Server.Close cancels their run
-// contexts, which releases them through RunCell).
+// Close answers held acquires 204, stops the expiry scanner and closes
+// the lease log. Open cells are the batch server's to cancel
+// (Server.Close cancels their run contexts, which releases them through
+// RunCell).
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -202,6 +213,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	c.wakeLocked()
 	c.mu.Unlock()
 	close(c.stop)
 	c.tick.Stop()
@@ -258,6 +270,9 @@ func (c *Coordinator) RunCell(ctx context.Context, jobID string, cell int, spec 
 			c.logger.Info("fleet lease reattached", "lease", l.id, "job", jobID, "cell", cell, "worker", l.worker)
 		}
 	}
+	if oc.lease == nil {
+		c.wakeLocked()
+	}
 	c.mu.Unlock()
 
 	select {
@@ -269,6 +284,13 @@ func (c *Coordinator) RunCell(ctx context.Context, jobID string, cell int, spec 
 		c.mu.Unlock()
 		return ctx.Err()
 	}
+}
+
+// wakeLocked wakes every held acquire to rescan the table: a cell became
+// acquirable, or shutdown began. Callers hold c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.opened)
+	c.opened = make(chan struct{})
 }
 
 // withdrawLocked removes a cell when its run context is cancelled. On a
@@ -312,11 +334,7 @@ func (c *Coordinator) appendLog(ev store.LeaseEvent, commit bool) {
 	}
 }
 
-// expiryLoop retires leases whose holders missed their TTL, re-opening
-// their cells for acquisition at the already-accepted prefix boundary.
-// Expiry is decided solely here, on the coordinator's clock: a renewal
-// that arrives before the scan observes the deadline revives the lease
-// (the worker proved liveness); one that arrives after gets 410.
+// expiryLoop runs the expiry scan on the ticker until Close.
 func (c *Coordinator) expiryLoop() {
 	defer c.wg.Done()
 	for {
@@ -325,22 +343,33 @@ func (c *Coordinator) expiryLoop() {
 			return
 		case <-c.tick.C:
 		}
-		c.mu.Lock()
-		now := c.now()
-		for _, l := range c.leases {
-			if !now.After(l.expires) {
-				continue
-			}
-			if oc := c.cells[l.key]; oc != nil && oc.lease == l {
-				oc.lease = nil // cell re-opens at oc.next
-				c.logger.Warn("fleet lease expired", "lease", l.id, "job", l.key.job, "cell", l.key.cell, "worker", l.worker, "next", oc.next)
-			} else {
-				c.logger.Warn("fleet lease expired", "lease", l.id, "job", l.key.job, "cell", l.key.cell, "worker", l.worker)
-			}
-			c.dropLeaseLocked(l, store.LeaseExpire)
-			c.met.expired(l.worker)
+		c.expire()
+	}
+}
+
+// expire retires leases whose holders missed their TTL, re-opening their
+// cells for acquisition at the already-accepted prefix boundary and
+// waking held acquires to take them. Expiry is decided solely here, on
+// the coordinator's clock: a renewal that arrives before the scan
+// observes the deadline revives the lease (the worker proved liveness);
+// one that arrives after gets 410.
+func (c *Coordinator) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	for _, l := range c.leases {
+		if !now.After(l.expires) {
+			continue
 		}
-		c.mu.Unlock()
+		if oc := c.cells[l.key]; oc != nil && oc.lease == l {
+			oc.lease = nil // cell re-opens at oc.next
+			c.wakeLocked()
+			c.logger.Warn("fleet lease expired", "lease", l.id, "job", l.key.job, "cell", l.key.cell, "worker", l.worker, "next", oc.next)
+		} else {
+			c.logger.Warn("fleet lease expired", "lease", l.id, "job", l.key.job, "cell", l.key.cell, "worker", l.worker)
+		}
+		c.dropLeaseLocked(l, store.LeaseExpire)
+		c.met.expired(l.worker)
 	}
 }
 
@@ -429,9 +458,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !known {
 		c.logger.Info("fleet worker registered", "worker", req.Worker)
 	}
-	writeJSON(w, http.StatusOK, registerResponse{TTLMilli: c.ttl.Milliseconds(), PollMilli: defaultPoll.Milliseconds()})
+	writeJSON(w, http.StatusOK, registerResponse{TTLMilli: c.ttl.Milliseconds()})
 }
 
+// handleAcquire grants the first acquirable cell. When there is none the
+// acquire is held until a cell opens or re-opens, the hold bound passes,
+// the request goes away or shutdown begins, and only then answered 204.
+// Every wake rescans the table under c.mu, so one waiter wins each cell.
 func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
 	if !decodeBody(w, r, &req) {
@@ -441,12 +474,44 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid worker id")
 		return
 	}
-	c.mu.Lock()
-	now := c.now()
-	c.workers[req.Worker] = now
+	hold, cancel := context.WithTimeout(r.Context(), c.hold)
+	defer cancel()
+	for {
+		c.mu.Lock()
+		now := c.now()
+		c.workers[req.Worker] = now
+		// A request that has gone away (a drained or hard-stopped worker)
+		// is never granted a lease nobody would hold. A cancellation after
+		// the grant but before the response is read still strands one: like
+		// a hard stop, that costs one TTL until the expiry scan re-offers
+		// the cell, never correctness.
+		gone := r.Context().Err() != nil
+		if !gone {
+			if resp, ok := c.grantLocked(req.Worker, now); ok {
+				c.mu.Unlock()
+				c.logger.Info("fleet lease granted", "lease", resp.Lease, "job", resp.Job, "cell", resp.Cell, "worker", req.Worker, "from", resp.From)
+				writeJSON(w, http.StatusOK, resp)
+				return
+			}
+		}
+		wake, shut := c.opened, c.stopping || c.closed
+		c.mu.Unlock()
+		if !gone && !shut {
+			select {
+			case <-wake:
+				continue
+			case <-hold.Done():
+			}
+		}
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+}
 
-	// First open, unleased cell in admission order; compact the FIFO of
-	// keys whose cells have since closed.
+// grantLocked leases the first open, unleased cell in admission order to
+// worker, compacting the FIFO of keys whose cells have since closed; ok
+// is false when no cell is acquirable. Callers hold c.mu.
+func (c *Coordinator) grantLocked(worker string, now time.Time) (resp leaseGrant, ok bool) {
 	var grant *openCell
 	kept := c.order[:0]
 	for _, key := range c.order {
@@ -461,15 +526,13 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	}
 	c.order = kept
 	if grant == nil {
-		c.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return leaseGrant{}, false
 	}
 	c.nextLease++
 	l := &lease{
 		id:       fmt.Sprintf("l%06d", c.nextLease),
 		key:      grant.key,
-		worker:   req.Worker,
+		worker:   worker,
 		from:     grant.next,
 		specHash: grant.specHash,
 		expires:  now.Add(c.ttl),
@@ -478,11 +541,8 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	c.leases[l.id] = l
 	c.leaseByKey[l.key] = l
 	c.appendLog(store.LeaseEvent{Event: store.LeaseGrant, Lease: l.id, Job: l.key.job, Cell: l.key.cell, Worker: l.worker, From: l.from, SpecHash: l.specHash, Expires: l.expires}, true)
-	c.met.granted(req.Worker)
-	resp := leaseGrant{Lease: l.id, Job: grant.key.job, Cell: grant.key.cell, Spec: grant.spec, From: grant.next, SpecHash: grant.specHash, TTLMilli: c.ttl.Milliseconds()}
-	c.mu.Unlock()
-	c.logger.Info("fleet lease granted", "lease", resp.Lease, "job", resp.Job, "cell", resp.Cell, "worker", req.Worker, "from", resp.From)
-	writeJSON(w, http.StatusOK, resp)
+	c.met.granted(worker)
+	return leaseGrant{Lease: l.id, Job: grant.key.job, Cell: grant.key.cell, Spec: grant.spec, From: grant.next, SpecHash: grant.specHash, TTLMilli: c.ttl.Milliseconds()}, true
 }
 
 // handleBatch serves renew (complete=false) and complete (complete=true):
@@ -527,6 +587,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request, comple
 		// its results must never enter this stream. Retire the lease and
 		// re-open the cell for a grant of the real spec.
 		oc.lease = nil
+		c.wakeLocked()
 		c.dropLeaseLocked(l, store.LeaseRelease)
 		c.mu.Unlock()
 		c.logger.Warn("fleet batch rejected: spec hash mismatch",

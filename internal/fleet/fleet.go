@@ -30,10 +30,15 @@
 // full wire reference):
 //
 //	/v1/leases/acquire   {"worker":W} → 200 grant{lease,job,cell,spec,from,ttl_ms}
-//	                     or 204 when no cell is open — workers poll.
+//	                     or, after a hold, 204 when no cell opened.
 //	/v1/leases/renew     {"lease","worker","results":[...]} → 200 {next,ttl_ms}
 //	                     heartbeat + result upload in one call.
 //	/v1/leases/complete  same body, final tail → 200 {next,done:true}.
+//
+// An acquire that finds no open cell is held, not polled: the
+// coordinator grants it the moment a cell opens or re-opens, and answers
+// 204 only when the hold bound (the expiry-scan interval, at most 1s)
+// passes or shutdown begins. The worker then acquires again at once.
 //
 // A grant leases the cell's uncomputed tail [from, trials): from > 0
 // after a partial predecessor, so a migrated cell recomputes only what
@@ -153,7 +158,10 @@ type batchResponse struct {
 }
 
 // registerResponse answers /v1/fleet/register with the protocol timing
-// parameters the worker should run with.
+// parameters the worker should run with. PollMilli is the wait after a
+// 204 acquire. This coordinator holds empty acquires, so it answers 0
+// and workers re-acquire at once; a worker registered with an older,
+// polling coordinator gets that coordinator's interval instead.
 type registerResponse struct {
 	TTLMilli  int64 `json:"ttl_ms"`
 	PollMilli int64 `json:"poll_ms"`
@@ -168,6 +176,3 @@ type errorResponse struct {
 
 // defaultTTL is the lease TTL when CoordinatorConfig leaves it unset.
 const defaultTTL = 10 * time.Second
-
-// defaultPoll is the acquire poll interval suggested to workers.
-const defaultPoll = 250 * time.Millisecond

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -188,7 +189,6 @@ func startWorker(t *testing.T, ctx context.Context, env *fleetEnv, id string, hb
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: env.ts.URL,
 		ID:          id,
-		Poll:        10 * time.Millisecond,
 		Heartbeat:   hb,
 		Logger:      quietLogger(),
 	})
@@ -542,7 +542,9 @@ func TestLeaseBatchIdempotency(t *testing.T) {
 // coordinator's clock — the only one that counts — and its in-flight
 // results are rejected rather than interleaved with the successor's.
 func TestCoordinatorClockSkew(t *testing.T) {
-	co, ts := coordServer(t, CoordinatorConfig{TTL: 200 * time.Millisecond})
+	// A TTL of a minute holds an empty acquire for the 1s maximum; the
+	// injected clock decides expiry.
+	co, ts := coordServer(t, CoordinatorConfig{TTL: time.Minute})
 	base := time.Now()
 	var offset time.Duration
 	var clockMu sync.Mutex
@@ -580,21 +582,19 @@ func TestCoordinatorClockSkew(t *testing.T) {
 	// heartbeat while the coordinator's clock races past the TTL. It
 	// sends nothing in that window — a renew arriving before the expiry
 	// scan would rightly revive the lease (the progress guarantee) — so
-	// expiry is observed through the successor's acquire succeeding.
+	// expiry is observed through the successor's acquire: held on the
+	// leased-out table, it is woken with the re-opened cell by the expiry
+	// scan that retires the skewed lease.
+	reply := startAcquire(ts.URL, "healthy")
+	awaitHeld(t, reply)
 	advance(10 * co.ttl)
-	var grant2 leaseGrant
-	expiryDeadline := time.Now().Add(10 * time.Second)
-	for {
-		status, raw = postJSON(t, ts.URL+"/v1/leases/acquire", acquireRequest{Worker: "healthy"})
-		if status == http.StatusOK {
-			json.Unmarshal(raw, &grant2)
-			break
-		}
-		if time.Now().After(expiryDeadline) {
-			t.Fatalf("skewed worker's lease never expired (acquire status %d)", status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	start := time.Now()
+	co.expire() // the ticker's scan, run now instead of up to a second later
+	r := awaitReply(t, reply, start)
+	if r.status != http.StatusOK {
+		t.Fatalf("skewed worker's lease never expired (acquire status %d)", r.status)
 	}
+	grant2 := r.grant
 	if grant2.Cell != grant.Cell || grant2.From != 2 {
 		t.Fatalf("successor grant cell=%d from=%d, want cell=%d from=2", grant2.Cell, grant2.From, grant.Cell)
 	}
@@ -719,15 +719,7 @@ func TestCoordinatorRestartKeepsLiveLease(t *testing.T) {
 // cell held by the given lease at a known resend point (next >= 0).
 func leaseReattached(t *testing.T, url, leaseID string) bool {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st fleetStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getFleet(t, url)
 	if st.OpenCells != 1 {
 		return false
 	}
@@ -737,6 +729,197 @@ func leaseReattached(t *testing.T, url, leaseID string) bool {
 		}
 	}
 	return false
+}
+
+// getFleet reads GET /v1/fleet.
+func getFleet(t *testing.T, url string) fleetStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st fleetStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// acquireReply is one acquire's answer, as seen by its client.
+type acquireReply struct {
+	status int
+	grant  leaseGrant
+	err    error
+}
+
+// startAcquire sends one acquire for worker on its own goroutine and
+// returns the channel its reply arrives on.
+func startAcquire(url, worker string) <-chan acquireReply {
+	ch := make(chan acquireReply, 1)
+	go func() {
+		payload, err := json.Marshal(acquireRequest{Worker: worker})
+		if err != nil {
+			ch <- acquireReply{err: err}
+			return
+		}
+		resp, err := http.Post(url+"/v1/leases/acquire", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			ch <- acquireReply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := acquireReply{status: resp.StatusCode}
+		if r.status == http.StatusOK {
+			r.err = json.NewDecoder(resp.Body).Decode(&r.grant)
+		}
+		ch <- r
+	}()
+	return ch
+}
+
+// awaitHeld checks that the coordinator is still holding the acquire
+// 50ms after it was sent.
+func awaitHeld(t *testing.T, reply <-chan acquireReply) {
+	t.Helper()
+	select {
+	case r := <-reply:
+		t.Fatalf("acquire answered %d (err %v) instead of being held", r.status, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// awaitReply returns a held acquire's reply, which must arrive within
+// 100ms of start — well inside the 1s hold bound.
+func awaitReply(t *testing.T, reply <-chan acquireReply, start time.Time) acquireReply {
+	t.Helper()
+	select {
+	case r := <-reply:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("held acquire answered %d after %v, want within 100ms", r.status, d)
+		}
+		return r
+	case <-time.After(5 * time.Second):
+	}
+	t.Fatal("held acquire never answered")
+	return acquireReply{}
+}
+
+// TestAcquireHeldUntilCellOpens: an acquire on an empty table is held
+// rather than answered 204, and is granted as soon as RunCell opens a
+// cell.
+func TestAcquireHeldUntilCellOpens(t *testing.T) {
+	co, ts := coordServer(t, CoordinatorConfig{TTL: time.Minute}) // 1s hold bound
+	reply := startAcquire(ts.URL, "waiting")
+	awaitHeld(t, reply)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	openCellDirect(t, co, ctx, "s000001", 0, 4)
+	r := awaitReply(t, reply, start)
+	if r.status != http.StatusOK || r.grant.Job != "s000001" || r.grant.From != 0 {
+		t.Fatalf("held acquire: status %d job %q from %d, want 200 s000001 from 0", r.status, r.grant.Job, r.grant.From)
+	}
+}
+
+// TestAcquireCancelledGetsNoLease: an acquire whose request has gone
+// away is never granted — a lease nobody holds would keep its cell
+// leased for a full TTL — and a live acquire then gets the cell from 0.
+func TestAcquireCancelledGetsNoLease(t *testing.T) {
+	co, ts := coordServer(t, CoordinatorConfig{TTL: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	openCellDirect(t, co, ctx, "s000001", 0, 4)
+	deadline := time.Now().Add(5 * time.Second)
+	for getFleet(t, ts.URL).OpenCells != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("cell never opened")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	gone, stop := context.WithCancel(context.Background())
+	stop()
+	body, err := json.Marshal(acquireRequest{Worker: "gone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/leases/acquire", bytes.NewReader(body)).WithContext(gone)
+	rec := httptest.NewRecorder()
+	co.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("cancelled acquire: status %d %s, want 204", rec.Code, rec.Body)
+	}
+	if st := getFleet(t, ts.URL); len(st.Leases) != 0 {
+		t.Fatalf("cancelled acquire left %d leases: %+v", len(st.Leases), st.Leases)
+	}
+
+	status, raw := postJSON(t, ts.URL+"/v1/leases/acquire", acquireRequest{Worker: "live"})
+	var grant leaseGrant
+	if err := json.Unmarshal(raw, &grant); status != http.StatusOK || err != nil {
+		t.Fatalf("live acquire: status %d %s", status, raw)
+	}
+	if grant.Job != "s000001" || grant.Cell != 0 || grant.From != 0 {
+		t.Fatalf("live acquire got %s/%d from %d, want s000001/0 from 0", grant.Job, grant.Cell, grant.From)
+	}
+}
+
+// TestAcquireReleasedAtShutdown: BeginShutdown and Close each answer a
+// held acquire 204 at once, hold no later acquire, and leave no handler
+// goroutine behind — so an HTTP server's shutdown drain never waits on
+// an idle worker.
+func TestAcquireReleasedAtShutdown(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		stop func(*Coordinator)
+	}{
+		{"BeginShutdown", (*Coordinator).BeginShutdown},
+		{"Close", (*Coordinator).Close},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			co, ts := coordServer(t, CoordinatorConfig{TTL: time.Minute}) // 1s hold bound
+			// Earlier tests leave keep-alive client connections in the
+			// shared transport pool; flush them so the baseline is this
+			// test's own.
+			http.DefaultClient.CloseIdleConnections()
+			time.Sleep(20 * time.Millisecond)
+			before := runtime.NumGoroutine()
+
+			reply := startAcquire(ts.URL, "idle")
+			awaitHeld(t, reply)
+			start := time.Now()
+			in.stop(co)
+			if r := awaitReply(t, reply, start); r.status != http.StatusNoContent {
+				t.Fatalf("held acquire at %s: status %d, want 204", in.name, r.status)
+			}
+			start = time.Now()
+			if status, _ := postJSON(t, ts.URL+"/v1/leases/acquire", acquireRequest{Worker: "late"}); status != http.StatusNoContent {
+				t.Fatalf("acquire after %s: status %d, want 204", in.name, status)
+			}
+			if d := time.Since(start); d > 100*time.Millisecond {
+				t.Fatalf("acquire after %s held for %v", in.name, d)
+			}
+
+			// Checked well inside the hold bound, which would otherwise end
+			// a leaked hold by itself.
+			deadline := time.Now().Add(500 * time.Millisecond)
+			for {
+				http.DefaultClient.CloseIdleConnections()
+				n := runtime.NumGoroutine()
+				if n <= before {
+					return
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("goroutines %d > %d after %s:\n%s", n, before, in.name, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
 }
 
 // TestLeaseSpecHashMismatch: a grant carries the canonical spec hash;
@@ -767,29 +950,26 @@ func TestLeaseSpecHashMismatch(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("renew with matching hash: %d %s", status, raw)
 	}
+	// w2's acquire is held while the cell is leased out.
+	reply := startAcquire(ts.URL, "w2")
+	awaitHeld(t, reply)
 	// A mismatched echo is 410: the holder computed some other spec.
+	start := time.Now()
 	status, raw = postJSON(t, ts.URL+"/v1/leases/renew", batchRequest{Lease: grant.Lease, Worker: "w1", SpecHash: "deadbeef", Results: []batch.TrialResult{res(1)}})
 	if status != http.StatusGone {
 		t.Fatalf("renew with wrong hash: %d %s, want 410", status, raw)
 	}
-	// The lease is retired with the rejection, so even a now-correct echo
-	// is refused and the cell is acquirable again at the accepted prefix.
+	// The lease is retired with the rejection, and the re-opened cell
+	// wakes w2's acquire at the accepted prefix.
+	r := awaitReply(t, reply, start)
+	if r.status != http.StatusOK {
+		t.Fatalf("cell not re-acquirable after hash rejection: %d", r.status)
+	}
+	grant2 := r.grant
+	// Even a now-correct echo on the retired lease is refused.
 	status, _ = postJSON(t, ts.URL+"/v1/leases/renew", batchRequest{Lease: grant.Lease, Worker: "w1", SpecHash: grant.SpecHash})
 	if status != http.StatusGone {
 		t.Fatalf("retired lease renew: %d, want 410", status)
-	}
-	var grant2 leaseGrant
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		status, raw = postJSON(t, ts.URL+"/v1/leases/acquire", acquireRequest{Worker: "w2"})
-		if status == http.StatusOK {
-			json.Unmarshal(raw, &grant2)
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cell not re-acquirable after hash rejection: %d", status)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if grant2.From != 1 {
 		t.Fatalf("successor grant from %d, want 1", grant2.From)
@@ -902,38 +1082,64 @@ func TestLeaseSpecHashReattach(t *testing.T) {
 }
 
 // TestWorkerDrainFinishesCell: Drain lets the current cell complete and
-// stops the loop — no abandoned lease, no expiry.
+// stops the loop — no abandoned lease, no expiry. A worker idling in a
+// held acquire is released at once instead of after the hold bound.
 func TestWorkerDrainFinishesCell(t *testing.T) {
-	spec := testSweep()
-	spec.Graphs = []string{"rreg:192:3"}
-	spec.Branches = []int{2}
-	spec.Trials = 40
-	spec.CellWorkers = 1
-	env := newFleetEnv(t, CoordinatorConfig{TTL: 2 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w, done := startWorker(t, ctx, env, "drainer", 15*time.Millisecond)
-	id := postJob(t, env.ts.URL, spec)
-	deadline := time.Now().Add(30 * time.Second)
-	for getJobState(t, env.ts.URL, id).Completed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no progress before drain")
+	for _, busy := range []bool{true, false} {
+		name := "idle"
+		if busy {
+			name = "mid-cell"
 		}
-		time.Sleep(5 * time.Millisecond)
+		t.Run(name, func(t *testing.T) {
+			spec := testSweep()
+			spec.Graphs = []string{"rreg:192:3"}
+			spec.Branches = []int{2}
+			spec.Trials = 40
+			spec.CellWorkers = 1
+			env := newFleetEnv(t, CoordinatorConfig{TTL: 4 * time.Second}) // 1s hold bound
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w, done := startWorker(t, ctx, env, "drainer", 15*time.Millisecond)
+			var id string
+			deadline := time.Now().Add(30 * time.Second)
+			if busy {
+				id = postJob(t, env.ts.URL, spec)
+				for getJobState(t, env.ts.URL, id).Completed == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("no progress before drain")
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			} else {
+				for len(getFleet(t, env.ts.URL).Workers) == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("worker never registered")
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				time.Sleep(50 * time.Millisecond) // its acquire is now held
+			}
+			start := time.Now()
+			w.Drain()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("drained worker did not exit")
+			}
+			if d := time.Since(start); !busy && d > 100*time.Millisecond {
+				t.Fatalf("idle worker took %v to drain, want within 100ms", d)
+			}
+			if busy && w.CellsCompleted() == 0 {
+				t.Fatal("drained worker abandoned its cell")
+			}
+			if v := metricValue(t, env.ts.URL, "cobrad_fleet_leases_expired_total"); v != 0 {
+				t.Fatalf("drain leaked an expired lease: %v", v)
+			}
+			if busy {
+				awaitDrainedSweep(t, env, id)
+			}
+		})
 	}
-	w.Drain()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("drained worker did not exit")
-	}
-	if w.CellsCompleted() == 0 {
-		t.Fatal("drained worker abandoned its cell")
-	}
-	if v := metricValue(t, env.ts.URL, "cobrad_fleet_leases_expired_total"); v != 0 {
-		t.Fatalf("drain leaked an expired lease: %v", v)
-	}
-	awaitDrainedSweep(t, env, id)
 }
 
 // awaitDrainedSweep finishes the drained test's sweep with a fresh

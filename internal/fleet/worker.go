@@ -15,15 +15,14 @@ import (
 	"github.com/repro/cobra/internal/batch"
 )
 
-// WorkerConfig configures a fleet worker.
+// WorkerConfig configures a fleet worker. It sets no idle poll interval:
+// the coordinator holds an acquire until a cell opens, and its
+// registration answer says how long to wait after a 204 (see Run).
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (e.g. http://host:8080).
 	Coordinator string
 	// ID names this worker in leases, logs, and metric labels.
 	ID string
-	// Poll is the idle acquire interval; 0 takes the coordinator's
-	// suggestion from registration.
-	Poll time.Duration
 	// Heartbeat is the renew/upload interval; 0 derives TTL/4 from the
 	// registered TTL. It must comfortably undercut the TTL: a worker that
 	// renews slower than the coordinator's TTL loses its leases (the
@@ -44,11 +43,14 @@ type WorkerConfig struct {
 // exactly the bytes a local run would, which is what makes the fleet
 // transparent to results.
 type Worker struct {
-	cfg      WorkerConfig
-	hc       *http.Client
-	cache    *batch.Cache
-	logger   *slog.Logger
-	draining atomic.Bool
+	cfg    WorkerConfig
+	hc     *http.Client
+	cache  *batch.Cache
+	logger *slog.Logger
+	// drained is cancelled by Drain: it ends the loop's acquires and the
+	// waits between them, never a leased cell.
+	drained context.Context
+	drain   context.CancelFunc
 	// cells counts cells this worker completed (test/ops visibility).
 	cells atomic.Int64
 }
@@ -73,21 +75,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Worker{cfg: cfg, hc: hc, cache: batch.NewCache(size), logger: logger}, nil
+	drained, drain := context.WithCancel(context.Background())
+	return &Worker{cfg: cfg, hc: hc, cache: batch.NewCache(size), logger: logger, drained: drained, drain: drain}, nil
 }
 
-// Drain asks the loop to stop acquiring new cells; the current cell (if
-// any) is finished and completed first. This is cobrad's first-SIGTERM
-// behavior — a drained worker exits without abandoning work.
-func (w *Worker) Drain() { w.draining.Store(true) }
+// Drain asks the loop to stop acquiring new cells: a held acquire is
+// cancelled at once, and the current cell (if any) is finished and
+// completed first. This is cobrad's first-SIGTERM behavior — a drained
+// worker exits without abandoning work.
+func (w *Worker) Drain() { w.drain() }
 
 // CellsCompleted reports how many cells this worker has completed.
 func (w *Worker) CellsCompleted() int64 { return w.cells.Load() }
 
 // Run registers and pulls cells until ctx is cancelled or Drain is
-// called. Cancelling ctx is a hard stop: the in-flight cell is
-// abandoned mid-compute and its lease left to expire — the crash path
-// the re-lease machinery exists for. Run returns nil on drain or
+// called. An acquire that finds no open cell is held by the coordinator
+// until one opens or its bound passes; after the coordinator's 204 the
+// worker waits the registered poll_ms (0 from a coordinator that holds
+// acquires) and acquires again, and after a failed acquire it backs off
+// a fixed acquireBackoff. Cancelling ctx is a hard stop: the in-flight
+// cell is abandoned mid-compute and its lease left to expire — the crash
+// path the re-lease machinery exists for. Run returns nil on drain or
 // cancellation; an error only when registration never succeeded.
 func (w *Worker) Run(ctx context.Context) error {
 	ttl, poll, err := w.register(ctx)
@@ -101,24 +109,27 @@ func (w *Worker) Run(ctx context.Context) error {
 	if hb < 10*time.Millisecond {
 		hb = 10 * time.Millisecond
 	}
-	if w.cfg.Poll > 0 {
-		poll = w.cfg.Poll
-	}
 	w.logger.Info("fleet worker running", "worker", w.cfg.ID, "coordinator", w.cfg.Coordinator, "heartbeat", hb, "poll", poll)
+	// idle carries the acquires and the waits between them: a hard stop
+	// or a Drain cancels it, while a leased cell runs under ctx alone.
+	idle, stopIdle := context.WithCancel(ctx)
+	defer stopIdle()
+	defer context.AfterFunc(w.drained, stopIdle)()
 	for {
-		if ctx.Err() != nil || w.draining.Load() {
+		if ctx.Err() != nil || w.drained.Err() != nil {
 			return nil
 		}
-		grant, ok, err := w.acquire(ctx)
+		grant, ok, err := w.acquire(idle)
+		wait := poll
 		if err != nil {
-			if ctx.Err() != nil {
+			if idle.Err() != nil {
 				return nil
 			}
 			w.logger.Warn("fleet acquire failed", "worker", w.cfg.ID, "err", err)
-			ok = false
+			wait = acquireBackoff
 		}
 		if !ok {
-			if !sleepCtx(ctx, poll) {
+			if !sleepCtx(idle, wait) {
 				return nil
 			}
 			continue
@@ -126,6 +137,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.runLease(ctx, grant, hb)
 	}
 }
+
+// acquireBackoff is the wait after a failed acquire (a transport error
+// or an unexpected status), so a worker whose coordinator went away keeps
+// retrying without hammering it.
+const acquireBackoff = 250 * time.Millisecond
 
 // register announces the worker and fetches protocol timing, retrying
 // until the coordinator answers or ctx ends.
