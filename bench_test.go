@@ -1,11 +1,12 @@
 package cobra
 
-// Benchmark harness: one testing.B benchmark per experiment in DESIGN.md
-// §4 (E1–E14 and the two ablations). Each benchmark regenerates its
-// experiment table at Quick scale per iteration, so `go test -bench .`
-// exercises the full reproduction pipeline; `cmd/experiments -scale full`
-// produces the EXPERIMENTS.md numbers. Micro-benchmarks for the hot
-// simulation loops follow at the bottom.
+// Benchmark harness: one testing.B benchmark for each of E1–E14 and the
+// two ablations of the internal/experiments registry (experiments.All).
+// Each benchmark regenerates its experiment table at Quick scale per
+// iteration, so `go test -bench .` exercises the full reproduction
+// pipeline; `cmd/experiments -scale full` produces the EXPERIMENTS.md
+// numbers. Micro-benchmarks for the hot simulation loops follow at the
+// bottom.
 
 import (
 	"sync"

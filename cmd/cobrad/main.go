@@ -10,10 +10,11 @@
 //
 // Parameter sweeps fan one submission across a grid of cells (graphs x
 // processes x branches x rhos), compiling each distinct graph once into
-// the shared cache. Cells execute in parallel — the sweep's cell_workers
-// field, defaulting to -cell-workers — behind a reorder buffer, so the
-// result stream and aggregates stay in (cell, trial) order no matter
-// which cells finish first; the status endpoint reports each cell's
+// the shared cache. Up to cell_workers cells are open at once — the
+// sweep's field, defaulting to -cell-workers — and cell_workers × workers
+// goroutines claim their trials, behind a reorder buffer, so the result
+// stream and aggregates stay in (cell, trial) order no matter which
+// trials finish first; the status endpoint reports each cell's
 // scheduler phase (queued/running/done, failed on abort) while the
 // sweep is in flight:
 //
@@ -129,7 +130,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address (with -watch: the server to poll)")
 		campaigns   = flag.Int("campaigns", 2, "campaigns running concurrently")
-		cellWorkers = flag.Int("cell-workers", 2, "concurrent cells per sweep when a sweep spec leaves cell_workers unset (never affects results)")
+		cellWorkers = flag.Int("cell-workers", 2, "open cells per sweep when a sweep spec leaves cell_workers unset; a sweep computes on cell_workers x workers goroutines (never affects results)")
 		queue       = flag.Int("queue", 64, "queued-campaign backlog before 503s")
 		cacheSize   = flag.Int("cache", 32, "compiled-graph LRU cache capacity")
 		maxTrials   = flag.Int("max-trials", 1_000_000, "per-campaign trial cap (results are retained in memory)")

@@ -11,8 +11,9 @@
 //
 // Sweep mode expands a parameter grid (graphs x processes x branches x
 // rhos) into cells, compiles each distinct graph once, and prints the
-// cross-cell summary grid as a table or CSV. -cell-workers runs that
-// many cells concurrently (results are identical to sequential — the
+// cross-cell summary grid as a table or CSV. -cell-workers keeps that
+// many cells open at once, with -cell-workers × -workers goroutines
+// claiming their trials (results are identical to sequential — the
 // reorder buffer keeps delivery in (cell, trial) order):
 //
 //	cobrasim -sweep -graphs ws:2048:8:0,ws:2048:8:0.1 -branches 2,3 -trials 50
@@ -71,7 +72,7 @@ func main() {
 		processes = flag.String("processes", "", "with -sweep: comma-separated processes from cobra,bips (default: the -process value)")
 		branches  = flag.String("branches", "", "with -sweep: comma-separated integer branch factors (default: the -b value)")
 		rhos      = flag.String("rhos", "", "with -sweep: comma-separated rho values (default: the -rho value)")
-		cellWs    = flag.Int("cell-workers", 1, "with -sweep: concurrent cells (1 = sequential; never affects results)")
+		cellWs    = flag.Int("cell-workers", 1, "with -sweep: open cells, each adding -workers trial goroutines (1 = one cell at a time; never affects results)")
 	)
 	flag.Parse()
 	if *format != "table" && *format != "csv" && *format != "ndjson" {

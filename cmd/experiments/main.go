@@ -1,6 +1,7 @@
 // Command experiments regenerates every experiment table in
 // EXPERIMENTS.md (the reproduction of the paper's theorems, lemmas and
-// worked examples — see DESIGN.md §4 for the experiment index).
+// worked examples — the experiment index is the experiments.All registry
+// in internal/experiments).
 //
 // Usage:
 //

@@ -87,9 +87,11 @@
 // config, trial count, master seed) — with amortized state: the graph is
 // compiled once (and shared via an LRU cache keyed by canonical spec),
 // and each worker constructs its per-trial kernels through a reusable
-// engine.Workspace, so trials after the first pay no allocations and no
-// connectivity re-check (BenchmarkBatchCampaign vs BenchmarkNaiveCoverLoop
-// in internal/batch measures the gap on a 2·10^5-vertex workload).
+// engine.Workspace, so trials after the first pay no kernel allocations
+// (BenchmarkBatchCampaign vs BenchmarkNaiveCoverLoop in internal/batch
+// measures the gap on a 2·10^5-vertex workload). The connectivity check
+// every kernel needs is memoized by the graph itself, so it runs once
+// per graph on every path, the naive loop included.
 // Per-trial results stream in trial order while summary statistics
 // (mean/quantiles/CI, via the O(1)-memory stats.Online accumulator)
 // aggregate on the fly. cmd/cobrad serves the same campaigns over
@@ -109,17 +111,19 @@
 // batch.Sweep lifts campaigns to parameter grids: one submission carries
 // axes (graph specs × processes × branch factors × rho values) that
 // expand row-major — graphs outermost — into an ordered list of campaign
-// cells. Cells execute concurrently, up to the sweep's CellWorkers, on a
-// two-level scheduler: cells are *admitted* (compiled through one shared
-// graph cache, so each distinct graph builds exactly once — even at
-// cache capacity 1, because a graph's cells form one contiguous
-// admission block) strictly in cell order, run on a bounded cell-worker
-// pool sharing one workspace pool, and *commit* through a reorder buffer
-// that delivers results and folds aggregates strictly in (cell, trial)
-// order no matter which cells finish first; at most CellWorkers cells
-// hold workspaces or buffered results at once. Every cell carries the
-// sweep's master seed, making each cell byte-identical to submitting its
-// spec as a standalone campaign, for every cell-worker count. cobrad
+// cells. One trial loop runs them: CellWorkers × Workers goroutines, each
+// with its own engine workspace, claim (cell, trial) pairs in order from
+// at most CellWorkers open cells, so a goroutine that finishes a short
+// trial moves on instead of idling behind a slow one. Cells are
+// *admitted* (compiled through one shared graph cache, so each distinct
+// graph builds exactly once — even at cache capacity 1, because a
+// graph's cells form one contiguous admission block) strictly in cell
+// order, and *commit* through a reorder buffer that delivers results and
+// folds aggregates strictly in (cell, trial) order no matter which
+// trials finish first; at most CellWorkers cells hold compiled campaigns
+// or buffered results at once. Every cell carries the sweep's master
+// seed, making each cell byte-identical to submitting its spec as a
+// standalone campaign, for every goroutine count. cobrad
 // exposes sweeps at POST /v1/sweeps (status with per-cell scheduler
 // phases, NDJSON results in (cell, trial) order, and a cross-cell
 // summary table) with a -cell-workers default, and runs a campaign job
@@ -153,8 +157,8 @@
 // cobrad exposes its internals without perturbing them. GET /metrics
 // serves Prometheus text exposition (internal/obs, a dependency-free
 // registry) covering every layer: job scheduler (queue depth by priority
-// band, admission-wait latency, preemptions), sweep cell scheduler
-// (per-cell wall time, reorder-buffer occupancy, backpressure stalls),
+// band, admission-wait latency, preemptions), sweep trial loop
+// (per-cell wall time, reorder-buffer occupancy, window stalls),
 // graph cache (hits/misses/evictions), engine (trials executed, rounds
 // by sparse/dense representation), and journal store (appends, fsync
 // latency, resume-tail sizes, quarantines). GET /v1/stats returns the

@@ -1,9 +1,10 @@
 // Package batch is the amortized multi-trial simulation subsystem: it
 // runs large campaigns of independent COBRA/BIPS trials against a shared
-// graph, pooling per-worker engine workspaces so trials after the first
-// pay no graph compilation, no connectivity re-check, and no kernel
-// allocations — only the simulation itself. It is the library layer under
-// the cobrad job service (internal/batch.Server, cmd/cobrad).
+// graph, each compute goroutine keeping one engine workspace, so trials
+// after the first pay no graph compilation, no connectivity re-check (the
+// graph memoizes it), and no kernel allocations — only the simulation
+// itself. It is the library layer under the cobrad job service
+// (internal/batch.Server, cmd/cobrad).
 //
 // # Campaign determinism invariant
 //
@@ -28,17 +29,20 @@
 // Sweep (sweep.go) lifts campaigns to grids: one SweepSpec carries axes
 // (graph specs × processes × branch factors × rho values) that expand
 // row-major into an ordered list of campaign cells, all sharing the
-// sweep's scalar fields and master seed. Up to SweepSpec.CellWorkers
-// cells execute concurrently through the cell scheduler (cellsched.go)
-// against one shared graph cache — cells are admitted (compiled)
-// strictly in cell-index order, so each distinct graph spec compiles
-// exactly once per cache even at capacity 1 — and one shared workspace
-// pool; a reorder buffer commits results and folds aggregates strictly
-// in (cell, trial) order no matter which order cells finish in. Because
-// every cell carries the sweep seed, each cell is byte-identical to
-// submitting its Spec as a standalone campaign, for every cell-worker
-// count; see sweep.go and cellsched.go for the full admission-order and
-// reorder-buffer contract.
+// sweep's scalar fields and master seed. One trial loop (cellsched.go)
+// runs them: SweepSpec.CellWorkers × SweepSpec.Workers goroutines claim
+// (cell, trial) pairs in order from at most CellWorkers open cells, so a
+// goroutine that finishes a short trial moves on to the next open cell
+// instead of waiting for a slow one. Cells are admitted (compiled)
+// strictly in cell-index order against one shared graph cache, so each
+// distinct graph spec compiles exactly once per cache even at capacity
+// 1; a reorder buffer delivers results and folds aggregates strictly in
+// (cell, trial) order no matter which order trials finish in, and
+// commits cells in cell order. A campaign is a one-cell run of the same
+// loop. Because every cell carries the sweep seed, each cell is
+// byte-identical to submitting its Spec as a standalone campaign, for
+// every goroutine count; see sweep.go and cellsched.go for the full
+// admission-order and reorder-buffer contract.
 //
 // # Durability and the shutdown contract
 //
@@ -68,7 +72,7 @@
 //
 // The service instruments every layer through internal/obs (metrics.go):
 // scheduler queue depth by priority band, admission-wait and per-cell
-// wall-time histograms, reorder-buffer occupancy, backpressure stalls,
+// wall-time histograms, reorder-buffer occupancy, window stalls,
 // graph-cache hit rates, trials and rounds by frontier representation,
 // and the store's append/fsync/quarantine/resume-tail counters — served
 // at GET /metrics (Prometheus text exposition) and, as one flat JSON
@@ -88,7 +92,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/repro/cobra/internal/engine"
@@ -122,8 +125,9 @@ type Spec struct {
 	Trials int `json:"trials"`
 	// Seed is the master seed; it also seeds random graph families.
 	Seed uint64 `json:"seed"`
-	// Workers bounds trial-level parallelism (<= 0: GOMAXPROCS). It never
-	// affects results, only wall-clock time.
+	// Workers is the number of goroutines the campaign computes on (<= 0:
+	// GOMAXPROCS), each claiming the next trial as it finishes one. It
+	// never affects results, only wall-clock time.
 	Workers int `json:"workers,omitempty"`
 	// MaxRounds caps a single trial; 0 means the library default of
 	// 64·n·log2(n)+64 rounds (matching core.Config / bips.Config).
@@ -220,20 +224,11 @@ type Aggregate struct {
 type Campaign struct {
 	spec Spec
 	g    *graph.Graph
-	pool *sync.Pool // *engine.Workspace, one live per worker
 }
 
 // Compile validates spec and builds (or fetches from cache, when cache is
 // non-nil) its graph. The returned campaign is safe for concurrent Runs.
 func Compile(spec Spec, cache *Cache) (*Campaign, error) {
-	return compile(spec, cache, nil)
-}
-
-// compile is Compile with an optional shared workspace pool: sweeps pass
-// one pool for all their cells so workspaces are reused across cells (a
-// nil pool gives the campaign a private one). Workspace sharing, like
-// worker count, never affects trial results.
-func compile(spec Spec, cache *Cache, pool *sync.Pool) (*Campaign, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -251,10 +246,7 @@ func compile(spec Spec, cache *Cache, pool *sync.Pool) (*Campaign, error) {
 	if spec.Start >= g.N() {
 		return nil, fmt.Errorf("%w: start %d out of range for n=%d", ErrInput, spec.Start, g.N())
 	}
-	if pool == nil {
-		pool = &sync.Pool{New: func() any { return engine.NewWorkspace() }}
-	}
-	return &Campaign{spec: spec, g: g, pool: pool}, nil
+	return &Campaign{spec: spec, g: g}, nil
 }
 
 // Spec returns the compiled (normalized) spec.
@@ -272,11 +264,13 @@ func (c *Campaign) maxRounds() int {
 	return engine.DefaultMaxRounds(c.g.N())
 }
 
-// Run executes the campaign. Completed trials are delivered to onResult
-// (which may be nil) in trial-index order, each before it is folded into
-// the returned aggregate. Cancel ctx to abort early; on any trial error
-// the campaign stops claiming new trials and returns every error that
-// occurred (errors.Join).
+// Run executes the campaign on Spec.Workers goroutines, each claiming the
+// next trial as it finishes one (see cellsched.go: a campaign is a
+// one-cell run of the sweep's trial loop). Completed trials are delivered
+// to onResult (which may be nil) in trial-index order, each before it is
+// folded into the returned aggregate. Cancel ctx to abort early; on any
+// trial error the campaign stops claiming new trials and returns every
+// error that occurred (errors.Join, in trial order).
 func (c *Campaign) Run(ctx context.Context, onResult func(TrialResult)) (*Aggregate, error) {
 	return c.RunFrom(ctx, 0, nil, onResult)
 }
@@ -296,64 +290,34 @@ func (c *Campaign) RunFrom(ctx context.Context, from int, online *stats.Online, 
 	if from < 0 || from > c.spec.Trials {
 		return nil, fmt.Errorf("%w: resume point %d outside [0, %d]", ErrInput, from, c.spec.Trials)
 	}
-	if online == nil {
-		online = stats.NewOnline()
+	loop := &trialLoop{
+		cells:   1,
+		trials:  c.spec.Trials,
+		from:    from,
+		prefix:  []*stats.Online{online},
+		workers: trialWorkers(c.spec.Workers),
+		trial: func(ws *engine.Workspace, _, k int) (TrialResult, error) {
+			return c.runTrial(ws, k)
+		},
 	}
-	workers := c.spec.Workers
-	resCh := make(chan TrialResult, 64)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- ForEachFrom(ctx, c.spec.Seed, workers, from, c.spec.Trials, func(k int, rng *xrand.RNG) error {
-			ws := c.pool.Get().(*engine.Workspace)
-			defer c.pool.Put(ws)
-			res, err := c.runTrial(ws, k, rng)
-			if err != nil {
-				return err
-			}
-			select {
-			case resCh <- res:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		close(resCh)
-	}()
-
-	// Reorder completions into trial order so both the result stream and
-	// the online aggregation are independent of worker scheduling.
-	pending := make(map[int]TrialResult)
-	next := from
-	for res := range resCh {
-		pending[res.Trial] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if onResult != nil {
-				onResult(r)
-			}
-			online.Add(float64(r.Rounds))
-		}
+	var deliver func(CellResult)
+	if onResult != nil {
+		deliver = func(r CellResult) { onResult(r.TrialResult) }
 	}
-	if err := <-errCh; err != nil {
-		return nil, err
-	}
-	summary, err := online.Summary()
+	aggs, err := loop.run(ctx, deliver)
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregate{Completed: online.N(), Rounds: summary}, nil
+	return aggs[0], nil
 }
 
 // runTrial runs trial k in ws. The kernel seed is one Uint64 drawn from
-// the trial's stream — the same derivation as core.New / bips.New — so
-// the trajectory matches the non-batch library path exactly.
-func (c *Campaign) runTrial(ws *engine.Workspace, k int, rng *xrand.RNG) (TrialResult, error) {
+// the trial's stream NewStream(Seed, k) — the same derivation as core.New
+// / bips.New — so the trajectory matches the non-batch library path
+// exactly.
+func (c *Campaign) runTrial(ws *engine.Workspace, k int) (TrialResult, error) {
 	par := engine.Params{Branch: c.spec.Branch, Rho: c.spec.Rho, Lazy: c.spec.Lazy}
+	rng := xrand.StreamValue(c.spec.Seed, uint64(k))
 	seed := rng.Uint64()
 	var kern *engine.Kernel
 	var err error

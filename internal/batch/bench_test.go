@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"github.com/repro/cobra/internal/core"
@@ -14,8 +13,8 @@ import (
 // versus the naive loop-over-CoverTime baseline on a 2·10^5-vertex
 // scale-free workload. One benchmark iteration is one trial in both, so
 // ns/op and allocs/op are directly comparable; the campaign path should
-// show near-zero allocs/op (workspace reuse) and no per-trial
-// connectivity scan or graph rebuild.
+// show near-zero allocs/op (workspace reuse) and no graph rebuild. Both
+// pay the connectivity scan once: the graph memoizes it.
 
 const benchGraph = "ba:200000:3"
 
@@ -36,19 +35,21 @@ func BenchmarkBatchCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallelCells measures cell-level speedup on a
-// multi-graph grid: 4 distinct graphs x 1 process x 1 branch, trials
-// serialized within each cell (Workers=1) so the cell scheduler is the
-// only source of parallelism. One benchmark iteration is one full sweep;
-// compare the cellworkers=1 and cellworkers=4 variants for the speedup
-// (the acceptance target is >= 1.5x on this grid). Graphs are
-// pre-compiled into the shared cache outside the timer, matching the
-// warm-cache steady state of a campaign server.
+// BenchmarkSweepParallelCells measures the sweep's trial loop on two
+// grids, trials serialized per cell worker (Workers=1) so the cell-worker
+// count is the only source of parallelism. One benchmark iteration is
+// one full sweep. The uniform grid has four cells of comparable cost
+// (all expander-like, similar cover times); compare its cellworkers=1
+// and cellworkers=4 variants for the speedup. The skewed grid puts one
+// cell several times costlier than the other three first, as
+// paper-sweep's rreg BIPS cell is: at cellworkers=2 a loop that handed
+// out whole cells would leave one goroutine idle while the other ran
+// that cell's trials one after another, so compare skewed/cellworkers=1
+// and skewed/cellworkers=2. Graphs are pre-compiled into the shared
+// cache outside the timer, matching the warm-cache steady state of a
+// campaign server.
 func BenchmarkSweepParallelCells(b *testing.B) {
-	// Four distinct graphs of comparable per-cell cost (all expander-like,
-	// similar cover times): cell-level speedup is bounded by total/max
-	// cell time, so a grid with one dominant cell could not show it.
-	sweepSpec := SweepSpec{
+	uniform := SweepSpec{
 		Graphs:    []string{"ba:20000:3", "ba:20000:4", "rreg:20000:3", "ws:20000:6:0.1"},
 		Processes: []string{"cobra"},
 		Branches:  []int{2},
@@ -56,16 +57,28 @@ func BenchmarkSweepParallelCells(b *testing.B) {
 		Seed:      1,
 		Workers:   1,
 	}
-	cache := NewCache(len(sweepSpec.Graphs))
-	for _, g := range sweepSpec.Graphs {
-		if _, err := cache.GetOrBuild(g, sweepSpec.Seed); err != nil {
+	skewed := uniform
+	skewed.Graphs = []string{"rreg:32768:3", "ba:2048:3", "torus:24:24", "hypercube:10"}
+	skewed.Trials = 3
+	cache := NewCache(len(uniform.Graphs) + len(skewed.Graphs))
+	for _, g := range append(append([]string(nil), uniform.Graphs...), skewed.Graphs...) {
+		if _, err := cache.GetOrBuild(g, uniform.Seed); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, cellWorkers := range []int{1, 4} {
-		spec := sweepSpec
-		spec.CellWorkers = cellWorkers
-		b.Run(fmt.Sprintf("cellworkers=%d", cellWorkers), func(b *testing.B) {
+	for _, bench := range []struct {
+		name        string
+		spec        SweepSpec
+		cellWorkers int
+	}{
+		{"cellworkers=1", uniform, 1},
+		{"cellworkers=4", uniform, 4},
+		{"skewed/cellworkers=1", skewed, 1},
+		{"skewed/cellworkers=2", skewed, 2},
+	} {
+		spec := bench.spec
+		spec.CellWorkers = bench.cellWorkers
+		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sw, err := CompileSweep(spec, cache)

@@ -98,12 +98,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Trial-boundary checkpoint-and-requeue events (scheduling only; results are unaffected).")
 
 	m.cellWall = reg.Histogram("cobrad_cell_wall_seconds",
-		"Per-cell wall time on a sweep cell worker, run start to completion.",
+		"Per-cell wall time of a sweep cell, from its first trial claimed to its last trial finished.",
 		obs.ExpBuckets(0.001, 2, 16))
 	m.reorder = reg.Gauge("cobrad_reorder_buffer_cells",
-		"Sweep cells holding buffered out-of-order results or completions awaiting commit.")
+		"Sweep cells holding trial results that finished before an earlier trial and await in-order delivery.")
 	m.stalls = reg.Counter("cobrad_backpressure_stalls_total",
-		"Times the sweep admitter blocked on a full admission window (all slots held by uncommitted cells).")
+		"Times the sweep admitter waited to open the next cell because all cell_workers window slots were held by uncommitted cells; trials of the open cells are claimed meanwhile.")
 
 	reg.CounterFunc("cobrad_graph_cache_hits_total", "Graph cache hits.", func() int64 {
 		hits, _, _ := s.cache.Stats()

@@ -5,16 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/repro/cobra/internal/xrand"
 )
 
-// The trial scheduler: the one fan-out loop shared by campaigns and by
-// sim.Runner. Trial k always receives the RNG stream NewStream(seed, k),
-// so which worker runs a trial — and how many workers exist — can never
-// change its result.
+// ForEach: the unordered trial fan-out under sim.Runner. Campaigns and
+// sweeps run on the ordered trial loop in cellsched.go instead. In both,
+// trial k always receives the RNG stream NewStream(seed, k), so which
+// worker runs a trial — and how many workers exist — can never change
+// its result.
 
 // ErrInput flags invalid scheduler or campaign arguments.
 var ErrInput = errors.New("batch: invalid input")
@@ -28,73 +30,59 @@ var ErrInput = errors.New("batch: invalid input")
 // and ForEach returns every trial error that occurred, combined with
 // errors.Join in trial-index order. No error is silently discarded.
 func ForEach(ctx context.Context, seed uint64, workers, trials int, fn func(trial int, rng *xrand.RNG) error) error {
-	return ForEachFrom(ctx, seed, workers, 0, trials, fn)
-}
-
-// ForEachFrom is ForEach starting at trial index `from`: fn runs for
-// every k in [from, trials), each with the stream NewStream(seed, k) —
-// the same per-trial stream the full run would use, so a resumed tail is
-// trial-for-trial identical to the tail of an uninterrupted run (the
-// resume-from-committed-prefix contract). from == trials is a no-op.
-func ForEachFrom(ctx context.Context, seed uint64, workers, from, trials int, fn func(trial int, rng *xrand.RNG) error) error {
 	if trials < 1 {
 		return fmt.Errorf("%w: trials < 1", ErrInput)
-	}
-	if from < 0 || from > trials {
-		return fmt.Errorf("%w: resume point %d outside [0, %d]", ErrInput, from, trials)
 	}
 	if fn == nil {
 		return fmt.Errorf("%w: nil trial function", ErrInput)
 	}
-	if from == trials {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials-from {
-		workers = trials - from
-	}
+	workers = min(trialWorkers(workers), trials)
 
-	errs := make([]error, trials)
-	var next atomic.Int64
-	next.Store(int64(from))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
+	type failure struct {
+		trial int
+		err   error
+	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		failures []failure // one entry per failed trial
+		wg       sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
+			for !failed.Load() && ctx.Err() == nil {
 				k := int(next.Add(1) - 1)
 				if k >= trials {
 					return
 				}
-				rng := xrand.NewStream(seed, uint64(k))
-				if err := fn(k, rng); err != nil {
-					errs[k] = fmt.Errorf("trial %d: %w", k, err)
+				if err := fn(k, xrand.NewStream(seed, uint64(k))); err != nil {
+					mu.Lock()
+					failures = append(failures, failure{k, err})
+					mu.Unlock()
 					failed.Store(true)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return errors.Join(append(compact(errs), err)...)
+	sort.Slice(failures, func(i, j int) bool { return failures[i].trial < failures[j].trial })
+	errs := make([]error, 0, len(failures)+1)
+	for _, f := range failures {
+		errs = append(errs, fmt.Errorf("trial %d: %w", f.trial, f.err))
 	}
-	return errors.Join(compact(errs)...)
+	if err := ctx.Err(); err != nil {
+		errs = append(errs, err)
+	}
+	return errors.Join(errs...)
 }
 
-// compact drops nil entries, preserving trial order.
-func compact(errs []error) []error {
-	out := errs[:0:0]
-	for _, err := range errs {
-		if err != nil {
-			out = append(out, err)
-		}
+// trialWorkers resolves a Workers setting: <= 0 selects GOMAXPROCS.
+func trialWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return out
+	return workers
 }

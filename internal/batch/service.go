@@ -78,9 +78,10 @@ import (
 // over HTTP yields exactly the per-trial results and aggregates of
 // Compile + Run with the same Spec, and a sweep yields exactly those of
 // CompileSweep + Run — cell by cell, byte for byte (service_test.go
-// enforces both), for every cell-worker count: sweep cells execute in
-// parallel (the spec's cell_workers, defaulting to ServerConfig.
-// CellWorkers) behind a reorder buffer that keeps delivery in (cell,
+// enforces both), for every cell-worker count: a sweep's trials run on
+// cell_workers × workers goroutines that claim (cell, trial) pairs from
+// up to cell_workers open cells (cell_workers defaults to ServerConfig.
+// CellWorkers), behind a reorder buffer that keeps delivery in (cell,
 // trial) order. Campaign and sweep jobs share one graph cache, so a
 // sweep cell re-using an earlier campaign's graph is a cache hit.
 //
@@ -136,9 +137,10 @@ func (s JobState) Terminal() bool {
 type ServerConfig struct {
 	// CampaignWorkers is how many campaigns run concurrently (default 2).
 	CampaignWorkers int
-	// CellWorkers is the cell-level parallelism substituted into sweep
-	// submissions that leave cell_workers unset or <= 0 (default 2). It
-	// never affects results, only wall-clock time.
+	// CellWorkers is substituted into sweep submissions that leave
+	// cell_workers unset or <= 0 (default 2): a sweep keeps that many cells
+	// open at once, and its cell_workers × workers goroutines claim trials
+	// from them. It never affects results, only wall-clock time.
 	CellWorkers int
 	// QueueDepth bounds the backlog of queued campaigns; submissions
 	// beyond it are rejected with 503 (default 64).

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/repro/cobra/internal/engine"
@@ -17,8 +16,9 @@ import (
 
 // Parameter-sweep campaigns: one submission carrying axes whose cross
 // product expands to a deterministic ordered grid of campaign cells, all
-// run through the existing campaign scheduler so distinct graphs compile
-// exactly once (LRU cache) and engine workspaces are shared across cells.
+// run through one trial loop (cellsched.go) so distinct graphs compile
+// exactly once (LRU cache) and each compute goroutine keeps one engine
+// workspace across trials and cells.
 //
 // # Cell ordering
 //
@@ -30,8 +30,8 @@ import (
 // CellIndex and CellCoords expose the bijection both ways. Graphs vary
 // slowest by design: each graph's cells form one contiguous block, so
 // admitting cells in cell-index order means all cells of graph g touch
-// the cache before any cell of graph g+1 — even a capacity-1 cache and a
-// cold workspace pool stay warm through a whole graph's block of cells.
+// the cache before any cell of graph g+1 — even a capacity-1 cache stays
+// warm through a whole graph's block of cells.
 //
 // # Sweep determinism contract
 //
@@ -43,12 +43,13 @@ import (
 // are *committed* strictly in (cell, trial) order, so the flattened
 // result stream and all aggregates are independent of trial worker
 // count, cell worker count, completion order, cache temperature,
-// workspace sharing, and the HTTP vs library entry point. Between
-// admission and commit, up to CellWorkers cells execute concurrently; a
-// reorder buffer in the cell scheduler (cellsched.go) holds results that
-// complete out of order until their cell reaches the head of the commit
-// order. sweep_test.go, sweep_conform_test.go, cellsched_test.go and
-// service_test.go enforce every clause under the race detector.
+// workspace reuse, and the HTTP vs library entry point. Between
+// admission and commit, up to CellWorkers cells are open at once, and
+// CellWorkers × Workers goroutines claim their trials one (cell, trial)
+// pair at a time; a reorder buffer in the trial loop (cellsched.go)
+// holds results that complete out of order until every earlier result
+// is delivered. sweep_test.go, sweep_conform_test.go, cellsched_test.go
+// and service_test.go enforce every clause under the race detector.
 
 // SweepSpec describes a parameter-sweep campaign: the cross product of
 // the axes (Graphs × Processes × Branches × Rhos) expands to a grid of
@@ -73,12 +74,17 @@ type SweepSpec struct {
 	// Seed is the sweep master seed; every cell campaign carries it, and
 	// it also seeds random graph families.
 	Seed uint64 `json:"seed"`
-	// Workers bounds trial-level parallelism within a cell (<= 0:
-	// GOMAXPROCS). It never affects results, only wall-clock time.
+	// Workers is the number of trial goroutines per cell worker (<= 0:
+	// GOMAXPROCS): the sweep computes on CellWorkers × Workers goroutines,
+	// each claiming the next (cell, trial) pair of the open cells as it
+	// finishes one. It never affects results, only wall-clock time.
 	Workers int `json:"workers,omitempty"`
-	// CellWorkers bounds how many cells execute concurrently (<= 0: 1,
-	// i.e. sequential cells; cobrad substitutes its -cell-workers default
-	// for 0). Like Workers it never affects results, only wall-clock time.
+	// CellWorkers bounds how many cells are open at once — admitted
+	// (compiled) but not yet committed — and multiplies Workers into the
+	// sweep's goroutine count (<= 0: 1, i.e. one cell at a time; cobrad
+	// substitutes its -cell-workers default for 0). Like Workers it never
+	// affects results, only wall-clock time and how many cells' campaigns
+	// and buffered results are held at once.
 	CellWorkers int `json:"cell_workers,omitempty"`
 	// MaxRounds caps a single trial (0: library default).
 	MaxRounds int `json:"max_rounds,omitempty"`
@@ -124,8 +130,8 @@ func (s SweepSpec) CellIndex(gi, pi, bi, ri int) int {
 // CellCoords inverts CellIndex: the grid coordinates of cell c. The
 // graph coordinate gi = c / (cells per graph) is non-decreasing in c, so
 // iterating cells in index order visits each graph's cells as one
-// contiguous block — the admission-order guarantee the cell scheduler
-// relies on for single compilation per graph.
+// contiguous block — the admission-order guarantee the trial loop relies
+// on for single compilation per graph.
 func (s SweepSpec) CellCoords(c int) (gi, pi, bi, ri int) {
 	nr := len(s.rhos())
 	ri = c % nr
@@ -274,7 +280,7 @@ type CellSummary struct {
 }
 
 // Sweep is a prepared sweep: the expanded cell grid plus the shared graph
-// cache and workspace pool every cell compiles against. Cell campaigns
+// cache every cell compiles against. Cell campaigns
 // are compiled lazily, at admission time during Run, in cell-index order
 // — overlapping graph construction with earlier cells' trials and
 // keeping the single-compile-per-graph guarantee even at cache
@@ -284,7 +290,6 @@ type Sweep struct {
 	cellSpecs []Spec
 	cells     []*Campaign // compiled at admission; cells[c] set once c ran
 	cache     *Cache
-	pool      *sync.Pool
 
 	// OnCellPhase, when set before Run, observes each cell's lifecycle
 	// (queued → running at admission → done at commit). It may be invoked
@@ -293,9 +298,10 @@ type Sweep struct {
 
 	// Remote, when set before Run, executes cells somewhere other than
 	// this process: instead of compiling and running cell campaigns
-	// locally, the scheduler calls Remote(ctx, cell, spec, from, deliver)
-	// for each admitted cell and expects the cell's trials [from, Trials)
-	// delivered in trial order. The sweep still folds each delivered
+	// locally, the trial loop calls Remote(ctx, cell, spec, from, deliver)
+	// for each admitted cell — one claim per cell, because a lease covers a
+	// cell — and expects the cell's trials [from, Trials) delivered in
+	// trial order. The sweep still folds each delivered
 	// result into its own per-cell aggregate in the exact order the local
 	// path would (deliver, then fold), so summaries — and, through the
 	// reorder buffer, the merged result stream — are bit-identical to a
@@ -304,7 +310,7 @@ type Sweep struct {
 	// coordinator plugs into (see internal/fleet).
 	Remote func(ctx context.Context, cell int, spec Spec, from int, deliver func(TrialResult)) error
 
-	// Observe-only cell-scheduler instruments, set by the cobrad server
+	// Observe-only trial-loop instruments, set by the cobrad server
 	// before Run (nil for library use = no-op). They never influence the
 	// schedule or the delivered stream.
 	stalls   *obs.Counter
@@ -326,14 +332,12 @@ func CompileSweep(spec SweepSpec, cache *Cache) (*Sweep, error) {
 	if cache == nil {
 		cache = NewCache(len(spec.Graphs))
 	}
-	pool := &sync.Pool{New: func() any { return engine.NewWorkspace() }}
 	cellSpecs := spec.Cells()
 	return &Sweep{
 		spec:      spec,
 		cellSpecs: cellSpecs,
 		cells:     make([]*Campaign, len(cellSpecs)),
 		cache:     cache,
-		pool:      pool,
 	}, nil
 }
 
@@ -352,14 +356,15 @@ func (sw *Sweep) CacheStats() (hits, misses int64, size int) { return sw.cache.S
 // Run executes the sweep and returns the per-cell summaries. Completed
 // trials are delivered to onResult (may be nil) in strict (cell, trial)
 // order, each before it is folded into its cell's aggregate, regardless
-// of the order cells finish in. Up to Spec.CellWorkers cells execute
-// concurrently (<= 0: one at a time), each parallelizing its trials per
-// Spec.Workers; neither knob affects results, only wall-clock time. Cells
-// are admitted — compiled through the shared cache — strictly in
-// cell-index order, and at most CellWorkers cells hold workspaces or
-// buffered results at once (see cellsched.go). Cancel ctx to abort; the
-// first failing cell in commit order stops the sweep. A Sweep must not
-// be run concurrently with itself.
+// of the order trials finish in. Spec.CellWorkers × Spec.Workers
+// goroutines claim (cell, trial) pairs in that order from the open
+// cells, of which there are at most Spec.CellWorkers (<= 0: one);
+// neither knob affects results, only wall-clock time. Cells are admitted
+// — compiled through the shared cache — strictly in cell-index order,
+// and at most CellWorkers cells hold compiled campaigns or buffered
+// results at once (see cellsched.go). A remote cell (Remote) is one
+// claim. Cancel ctx to abort; the first failure in (cell, trial) order
+// stops the sweep. A Sweep must not be run concurrently with itself.
 func (sw *Sweep) Run(ctx context.Context, onResult func(CellResult)) ([]CellSummary, error) {
 	return sw.RunFrom(ctx, 0, nil, onResult)
 }
@@ -369,7 +374,7 @@ func (sw *Sweep) Run(ctx context.Context, onResult func(CellResult)) ([]CellSumm
 // trial) stream were already delivered — a resumed job's committed
 // journal prefix. Result m of the flat stream is trial m%Trials of cell
 // m/Trials, so the resume point splits into a head cell (resumed
-// mid-campaign via Campaign.RunFrom) and fully-replayed cells before it,
+// mid-cell at trial m%Trials) and fully-replayed cells before it,
 // whose summaries are rebuilt from prefix rather than recomputed.
 // prefix[c], for each replayed cell c (< from/Trials, plus the head cell
 // when it resumes mid-cell), must hold the fold of exactly that cell's
@@ -393,18 +398,24 @@ func (sw *Sweep) RunFrom(ctx context.Context, from int, prefix []*stats.Online, 
 			return nil, fmt.Errorf("%w: resume point %d needs prefix aggregates for %d cells, got %d", ErrInput, from, replayed, len(prefix))
 		}
 	}
-	sched := &cellScheduler{
-		n:       n,
-		workers: sw.spec.CellWorkers,
+	folds := append([]*stats.Online(nil), prefix[:replayed]...)
+	if fromTrial > 0 {
+		// Clone so a preempt-resume cycle can replay the same prefix fold
+		// again without the first attempt's tail in it.
+		folds[fromCell] = folds[fromCell].Clone()
+	}
+	cellWorkers := max(sw.spec.CellWorkers, 1)
+	loop := &trialLoop{
+		cells:   n,
+		trials:  sw.spec.Trials,
 		first:   fromCell,
+		from:    fromTrial,
+		prefix:  folds,
+		window:  cellWorkers,
+		workers: cellWorkers * trialWorkers(sw.spec.Workers),
 		admit:   sw.compileCell,
-		run: func(ctx context.Context, cell int, deliver func(TrialResult)) (*Aggregate, error) {
-			if cell == fromCell && fromTrial > 0 {
-				// Clone so a preempt-resume cycle can replay the same
-				// prefix fold again without the first attempt's tail in it.
-				return sw.cells[cell].RunFrom(ctx, fromTrial, prefix[cell].Clone(), deliver)
-			}
-			return sw.cells[cell].Run(ctx, deliver)
+		trial: func(ws *engine.Workspace, cell, k int) (TrialResult, error) {
+			return sw.cells[cell].runTrial(ws, k)
 		},
 		wrap: func(cell int, err error) error {
 			return &cellError{cell: cell, name: cellName(sw.cellSpecs[cell]), err: err}
@@ -415,57 +426,32 @@ func (sw *Sweep) RunFrom(ctx context.Context, from int, prefix []*stats.Online, 
 		cellWall: sw.cellWall,
 	}
 	if sw.Remote != nil {
-		// Remote cells need no local graph: admission just claims the
-		// reorder-buffer slot, and the run folds the remotely computed
-		// trials into a locally held aggregate in delivery order — the
-		// same deliver-then-fold sequence Campaign.RunFrom performs, so
-		// the Aggregate is bit-identical to local execution.
-		sched.admit = func(int) error { return nil }
-		sched.run = func(ctx context.Context, cell int, deliver func(TrialResult)) (*Aggregate, error) {
-			online := stats.NewOnline()
-			start := 0
-			if cell == fromCell && fromTrial > 0 {
-				online = prefix[cell].Clone()
-				start = fromTrial
-			}
-			err := sw.Remote(ctx, cell, sw.cellSpecs[cell], start, func(r TrialResult) {
-				deliver(r)
-				online.Add(float64(r.Rounds))
-			})
-			if err != nil {
-				return nil, err
-			}
-			summary, err := online.Summary()
-			if err != nil {
-				return nil, err
-			}
-			return &Aggregate{Completed: online.N(), Rounds: summary}, nil
+		// Remote cells need no local graph and are one unit each (a lease
+		// covers a cell): admission just claims the window slot, and the
+		// loop folds the remotely computed trials in delivery order — the
+		// deliver-then-fold sequence of local execution, so aggregates are
+		// bit-identical to it.
+		loop.admit = nil
+		loop.workers = cellWorkers
+		loop.remote = func(ctx context.Context, cell, from int, deliver func(TrialResult)) error {
+			return sw.Remote(ctx, cell, sw.cellSpecs[cell], from, deliver)
 		}
 	}
-	aggs, err := sched.execute(ctx, onResult)
+	aggs, err := loop.run(ctx, onResult)
 	if err != nil {
 		return nil, err
 	}
-	summaries := make([]CellSummary, len(aggs))
+	summaries := make([]CellSummary, n)
 	for i, agg := range aggs {
-		if agg == nil {
-			// Cell fully replayed from the journal: its aggregate is the
-			// prefix fold, identical to what the live run produced.
-			summary, err := prefix[i].Summary()
-			if err != nil {
-				return nil, fmt.Errorf("cell %d (%s): replayed aggregate: %w", i, cellName(sw.cellSpecs[i]), err)
-			}
-			agg = &Aggregate{Completed: prefix[i].N(), Rounds: summary}
-		}
 		summaries[i] = cellSummary(i, sw.cellSpecs[i], agg)
 	}
 	return summaries, nil
 }
 
-// compileCell compiles cell c against the shared cache and pool; it runs
-// on the scheduler's admission goroutine, in cell-index order.
+// compileCell compiles cell c against the shared cache; the trial loop
+// calls it under its claim lock, in cell-index order.
 func (sw *Sweep) compileCell(c int) error {
-	campaign, err := compile(sw.cellSpecs[c], sw.cache, sw.pool)
+	campaign, err := Compile(sw.cellSpecs[c], sw.cache)
 	if err != nil {
 		return err
 	}

@@ -90,8 +90,9 @@ func (c Config) engineParams() engine.Params {
 
 // translateEngineErr maps kernel errors onto this package's exported
 // error values. Connectivity is checked only inside the kernel (one
-// O(n+m) traversal per construction); config and source problems are
-// pre-validated by the constructors, so the kernel cannot surface them.
+// O(n+m) traversal per graph, which the graph memoizes); config and
+// source problems are pre-validated by the constructors, so the kernel
+// cannot surface them.
 func translateEngineErr(err error) error {
 	if errors.Is(err, engine.ErrDisconnected) {
 		return fmt.Errorf("%w: %v", ErrDisconnected, err)
@@ -119,8 +120,8 @@ func New(g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (*Process, erro
 // NewWith is New constructing the kernel through ws (see engine.Workspace
 // for the reuse contract): the trajectory is identical to New from the
 // same (graph, config, source, rng state), with none of the per-trial
-// kernel allocations and with connectivity verified once per distinct
-// graph. The previous kernel built through ws becomes invalid.
+// kernel allocations. The previous kernel built through ws becomes
+// invalid.
 func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,9 +203,8 @@ func InfectionTime(g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (int,
 }
 
 // InfectionTimeWith is InfectionTime with the kernel built through ws:
-// the same result bit for bit, amortizing allocations and the
-// connectivity check across trials (the hot-loop form for repeated
-// trials on shared graphs).
+// the same result bit for bit, amortizing allocations across trials (the
+// hot-loop form for repeated trials on shared graphs).
 func InfectionTimeWith(ws *engine.Workspace, g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (int, error) {
 	p, err := NewWith(ws, g, cfg, source, rng)
 	if err != nil {

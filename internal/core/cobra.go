@@ -86,8 +86,9 @@ func (c Config) engineParams() engine.Params {
 
 // translateEngineErr maps kernel errors onto this package's exported
 // error values. Connectivity is checked only inside the kernel (one
-// O(n+m) traversal per construction); config and start-set problems are
-// pre-validated by the constructors, so the kernel cannot surface them.
+// O(n+m) traversal per graph, which the graph memoizes); config and
+// start-set problems are pre-validated by the constructors, so the kernel
+// cannot surface them.
 func translateEngineErr(err error) error {
 	if errors.Is(err, engine.ErrDisconnected) {
 		return fmt.Errorf("%w: %v", ErrDisconnected, err)
@@ -115,8 +116,8 @@ func New(g *graph.Graph, cfg Config, start []int, rng *xrand.RNG) (*Process, err
 // NewWith is New constructing the kernel through ws (see engine.Workspace
 // for the reuse contract): the trajectory is identical to New from the
 // same (graph, config, start, rng state), with none of the per-trial
-// kernel allocations and with connectivity verified once per distinct
-// graph. The previous kernel built through ws becomes invalid.
+// kernel allocations. The previous kernel built through ws becomes
+// invalid.
 func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start []int, rng *xrand.RNG) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

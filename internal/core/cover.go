@@ -21,8 +21,8 @@ func CoverTime(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) (int, erro
 }
 
 // CoverTimeWith is CoverTime with the kernel built through ws: the same
-// result bit for bit, amortizing allocations and the connectivity check
-// across trials (the hot-loop form for repeated trials on shared graphs).
+// result bit for bit, amortizing allocations across trials (the hot-loop
+// form for repeated trials on shared graphs).
 func CoverTimeWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start int, rng *xrand.RNG) (int, error) {
 	p, err := NewWith(ws, g, cfg, []int{start}, rng)
 	if err != nil {

@@ -242,15 +242,10 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
-	// Connectivity is an O(n+m) traversal; a workspace amortizes it to one
-	// check per distinct graph across all the trials it backs.
-	if ws == nil || ws.checked != g {
-		if !g.IsConnected() {
-			return nil, fmt.Errorf("%w: %s", ErrDisconnected, g.Name())
-		}
-		if ws != nil {
-			ws.checked = g
-		}
+	// The graph memoizes its connectivity, so only its first kernel pays
+	// the O(n+m) traversal.
+	if !g.IsConnected() {
+		return nil, fmt.Errorf("%w: %s", ErrDisconnected, g.Name())
 	}
 	denseDiv := par.DenseDiv
 	if denseDiv == 0 {

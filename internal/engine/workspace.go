@@ -8,12 +8,12 @@ import (
 // Workspace is a reusable arena for kernel state, the amortization layer
 // under the batch trial harness (internal/batch). A fresh kernel on an
 // n-vertex graph allocates Θ(n) bitsets, the stamp array, and the member
-// slices, and re-verifies connectivity with an O(n+m) traversal; across a
-// campaign of thousands of trials on one shared graph those costs dominate
-// the simulation itself. Constructing kernels through a Workspace instead
-// reuses every buffer (bitsets are reset, slices retain their grown
-// capacity, the stamp array carries its epoch across trials) and verifies
-// connectivity once per distinct graph.
+// slices; across a campaign of thousands of trials on one shared graph
+// those costs dominate the simulation itself. Constructing kernels
+// through a Workspace instead reuses every buffer (bitsets are reset,
+// slices retain their grown capacity, the stamp array carries its epoch
+// across trials). Connectivity is not the workspace's concern: the graph
+// memoizes its own check (graph.Graph.IsConnected).
 //
 // Reuse contract:
 //
@@ -27,9 +27,8 @@ import (
 //   - Graphs of different sizes may share a Workspace; buffers are
 //     reallocated when the vertex count changes and reused otherwise.
 type Workspace struct {
-	n       int          // capacity the buffers are sized for
-	checked *graph.Graph // last graph whose connectivity was verified
-	kern    Kernel       // the (single) kernel backed by this workspace
+	n    int    // capacity the buffers are sized for
+	kern Kernel // the (single) kernel backed by this workspace
 
 	cur, next        *bitset.Set
 	covered          *bitset.Set

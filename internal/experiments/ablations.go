@@ -10,8 +10,8 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
-// AblationReplacement quantifies the design decision called out in
-// DESIGN.md: the paper's process samples b neighbours WITH replacement
+// AblationReplacement quantifies a design decision of this library: the
+// paper's process samples b neighbours WITH replacement
 // (so a vertex may waste a branch on a duplicate), which is what the
 // library implements. This ablation compares against a without-
 // replacement variant (b distinct neighbours when degree permits). On

@@ -24,9 +24,10 @@ import (
 //
 // The ρ sweep is one batch.Sweep submission (graphs × {cobra, bips} ×
 // b=1 × rhos): each graph compiles once and is shared by its eight
-// cells, and cells execute in parallel (CellWorkers = GOMAXPROCS) behind
-// the sweep scheduler's reorder buffer — results are identical to the
-// sequential path by the sweep determinism contract.
+// cells, and GOMAXPROCS goroutines (CellWorkers = GOMAXPROCS) claim
+// trials across the open cells behind the sweep's reorder buffer —
+// results are identical to the sequential path by the sweep determinism
+// contract.
 func E6Fractional(p Params) (*sim.Table, error) {
 	trials := pick(p, 8, 40)
 	tb := sim.NewTable("E6: Section 6 — fractional branching b = 1+rho",

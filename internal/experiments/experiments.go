@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md §4 (E1–E12 plus ablations), each
+// per experiment in the All registry (E1–E16 plus ablations), each
 // regenerating a table that checks the *shape* of a theorem, lemma or
 // worked example from the paper. The paper itself contains no empirical
 // tables or figures — it is a theory paper — so these experiments are the
@@ -49,11 +49,12 @@ func (p Params) runner() sim.Runner {
 	return sim.Runner{Seed: p.Seed, Workers: p.Workers}
 }
 
-// sweepTrialWorkers is the trial-level parallelism for sweep-backed
-// experiments (E6, E16): those already fan cells out to GOMAXPROCS, so
-// trials within a cell stay serial unless the caller explicitly asked
-// for trial workers — CellWorkers x GOMAXPROCS CPU-bound goroutines
-// would oversubscribe every core for zero result difference.
+// sweepTrialWorkers is the trial workers per cell worker for
+// sweep-backed experiments (E6, E16): those already run CellWorkers =
+// GOMAXPROCS, and a sweep computes on CellWorkers × Workers goroutines,
+// so Workers stays 1 unless the caller explicitly asked for trial
+// workers — CellWorkers x GOMAXPROCS CPU-bound goroutines would
+// oversubscribe every core for zero result difference.
 func sweepTrialWorkers(p Params) int {
 	if p.Workers > 0 {
 		return p.Workers
@@ -76,7 +77,8 @@ type Experiment struct {
 	Run  func(Params) (*sim.Table, error)
 }
 
-// All returns the full experiment registry in DESIGN.md order.
+// All returns the full experiment registry, the experiment index: E1–E16
+// in paper order, then the ablations.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "Theorem 1.1 — general graphs: cover = O(m + dmax^2 log n)", E1GeneralGraphs},
@@ -104,8 +106,8 @@ func All() []Experiment {
 // workspace per live worker goroutine, reused across trials, rows and
 // experiments (buffers are re-sized when the graph changes). Routing the
 // per-trial kernel construction through it removes the per-trial
-// allocations and connectivity re-checks the naive CoverTime loop pays,
-// without changing a single trajectory (the Workspace reuse contract).
+// allocations the naive CoverTime loop pays, without changing a single
+// trajectory (the Workspace reuse contract).
 var wsPool = sync.Pool{New: func() any { return engine.NewWorkspace() }}
 
 // coverTrial returns a sim.TrialFunc measuring COBRA cover time from

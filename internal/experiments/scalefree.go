@@ -61,9 +61,10 @@ func E15ScaleFree(p Params) (*sim.Table, error) {
 //
 // The β axis is one batch.Sweep submission (one ws graphspec per β):
 // each graph compiles once into the sweep's cache — at cell admission,
-// in cell order — trials share pooled workspaces, cells execute in
-// parallel (CellWorkers = GOMAXPROCS) behind the reorder buffer, and the
-// same compiled graph then feeds the spectral gap column.
+// in cell order — GOMAXPROCS goroutines (CellWorkers = GOMAXPROCS), each
+// with its own workspace, claim trials across the open cells behind the
+// reorder buffer, and the same compiled graph then feeds the spectral gap
+// column.
 func E16SmallWorld(p Params) (*sim.Table, error) {
 	n := pick(p, 256, 2048)
 	k := pick(p, 6, 8)

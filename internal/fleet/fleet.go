@@ -18,7 +18,7 @@
 // # Roles
 //
 // A Coordinator plugs into the cobrad server as its batch.CellRunner:
-// when the cell scheduler admits a cell, RunCell registers it as open
+// when the sweep's trial loop admits a cell, RunCell registers it as open
 // and blocks until workers finish it. Workers hold no server state —
 // each is a pull loop (see Worker) that leases one cell at a time over
 // HTTP, computes it through the ordinary batch.Campaign path, and

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Common construction errors.
@@ -35,6 +36,11 @@ type Graph struct {
 	off  []int32
 	adj  []int32
 	name string
+
+	// connOnce guards connected, the memoized IsConnected answer: the
+	// graph never changes, so one traversal serves every caller.
+	connOnce  sync.Once
+	connected bool
 }
 
 // Builder accumulates edges and produces a Graph. It validates simplicity

@@ -12,7 +12,14 @@ func log(x float64) float64   { return math.Log(x) }
 func log1p(x float64) float64 { return math.Log1p(x) }
 
 // IsConnected reports whether the graph is connected (true for n = 1).
+// The O(n+m) traversal runs once per graph; later calls, from any
+// goroutine, return the memoized answer.
 func (g *Graph) IsConnected() bool {
+	g.connOnce.Do(func() { g.connected = g.traverseConnected() })
+	return g.connected
+}
+
+func (g *Graph) traverseConnected() bool {
 	if g.n <= 1 {
 		return true
 	}

@@ -30,6 +30,32 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
+// TestIsConnectedMemoized: concurrent first calls agree with a fresh
+// traversal (run it under -race), and once answered a call allocates
+// nothing, so kernels built on a shared graph pay the traversal once.
+func TestIsConnectedMemoized(t *testing.T) {
+	b := NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 5)
+	for _, g := range []*Graph{Torus(16, 16), b.MustBuild("2P3")} {
+		want := g.traverseConnected()
+		got := make(chan bool, 8)
+		for i := 0; i < cap(got); i++ {
+			go func() { got <- g.IsConnected() }()
+		}
+		for i := 0; i < cap(got); i++ {
+			if c := <-got; c != want {
+				t.Fatalf("%s: concurrent IsConnected = %v, want %v", g.Name(), c, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { g.IsConnected() }); allocs != 0 {
+			t.Fatalf("%s: repeat IsConnected allocates %v times", g.Name(), allocs)
+		}
+	}
+}
+
 func TestBFSDistances(t *testing.T) {
 	g := Path(5)
 	d := g.BFS(0)

@@ -4,7 +4,7 @@
 // checker for that format (lint.go) used by tests and the CI metrics
 // smoke.
 //
-// The package exists so the scheduler, cell scheduler, graph cache,
+// The package exists so the scheduler, sweep trial loop, graph cache,
 // engine result path and journal store can be instrumented without
 // pulling a client library into the module. Design constraints:
 //
