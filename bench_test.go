@@ -237,8 +237,8 @@ func BenchmarkEngineCobraNarrow(b *testing.B) {
 }
 
 // BenchmarkEngineBipsWide measures one BIPS round from a fully-infected
-// frontier: the sparse path must stamp the whole edge set to build its
-// candidate list, while the dense path is the paper's flat Θ(n·b) scan —
+// frontier: the sparse path must mark the whole edge set to build its
+// candidate set, while the dense path is the paper's flat Θ(n·b) scan —
 // the regime motivating the adaptive switch.
 func BenchmarkEngineBipsWide(b *testing.B) {
 	for _, gname := range []string{"rreg", "circulant", "ws"} {
@@ -269,15 +269,21 @@ var (
 	engineWideGraph *graph.Graph
 )
 
+// engineWide returns the 2·10^7-vertex circulant both wide dense round
+// benchmarks share, built once.
+func engineWide() *graph.Graph {
+	engineWideOnce.Do(func() {
+		engineWideGraph = graph.Chord(20_000_000, 4)
+	})
+	return engineWideGraph
+}
+
 // BenchmarkEngineWideDenseRound measures one wide COBRA round on a
 // 2·10^7-vertex circulant through a workspace. CI tracks it per commit
 // and asserts 0 allocs/op: steady-state dense rounds must not allocate
 // even at this size.
 func BenchmarkEngineWideDenseRound(b *testing.B) {
-	engineWideOnce.Do(func() {
-		engineWideGraph = graph.Chord(20_000_000, 4)
-	})
-	g := engineWideGraph
+	g := engineWide()
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
@@ -291,6 +297,34 @@ func BenchmarkEngineWideDenseRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+// BenchmarkEngineWideDenseBipsRound is BenchmarkEngineWideDenseRound's
+// BIPS twin: one dense BIPS round on the same 2·10^7-vertex circulant
+// through a workspace, from a frontier of every other vertex (reinstalled
+// outside the timer, so each round starts from it), where a vertex's first
+// pull hits with probability 1/2. CI tracks it per commit and asserts
+// 0 allocs/op.
+func BenchmarkEngineWideDenseBipsRound(b *testing.B) {
+	g := engineWide()
+	half := make([]int, 0, g.N()/2)
+	for v := 0; v < g.N(); v += 2 {
+		half = append(half, v)
+	}
+	ws := engine.NewWorkspace()
+	k, err := engine.NewBipsWith(ws, g, engine.Params{Branch: 2, Mode: engine.ForceDense}, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k.InstallFrontier(half) // grows the member slice before the timer runs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k.InstallFrontier(half)
+		b.StartTimer()
 		k.Step()
 	}
 }

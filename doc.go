@@ -58,26 +58,42 @@
 // The kernel switches representation per round, the direction-optimizing
 // BFS idea applied to branching walks. A sparse round iterates an
 // active-vertex slice and touches O(|frontier|·b) memory (COBRA),
-// respectively O(vol(A_t)) (BIPS); a dense round scans the frontier
+// respectively O(vol(A_t)) (BIPS), deduplicating in a bitset that is
+// all-zero between rounds; a BIPS round with at least n/64 candidates
+// evaluates them in vertex order. A dense round scans the frontier
 // bitset 64 vertices per word with no member slice at all, and sums its
 // bookkeeping — next-frontier popcount, frontier volume, newly-covered
-// count — in the pass that stores each word. Every round runs on the
-// calling goroutine: the paper's bounds are distributions over
-// independent trials, so the batch layer parallelises across trials and
-// sweep cells instead. Steady-state wide rounds are allocation-free under
-// workspace reuse at 2·10^7 vertices (BenchmarkEngineWideDenseRound).
+// count — in the pass that stores each word. Either way a vertex seeds
+// its (round, vertex) stream once and draws its particles or pulls
+// inline, with no call per draw. Every round runs on the calling
+// goroutine: the paper's bounds are distributions over independent
+// trials, so the batch layer parallelises across trials and sweep cells
+// instead. Steady-state wide rounds are allocation-free under workspace
+// reuse at 2·10^7 vertices (BenchmarkEngineWideDenseRound and
+// BenchmarkEngineWideDenseBipsRound).
 //
 // Measured on 2·10^5-vertex workloads (BenchmarkEngineCobraWide/-Narrow,
-// BenchmarkEngineBipsWide in bench_test.go): fully-active COBRA rounds
-// run 2–3× faster dense than sparse, fully-infected BIPS rounds 2–4×
-// faster dense, while a single-particle round is ~80× faster sparse. The
-// adaptive defaults — dense when |C_t| > n/64 for COBRA
-// (engine.DefaultDenseDiv: breakeven sits near n/96–n/128, see
-// BenchmarkEngineCrossover), when vol(A_t) > n for BIPS (confirmed:
-// sparse and dense cross within a few percent at vol(A_t) ≈ n) — sit
-// inside those crossovers and are not a public knob; the forced modes
-// (internal/engine Params.Mode) exist for the repository's own
-// benchmarks and equivalence tests.
+// BenchmarkEngineBipsWide in bench_test.go; medians of 5, of 10 for the
+// narrow round, on a 2-core host): fully-active COBRA rounds run 1.7×
+// faster dense than sparse on the circulant, 2.5× on the grid and 4–5×
+// on Watts–Strogatz, Barabási–Albert and the random 8-regular graph;
+// fully-infected BIPS rounds run 2.4–2.6× faster dense; a
+// single-particle round runs about 250× faster sparse (56 ns against
+// 14.5 µs). Single rounds at controlled frontier sizes
+// (BenchmarkEngineCrossover, 2^18 vertices, b = 2, medians of 10–15
+// samples) cross over as follows. COBRA: on a random 3-regular graph
+// sparse wins up to |C_t| = n/128, the two tie near n/96 and dense wins
+// from n/64; on the 8-regular circulant they stay within 12% of each
+// other from n/96 to n/8, and dense wins clearly only from n/6. The
+// default, dense when |C_t| > n/64 (engine.DefaultDenseDiv), sits at the
+// first crossover and inside the second tie. BIPS: sparse wins up to
+// vol(A_t) = 0.75n on the random 3-regular graph and 0.67n on the
+// circulant; at vol(A_t) = n a sparse round takes 1.08×, respectively
+// 1.20×, as long as a dense one, and 1.2–1.4× above that. The default,
+// dense when vol(A_t) > n, therefore runs the rounds just below
+// vol(A_t) = n up to about 1.2× slower than dense would. Neither default
+// is a public knob; the forced modes (internal/engine Params.Mode) exist
+// for the repository's own benchmarks and equivalence tests.
 //
 // # Batch campaigns and the cobrad service
 //

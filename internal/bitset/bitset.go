@@ -42,6 +42,17 @@ func (s *Set) Contains(i int) bool {
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
+// TestAndSet marks item i present and reports whether it already was:
+// one word load for a membership test and an insert, the frontier
+// engine's deduplication step.
+func (s *Set) TestAndSet(i int) bool {
+	w := &s.words[i/wordBits]
+	m := uint64(1) << (uint(i) % wordBits)
+	old := *w
+	*w = old | m
+	return old&m != 0
+}
+
 // Count returns the number of items present.
 func (s *Set) Count() int {
 	c := 0

@@ -60,6 +60,21 @@ func TestSetClearContains(t *testing.T) {
 	}
 }
 
+func TestTestAndSet(t *testing.T) {
+	s := New(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		if s.TestAndSet(i) {
+			t.Fatalf("TestAndSet(%d) reported a fresh item present", i)
+		}
+		if !s.Contains(i) || !s.TestAndSet(i) {
+			t.Fatalf("TestAndSet(%d) did not mark the item", i)
+		}
+	}
+	if s.Count() != 4 {
+		t.Fatalf("Count = %d, want 4", s.Count())
+	}
+}
+
 func TestSetIdempotent(t *testing.T) {
 	s := New(10)
 	s.Set(3)

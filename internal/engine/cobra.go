@@ -11,71 +11,75 @@ import (
 // with probability 1/2 per particle under Lazy — and the targets form
 // C_{t+1}. Multiple arrivals coalesce via set semantics.
 //
-// The draw structure per vertex (fractional-branch Bernoulli first, then
-// per-particle lazy coin and neighbour index) is fixed across both paths
-// below, so every representation consumes the (round, vertex) stream
-// identically and the trajectories agree bit for bit.
+// Both paths draw through push, so every representation consumes the
+// (round, vertex) stream identically and the trajectories agree bit for
+// bit.
 
-// drawCount draws the number of particles v sends this round.
-func (k *Kernel) drawCount(rng *xrand.RNG) int {
+// push sends v's particles for this round and marks every target in next.
+// It seeds v's (round, v) stream once and draws in one fixed order: the
+// fractional-branch Bernoulli, then per particle the lazy coin and
+// Lemire's multiply onto v's neighbour list; only the rare rejection tail
+// (xrand's Uint64nTail) is a call. A sparse round passes its new-frontier
+// list, and push appends each target next did not hold yet: next
+// deduplicates the new frontier. A dense round passes nil. It returns the
+// particle count.
+func (k *Kernel) push(v int, list *[]int32) int {
+	rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
 	b := k.par.Branch
 	if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
 		b++
 	}
+	nbrs := k.g.Neighbors(v)
+	deg := uint64(len(nbrs))
+	next, lazy := k.next, k.par.Lazy
+	for i := 0; i < b; i++ {
+		t := v
+		if !lazy || rng.Uint64()&1 == 0 {
+			hi, lo := bits.Mul64(rng.Uint64(), deg)
+			if lo < deg {
+				hi = rng.Uint64nTail(deg, hi, lo)
+			}
+			t = int(nbrs[hi]) // a degree-0 vertex panics here
+		}
+		if list == nil {
+			next.Set(t)
+		} else if !next.TestAndSet(t) {
+			*list = append(*list, int32(t))
+		}
+	}
 	return b
 }
 
-// drawTarget draws one particle target for v.
-func (k *Kernel) drawTarget(v, deg int, rng *xrand.RNG) int {
-	if k.par.Lazy && rng.Bool() {
-		return v
-	}
-	return k.g.Neighbor(v, rng.Intn(deg))
-}
-
-// cobraSparse runs one round over the active-vertex slice, deduplicating
-// the next frontier with the stamp array. No Θ(n) work anywhere.
+// cobraSparse runs one round over the active-vertex slice. Pushes mark
+// next, which then holds exactly C_{t+1}: clearing C_t out of cur and
+// swapping the two sets leaves next all-zero again. No Θ(n) work
+// anywhere.
 func (k *Kernel) cobraSparse() {
 	if !k.curListOK {
 		k.ensureList()
 	}
-	k.bumpEpoch()
-	k.newList = k.newList[:0]
+	list := k.newList[:0]
 	var sent int64
-	for _, v32 := range k.curList {
-		v := int(v32)
-		rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-		b := k.drawCount(&rng)
-		deg := k.g.Degree(v)
-		for i := 0; i < b; i++ {
-			t := k.drawTarget(v, deg, &rng)
-			if k.stamp[t] != k.epoch {
-				k.stamp[t] = k.epoch
-				k.newList = append(k.newList, int32(t))
-			}
-		}
-		sent += int64(b)
+	for _, v := range k.curList {
+		sent += int64(k.push(int(v), &list))
 	}
-	// Maintain the authoritative bitset incrementally and fold the new
-	// frontier into the covered set: O(|old| + |new|), not O(n).
 	for _, v := range k.curList {
 		k.cur.Clear(int(v))
 	}
+	k.cur, k.next = k.next, k.cur
+	// Fold the new frontier into the covered set: O(|new|), not O(n).
 	vol := 0
-	for _, w32 := range k.newList {
-		w := int(w32)
-		k.cur.Set(w)
-		vol += k.g.Degree(w)
-		if !k.covered.Contains(w) {
-			k.covered.Set(w)
+	for _, w := range list {
+		vol += k.g.Degree(int(w))
+		if !k.covered.TestAndSet(int(w)) {
 			k.nCov++
 		}
 	}
 	k.sent += sent
-	k.coalesced += sent - int64(len(k.newList))
-	k.frontierN = len(k.newList)
+	k.coalesced += sent - int64(len(list))
+	k.frontierN = len(list)
 	k.frontierVol = vol
-	k.curList, k.newList = k.newList, k.curList
+	k.curList, k.newList = list, k.curList
 	k.curListOK = true
 }
 
@@ -94,13 +98,7 @@ func (k *Kernel) cobraDense() {
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-			b := k.drawCount(&rng)
-			deg := g.Degree(v)
-			for i := 0; i < b; i++ {
-				next.Set(k.drawTarget(v, deg, &rng))
-			}
-			sent += int64(b)
+			sent += int64(k.push(v, nil))
 		}
 	}
 	frontierN, vol, newCov := 0, 0, 0

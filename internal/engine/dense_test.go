@@ -10,11 +10,12 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
-// Sparse rounds are the reference for dense rounds: they deduplicate the
-// next frontier with stamps, straight from the definition, while dense
-// rounds scan and fold whole bitset words. For one seed, ForceSparse,
-// ForceDense and Adaptive kernels must agree every round on the frontier
-// set, the covered set, FrontierCount, FrontierVolume, Sent and Coalesced.
+// Sparse rounds are the reference for dense rounds: they build the next
+// frontier member by member from the current one, straight from the
+// definition, while dense rounds scan and fold whole bitset words. For
+// one seed, ForceSparse, ForceDense and Adaptive kernels must agree every
+// round on the frontier set, the covered set, FrontierCount,
+// FrontierVolume, Sent and Coalesced.
 // The case generator is hand-rolled: testing/quick supplies the case seed
 // and everything else derives from it through xrand, so a logged case
 // seed replays its failure.
@@ -220,9 +221,10 @@ func TestTiledBookkeepingInvariants(t *testing.T) {
 
 // Workspace reuse must stay invisible to dense trajectories. Each trial
 // abandons a dense COBRA kernel mid-run, then builds a BIPS kernel
-// through the same workspace, which leaves its previous frontier in the
-// shared next set, then a COBRA kernel: acquire must hand it an all-zero
-// next set, or its dense fold would pick up stale bits (zero-after-fold).
+// through the same workspace, whose rounds swap the workspace's two
+// frontier sets, then a COBRA kernel: acquire must hand it the all-zero
+// set as next, or its dense fold would pick up stale bits
+// (zero-after-fold).
 func TestTiledWorkspaceReuse(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Hypercube(11),
@@ -264,45 +266,92 @@ func TestTiledWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// Wide dense rounds must be allocation-free under workspace reuse.
+// Steady-state rounds must be allocation-free under workspace reuse:
+// wide dense rounds of both kinds, wide sparse COBRA rounds, and sparse
+// BIPS rounds in both candidate orders (vertex order from n/64
+// candidates, list order below).
 func TestTiledRoundsZeroAlloc(t *testing.T) {
-	g := graph.Hypercube(14) // n = 16384, wide dense rounds
-	for _, kind := range []Kind{Cobra, Bips} {
-		ws := NewWorkspace()
-		par := Params{Branch: 2, Mode: ForceDense}
-		var k *Kernel
-		var err error
-		if kind == Cobra {
-			k, err = NewCobraWith(ws, g, par, []int{0}, 5)
-		} else {
-			k, err = NewBipsWith(ws, g, par, 0, 5)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm up until the frontier saturates (a b=2 frontier roughly
-		// doubles per round) so the measured rounds are genuinely wide.
-		for r := 0; r < 20; r++ {
-			k.Step()
-		}
-		if k.FrontierCount() < g.N()/3 {
-			t.Fatalf("warm-up left frontier at %d of %d", k.FrontierCount(), g.N())
-		}
-		avg := testing.AllocsPerRun(50, func() { k.Step() })
-		if avg != 0 {
-			t.Errorf("kind=%d: %v allocs per dense round, want 0", kind, avg)
-		}
+	g := graph.Hypercube(14) // n = 16384, 256 bitset words
+	all := make([]int, g.N())
+	for i := range all {
+		all[i] = i
+	}
+	narrow := []int{0, 1, 2} // at most 43 candidates: list order
+	cases := []struct {
+		name       string
+		kind       Kind
+		mode       Mode
+		install    []int // reinstalled before every measured round; nil runs free
+		vertexScan bool  // BIPS sparse: expect the vertex-order scan
+	}{
+		{"dense cobra", Cobra, ForceDense, nil, false},
+		{"dense bips", Bips, ForceDense, nil, false},
+		{"sparse cobra", Cobra, ForceSparse, nil, false},
+		{"sparse bips vertex order", Bips, ForceSparse, nil, true},
+		{"sparse bips list order", Bips, ForceSparse, narrow, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			par := Params{Branch: 2, Mode: c.mode}
+			var k *Kernel
+			var err error
+			if c.kind == Cobra {
+				k, err = NewCobraWith(ws, g, par, []int{0}, 5)
+			} else {
+				k, err = NewBipsWith(ws, g, par, 0, 5)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Grow both member slices to n (a round builds one while it
+			// reads the other), then settle into wide rounds.
+			for i := 0; i < 2; i++ {
+				k.InstallFrontier(all)
+				k.Step()
+			}
+			for r := 0; r < 10; r++ {
+				k.Step()
+			}
+			if c.install == nil && k.FrontierCount() < g.N()/3 {
+				t.Fatalf("warm-up left frontier at %d of %d", k.FrontierCount(), g.N())
+			}
+			round := func() {
+				if c.install != nil {
+					k.InstallFrontier(c.install)
+				}
+				k.Step()
+			}
+			round()
+			if c.kind == Bips && c.mode == ForceSparse {
+				if scan := len(k.candList) == k.next.WordCount(); scan != c.vertexScan {
+					t.Fatalf("%d candidates of %d words: vertex-order scan %v, want %v",
+						len(k.candList), k.next.WordCount(), scan, c.vertexScan)
+				}
+			}
+			if avg := testing.AllocsPerRun(50, round); avg != 0 {
+				t.Errorf("%v allocs per round, want 0", avg)
+			}
+		})
 	}
 }
 
 // BenchmarkEngineCrossover measures one sparse round against one dense
 // round at controlled frontier fractions; the crossover constants
-// (DefaultDenseDiv, the BIPS volume rule) cite this sweep. The frontier is
-// reinstalled outside the timer every iteration so each measured round
+// (DefaultDenseDiv, the BIPS volume rule) cite this sweep. It runs on two
+// 2^18-vertex graphs: the 8-regular circulant C_n(1..4), whose frontier
+// of every frac-th vertex is evenly spread, and a random 3-regular graph,
+// the paper-sweep expander, on which the same members are scattered over
+// the adjacency arrays. A BIPS frontier of every frac-th vertex has volume
+// 8n/frac on the circulant and 3n/frac on the random graph. The frontier
+// is reinstalled outside the timer every iteration so each measured round
 // sees exactly the fraction under test.
 func BenchmarkEngineCrossover(b *testing.B) {
-	g := graph.Chord(1<<18, 4) // 8-regular circulant
-	n := g.N()
+	const n = 1 << 18
+	rreg, err := graph.RandomRegular(n, 3, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	members := func(frac int) []int {
 		m := make([]int, 0, n/frac)
 		for i := 0; i < n; i += frac {
@@ -310,39 +359,44 @@ func BenchmarkEngineCrossover(b *testing.B) {
 		}
 		return m
 	}
-	for _, kind := range []Kind{Cobra, Bips} {
-		kindName := "cobra"
-		if kind == Bips {
-			kindName = "bips"
-		}
-		for _, mode := range []Mode{ForceSparse, ForceDense} {
-			repr := "sparse"
-			if mode == ForceDense {
-				repr = "dense"
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"circulant", graph.Chord(n, 4)}, {"rreg3", rreg}} {
+		for _, kind := range []Kind{Cobra, Bips} {
+			kindName := "cobra"
+			if kind == Bips {
+				kindName = "bips"
 			}
-			for _, frac := range []int{512, 256, 128, 96, 64, 48, 32, 16, 12, 8, 6, 4, 2} {
-				b.Run(fmt.Sprintf("%s/%s/frac=1_%d", kindName, repr, frac), func(b *testing.B) {
-					ws := NewWorkspace()
-					par := Params{Branch: 2, Mode: mode}
-					var k *Kernel
-					var err error
-					if kind == Cobra {
-						k, err = NewCobraWith(ws, g, par, []int{0}, 5)
-					} else {
-						k, err = NewBipsWith(ws, g, par, 0, 5)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					mem := members(frac)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						k.InstallFrontier(mem)
-						b.StartTimer()
-						k.Step()
-					}
-				})
+			for _, mode := range []Mode{ForceSparse, ForceDense} {
+				repr := "sparse"
+				if mode == ForceDense {
+					repr = "dense"
+				}
+				for _, frac := range []int{512, 256, 128, 96, 64, 48, 32, 16, 12, 8, 6, 4, 3, 2} {
+					b.Run(fmt.Sprintf("%s/%s/%s/frac=1_%d", gc.name, kindName, repr, frac), func(b *testing.B) {
+						ws := NewWorkspace()
+						par := Params{Branch: 2, Mode: mode}
+						var k *Kernel
+						var err error
+						if kind == Cobra {
+							k, err = NewCobraWith(ws, gc.g, par, []int{0}, 5)
+						} else {
+							k, err = NewBipsWith(ws, gc.g, par, 0, 5)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+						mem := members(frac)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							k.InstallFrontier(mem)
+							b.StartTimer()
+							k.Step()
+						}
+					})
+				}
 			}
 		}
 	}

@@ -8,20 +8,27 @@
 // representations and, in Adaptive mode, picks per round — the
 // direction-optimizing-BFS idea applied to branching walks:
 //
-//   - Sparse: the frontier is an active-vertex slice. Next-frontier
-//     deduplication uses a generation-stamped array, so a round touches
-//     only O(|frontier|·b) memory (COBRA), respectively O(vol(frontier))
-//     (BIPS candidate construction) — no Θ(n) scans or bitset resets.
-//     This is the winning shape while the frontier is a small fraction of
-//     the graph (early rounds, b = 1 walks, long sparse tails).
+//   - Sparse: the frontier is an active-vertex slice. COBRA pushes from
+//     each member and BIPS evaluates the candidate superset N(A_t) ∪
+//     {source} (∪ A_t under Lazy); both deduplicate in the round-scratch
+//     bitset next, which is all-zero between rounds and becomes the new
+//     frontier by a swap. A round touches only O(|frontier|·b) memory
+//     (COBRA), respectively O(vol(frontier)) (BIPS) — no Θ(n) scans or
+//     resets. A BIPS round with at least n/64 candidates, one per bitset
+//     word, evaluates them in vertex order by scanning next's words: the
+//     scan costs no more words than there are candidates, and it reads
+//     the adjacency arrays and the frontier in address order instead of
+//     discovery order. This is the winning shape while the frontier is a
+//     small fraction of the graph (early rounds, b = 1 walks, long sparse
+//     tails).
 //   - Dense: the frontier lives in its bitset and rounds are word-level
 //     scans: 64 vertices per fetched word, with the per-word fetch hoisted
 //     out of the per-vertex draw loop, the frontier count, volume and
 //     covered-set fold summed in the pass that stores each word, and no
 //     member slice ever materialised. This wins once the frontier spans a
 //     constant fraction of the graph (wide mid-phase rounds on expanders
-//     and the scale-free families), where the sparse slice and stamp
-//     traffic costs more than scanning n/64 words.
+//     and the scale-free families), where the member slices cost more
+//     than scanning n/64 words.
 //
 // Determinism contract: the randomness of every (round, vertex) pair is
 // drawn from a stateless stream keyed by the master seed,
@@ -29,7 +36,13 @@
 // are therefore a pure function of (seed, round, vertex, frontier), so the
 // trajectory — every per-round frontier set and derived statistic — is
 // identical across representations (sparse, dense, adaptive). It depends
-// only on the seed.
+// only on the seed. Each vertex seeds its stream once per round and draws
+// in one fixed order, inline in one loop over its neighbour list: the
+// fractional-branch Bernoulli, then per particle or pull the lazy coin
+// and Lemire's multiply (push for COBRA, pullsInfected for BIPS). No pull
+// makes a call except in xrand's rejection tail, which a pull reaches
+// with probability below deg/2^64. testdata/fingerprints.txt pins the
+// trajectories of every path to bytes an earlier kernel wrote.
 //
 // Every round runs on the calling goroutine. The paper's bounds describe
 // distributions over independent trials, so callers parallelise across
@@ -37,8 +50,9 @@
 // round.
 //
 // The crossover defaults (|C_t| > n/64 for COBRA, vol(A_t) > n for BIPS)
-// were measured with BenchmarkEngineCrossover in dense_test.go; see doc.go
-// ("Performance notes") for guidance.
+// sit inside the single-round crossovers BenchmarkEngineCrossover
+// (dense_test.go) measures on two 2^18-vertex graphs; doc.go ("Performance
+// notes") gives the measured ranges.
 package engine
 
 import (
@@ -84,12 +98,14 @@ const (
 )
 
 // DefaultDenseDiv is the COBRA crossover divisor: a round goes dense when
-// |frontier| > n/DefaultDenseDiv. Measured with BenchmarkEngineCrossover
-// (dense_test.go, 8-regular 2^18-vertex circulant): both representations
-// pay the same |C_t|·b draw cost, but the dense scan-and-fold costs less
-// per member than the sparse stamp/dedup traffic, so dense wins everywhere
-// above ≈ n/128 and ties near n/96; 64 keeps a safety margin on the sparse
-// side of that tie.
+// |frontier| > n/DefaultDenseDiv. Both representations pay the same
+// |C_t|·b draws; they differ in the member slices a sparse round keeps
+// against the n/64-word scan and fold of a dense one. Where they cross
+// depends on the graph (BenchmarkEngineCrossover, 2^18 vertices, medians
+// of 10 on a 2-core host): near n/96 on a random 3-regular graph, whose
+// scattered members cost the sparse round cache misses, while on the
+// 8-regular circulant the two stay within 12% of each other from n/96 to
+// n/8. 64 sits at the first crossover and inside the second tie.
 const DefaultDenseDiv = 64
 
 // DefaultMaxRounds is the shared default cap on a single run over an
@@ -168,13 +184,13 @@ type Kernel struct {
 
 	round int
 
-	// Round scratch. Invariant (zero-after-fold): between COBRA rounds
-	// next is all-zero — the dense fold zeroes every word it consumes,
-	// sparse rounds never touch it, and the workspace resets it when a
-	// kernel is (re)acquired — so no round pays an up-front Θ(n) Reset.
+	// Round scratch. Invariant (zero-after-fold): between rounds next is
+	// all-zero, for both kinds, so no round pays an up-front Θ(n) Reset
+	// and sparse rounds can deduplicate in it. The COBRA dense fold zeroes
+	// every word it consumes; sparse rounds end with next holding the new
+	// frontier and swap it with cur after clearing the old members out of
+	// cur; the BIPS dense scan swaps and then resets the old frontier.
 	next     *bitset.Set
-	stamp    []uint32
-	epoch    uint32
 	newList  []int32
 	candList []int32
 
@@ -256,11 +272,7 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	if ws != nil {
 		k = ws.acquire(n, kind)
 	} else {
-		k = &Kernel{
-			cur:   bitset.New(n),
-			next:  bitset.New(n),
-			stamp: make([]uint32, n),
-		}
+		k = &Kernel{cur: bitset.New(n), next: bitset.New(n)}
 	}
 	k.g = g
 	k.kind = kind
@@ -404,16 +416,4 @@ func (k *Kernel) ensureList() {
 	k.curList = k.curList[:0]
 	k.cur.ForEach(func(v int) { k.curList = append(k.curList, int32(v)) })
 	k.curListOK = true
-}
-
-// bumpEpoch opens a fresh stamp generation, clearing the array only on
-// uint32 wraparound.
-func (k *Kernel) bumpEpoch() {
-	k.epoch++
-	if k.epoch == 0 {
-		for i := range k.stamp {
-			k.stamp[i] = 0
-		}
-		k.epoch = 1
-	}
 }

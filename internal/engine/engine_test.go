@@ -178,3 +178,24 @@ func TestSentCoalescedIdentity(t *testing.T) {
 		}
 	}
 }
+
+// A draw at a degree-0 vertex must panic rather than return a neighbour
+// that does not exist. K_1 is the only connected graph with such a vertex,
+// and only COBRA draws there: BIPS never draws at its source.
+func TestDrawAtIsolatedVertexPanics(t *testing.T) {
+	g := graph.NewBuilder(1).MustBuild("K1")
+	for _, mode := range []Mode{ForceSparse, ForceDense} {
+		k, err := NewCobra(g, Params{Branch: 1, Mode: mode}, []int{0}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mode %d: a push from an isolated vertex did not panic", mode)
+				}
+			}()
+			k.Step()
+		}()
+	}
+}

@@ -7,13 +7,15 @@ import (
 
 // Workspace is a reusable arena for kernel state, the amortization layer
 // under the batch trial harness (internal/batch). A fresh kernel on an
-// n-vertex graph allocates Θ(n) bitsets, the stamp array, and the member
-// slices; across a campaign of thousands of trials on one shared graph
-// those costs dominate the simulation itself. Constructing kernels
-// through a Workspace instead reuses every buffer (bitsets are reset,
-// slices retain their grown capacity, the stamp array carries its epoch
-// across trials). Connectivity is not the workspace's concern: the graph
-// memoizes its own check (graph.Graph.IsConnected).
+// n-vertex graph allocates three Θ(n)-bit sets (frontier, round scratch
+// and, for COBRA, the covered set) and the member slices; across a
+// campaign of thousands of trials on one shared graph those costs
+// dominate the simulation itself. Constructing kernels through a
+// Workspace instead reuses every buffer: the frontier and covered sets
+// are reset, the scratch set arrives all-zero from the previous kernel
+// (zero-after-fold), and slices retain their grown capacity.
+// Connectivity is not the workspace's concern: the graph memoizes its own
+// check (graph.Graph.IsConnected).
 //
 // Reuse contract:
 //
@@ -32,8 +34,6 @@ type Workspace struct {
 
 	cur, next        *bitset.Set
 	covered          *bitset.Set
-	stamp            []uint32
-	epoch            uint32
 	curList, newList []int32
 	candList         []int32
 }
@@ -54,16 +54,16 @@ func NewBipsWith(ws *Workspace, g *graph.Graph, par Params, source int, seed uin
 	return newBips(g, par, source, seed, ws)
 }
 
-// reclaim pulls grown buffers back from the previous kernel (appends may
-// have reallocated the slices it was handed) and carries its stamp epoch
-// forward so stale stamps from earlier trials can never read as current.
+// reclaim pulls the buffers back from the previous kernel: appends may
+// have reallocated the slices it was handed, and its rounds swap cur and
+// next, so the all-zero set is whichever the kernel holds as next.
 func (ws *Workspace) reclaim() {
 	k := &ws.kern
 	if k.g == nil {
 		return
 	}
+	ws.cur, ws.next = k.cur, k.next
 	ws.curList, ws.newList, ws.candList = k.curList, k.newList, k.candList
-	ws.epoch = k.epoch
 }
 
 // acquire resets ws for a kernel on an n-vertex graph and hands its
@@ -73,18 +73,13 @@ func (ws *Workspace) acquire(n int, kind Kind) *Kernel {
 	if ws.n != n {
 		ws.cur = bitset.New(n)
 		ws.next = bitset.New(n)
-		ws.stamp = make([]uint32, n)
-		ws.epoch = 0
 		ws.covered = nil
 		ws.curList = ws.curList[:0]
 		ws.newList = ws.newList[:0]
 		ws.candList = ws.candList[:0]
 		ws.n = n
 	} else {
-		// A BIPS kernel leaves its previous frontier in next, while a
-		// COBRA kernel's dense fold needs next all-zero (zero-after-fold).
-		ws.cur.Reset()
-		ws.next.Reset()
+		ws.cur.Reset() // next is already all-zero (zero-after-fold)
 	}
 	if kind == Cobra {
 		if ws.covered == nil {
@@ -98,8 +93,6 @@ func (ws *Workspace) acquire(n int, kind Kind) *Kernel {
 	*k = Kernel{
 		cur:      ws.cur,
 		next:     ws.next,
-		stamp:    ws.stamp,
-		epoch:    ws.epoch,
 		curList:  ws.curList[:0],
 		newList:  ws.newList[:0],
 		candList: ws.candList[:0],

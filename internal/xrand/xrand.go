@@ -113,16 +113,33 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Uint64n returns a uniform uint64 in [0, n). It panics if n == 0.
+//
+// The draw is one multiply, hi:lo = x·n, accepting hi unless lo < n, and
+// Uint64nTail settles that rare case. A hot loop may inline the multiply
+// and call Uint64nTail itself (the frontier engine's per-pull draws do);
+// it then consumes the generator exactly as Uint64n would.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n called with n == 0")
 	}
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+		hi = r.Uint64nTail(n, hi, lo)
+	}
+	return hi
+}
+
+// Uint64nTail finishes a bounded draw whose first product x·n = hi:lo has
+// lo < n, the only case in which Lemire's method can reject: it redraws
+// while lo < 2^64 mod n and returns the accepted high word. n must be
+// positive. It is the one definition of the rejection loop, and it stays
+// out of line so that its division never enters a caller's hot loop.
+//
+//go:noinline
+func (r *RNG) Uint64nTail(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,59 @@ func TestUint64nBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// uint64nReference is Uint64n as written before its rejection loop moved
+// into Uint64nTail, kept verbatim as the reference for the split. It
+// counts the redraws its loop makes in *redraws.
+func uint64nReference(r *RNG, n uint64, redraws *int) uint64 {
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			*redraws++
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// Splitting Uint64n into an inlinable multiply and Uint64nTail must not
+// move a draw: the split and the reference return the same value and
+// leave the generator in the same state, for small bounds and for bounds
+// just above 2^63, where about half of all first products are rejected.
+// The inlined form the engine uses is checked the same way.
+func TestUint64nSplitMatchesReference(t *testing.T) {
+	inlined := func(r *RNG, n uint64) uint64 {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo < n {
+			hi = r.Uint64nTail(n, hi, lo)
+		}
+		return hi
+	}
+	bounds := []uint64{1, 2, 3, 5, 7, 64, 1000003, 1<<32 + 15}
+	for d := uint64(0); d < 8; d++ {
+		bounds = append(bounds, 1<<63+1+d*(1<<60), 1<<63-1-d)
+	}
+	redraws := 0
+	for _, n := range bounds {
+		ref, split, inl := New(n^0xa5), New(n^0xa5), New(n^0xa5)
+		for i := 0; i < 4000; i++ {
+			want := uint64nReference(ref, n, &redraws)
+			if got := split.Uint64n(n); got != want {
+				t.Fatalf("n=%d draw %d: Uint64n = %d, reference %d", n, i, got, want)
+			}
+			if got := inlined(inl, n); got != want {
+				t.Fatalf("n=%d draw %d: inlined multiply = %d, reference %d", n, i, got, want)
+			}
+			if *split != *ref || *inl != *ref {
+				t.Fatalf("n=%d draw %d: generator states diverge", n, i)
+			}
+		}
+	}
+	if redraws < 10000 {
+		t.Fatalf("only %d redraws: the rejection loop was barely exercised", redraws)
 	}
 }
 
