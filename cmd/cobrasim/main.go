@@ -99,79 +99,82 @@ func main() {
 		return
 	}
 
+	// COBRA and BIPS trials run through the batch subsystem in every
+	// format: the computation cobrad runs for the same spec. Trial k's
+	// kernel seed is NewStream(seed, k).Uint64(), the seed sim.Runner
+	// hands core.CoverTime and bips.InfectionTime, so the rounds are
+	// theirs too.
+	campaign := (*process == "cobra" || *process == "bips") && !*trace
+	spec := batch.Spec{
+		Graph: *graphFlag, Process: *process, Branch: *branch, Rho: *rho,
+		Lazy: *lazy, Start: *start, Trials: *trials, Seed: *seed, Workers: *workers,
+	}
+
 	// ndjson mode emits exactly the per-trial records cobrad streams and
 	// journals for the same spec — same derivation, same encoder — so a
 	// local run can be diffed byte-for-byte against a server's results or
 	// a recovered journal. Only the batch processes have that wire form.
 	if *format == "ndjson" {
-		if *process != "cobra" && *process != "bips" {
+		if !campaign {
 			fatal(fmt.Errorf("-format ndjson supports cobra and bips, not %q", *process))
 		}
-		if err := runNDJSON(batch.Spec{
-			Graph: *graphFlag, Process: *process, Branch: *branch, Rho: *rho,
-			Lazy: *lazy, Start: *start, Trials: *trials, Seed: *seed, Workers: *workers,
-		}, os.Stdout); err != nil {
+		if err := runNDJSON(spec, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	g, err := graphspec.Parse(*graphFlag, *seed)
-	if err != nil {
-		fatal(err)
-	}
 	// In csv mode stdout carries only the CSV; commentary goes to stderr.
 	info := os.Stdout
 	if *format == "csv" {
 		info = os.Stderr
 	}
-	fmt.Fprintf(info, "graph: %s (n=%d m=%d dmax=%d bipartite=%v)\n",
-		g.Name(), g.N(), g.M(), g.MaxDegree(), g.IsBipartite())
-
-	if *trace {
-		if err := runTrace(g, *process, *branch, *rho, *lazy, *start, *seed, *csvPath); err != nil {
+	var (
+		g   *graph.Graph
+		xs  []float64
+		err error
+	)
+	if campaign {
+		g, _, err = runCampaign(spec, info, func(r batch.TrialResult) {
+			xs = append(xs, float64(r.Rounds))
+		})
+		if err != nil {
 			fatal(err)
 		}
-		return
-	}
-
-	runner := sim.Runner{Seed: *seed, Workers: *workers}
-	var fn sim.TrialFunc
-	switch *process {
-	case "cobra":
-		cfg := core.Config{Branch: *branch, Rho: *rho, Lazy: *lazy}
-		fn = func(trial int, rng *xrand.RNG) (float64, error) {
-			t, err := core.CoverTime(g, cfg, *start, rng)
-			return float64(t), err
+	} else {
+		if g, err = graphspec.Parse(*graphFlag, *seed); err != nil {
+			fatal(err)
 		}
-	case "bips":
-		cfg := bips.Config{Branch: *branch, Rho: *rho, Lazy: *lazy}
-		fn = func(trial int, rng *xrand.RNG) (float64, error) {
-			t, err := bips.InfectionTime(g, cfg, *start, rng)
-			return float64(t), err
+		printGraph(info, g)
+		if *trace {
+			if err := runTrace(g, *process, *branch, *rho, *lazy, *start, *seed, *csvPath); err != nil {
+				fatal(err)
+			}
+			return
 		}
-	case "rw":
-		fn = func(trial int, rng *xrand.RNG) (float64, error) {
-			t, err := walk.CoverTime(g, *start, *lazy, rng)
-			return float64(t), err
+		var fn sim.TrialFunc
+		switch *process {
+		case "rw":
+			fn = func(trial int, rng *xrand.RNG) (float64, error) {
+				t, err := walk.CoverTime(g, *start, *lazy, rng)
+				return float64(t), err
+			}
+		case "multirw":
+			fn = func(trial int, rng *xrand.RNG) (float64, error) {
+				t, err := walk.MultiCoverTime(g, *walkers, *start, rng)
+				return float64(t), err
+			}
+		case "push":
+			fn = func(trial int, rng *xrand.RNG) (float64, error) {
+				res, err := gossip.Push(g, *start, rng)
+				return float64(res.Rounds), err
+			}
+		default:
+			fatal(fmt.Errorf("unknown process %q", *process))
 		}
-	case "multirw":
-		fn = func(trial int, rng *xrand.RNG) (float64, error) {
-			t, err := walk.MultiCoverTime(g, *walkers, *start, rng)
-			return float64(t), err
+		if xs, err = (sim.Runner{Seed: *seed, Workers: *workers}).Run(*trials, fn); err != nil {
+			fatal(err)
 		}
-	case "push":
-		fn = func(trial int, rng *xrand.RNG) (float64, error) {
-			res, err := gossip.Push(g, *start, rng)
-			return float64(res.Rounds), err
-		}
-	default:
-		fatal(fmt.Errorf("unknown process %q", *process))
-	}
-
-	xs, err := runner.Run(*trials, fn)
-	if err != nil {
-		fatal(err)
 	}
 	s, err := stats.Summarize(xs)
 	if err != nil {
@@ -199,17 +202,36 @@ func main() {
 	fmt.Fprintf(info, "  lower bound max{log2 n, Diam} = %d\n", g.CoverTimeLowerBound())
 }
 
-// runNDJSON runs one campaign through the batch subsystem, writing each
-// TrialResult as one NDJSON line on w (the cobrad wire and journal
-// format) and the summary to stderr.
-func runNDJSON(spec batch.Spec, w io.Writer) error {
+// printGraph writes the one-line description of g that opens a table or
+// csv run.
+func printGraph(w io.Writer, g *graph.Graph) {
+	fmt.Fprintf(w, "graph: %s (n=%d m=%d dmax=%d bipartite=%v)\n",
+		g.Name(), g.N(), g.M(), g.MaxDegree(), g.IsBipartite())
+}
+
+// runCampaign compiles spec and runs its trials through the batch
+// subsystem, the computation cobrad runs for the same spec, passing each
+// TrialResult to onResult in trial order. With info non-nil it prints the
+// graph line there before the first trial.
+func runCampaign(spec batch.Spec, info io.Writer, onResult func(batch.TrialResult)) (*graph.Graph, *batch.Aggregate, error) {
 	c, err := batch.Compile(spec, nil)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	if info != nil {
+		printGraph(info, c.Graph())
+	}
+	agg, err := c.Run(context.Background(), onResult)
+	return c.Graph(), agg, err
+}
+
+// runNDJSON runs one campaign, writing each TrialResult as one NDJSON
+// line on w (the cobrad wire and journal format) and the summary to
+// stderr.
+func runNDJSON(spec batch.Spec, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	var encErr error
-	agg, err := c.Run(context.Background(), func(r batch.TrialResult) {
+	_, agg, err := runCampaign(spec, nil, func(r batch.TrialResult) {
 		if encErr == nil {
 			encErr = enc.Encode(r)
 		}

@@ -90,7 +90,6 @@ package batch
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -161,35 +160,10 @@ func parseDeadline(deadline string) (time.Time, error) {
 }
 
 // Validate checks everything that can be checked without building the
-// graph (the spec syntax included).
+// graph (the spec syntax included). A campaign is checked as the
+// one-cell sweep cobrad runs it as, so every field has one check.
 func (s Spec) Validate() error {
-	if _, err := graphspec.Canonical(s.Graph); err != nil {
-		return fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	switch strings.ToLower(s.Process) {
-	case "cobra", "bips":
-	default:
-		return fmt.Errorf("%w: process must be cobra or bips, got %q", ErrInput, s.Process)
-	}
-	if s.Branch < 1 {
-		return fmt.Errorf("%w: branch must be >= 1, got %d", ErrInput, s.Branch)
-	}
-	if math.IsNaN(s.Rho) || s.Rho < 0 || s.Rho > 1 {
-		return fmt.Errorf("%w: rho must be in [0,1], got %v", ErrInput, s.Rho)
-	}
-	if s.Start < 0 {
-		return fmt.Errorf("%w: start must be >= 0, got %d", ErrInput, s.Start)
-	}
-	if s.Trials < 1 {
-		return fmt.Errorf("%w: trials must be >= 1, got %d", ErrInput, s.Trials)
-	}
-	if s.MaxRounds < 0 {
-		return fmt.Errorf("%w: max_rounds must be >= 0, got %d", ErrInput, s.MaxRounds)
-	}
-	if _, err := s.DeadlineTime(); err != nil {
-		return err
-	}
-	return nil
+	return campaignSweep(s).Validate()
 }
 
 // TrialResult is the measurement of one completed trial.

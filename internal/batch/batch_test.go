@@ -68,6 +68,25 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// Cache invisibility covers the grammar too: a spec compiles with a graph
+// cache iff it compiles without one, because both paths read the one
+// graphspec grammar (the cache keys on Canonical, the uncached path
+// calls Parse). Spaced and upper-case spellings are accepted alike, and
+// extra arguments rejected alike.
+func TestCompileGrammarIgnoresCache(t *testing.T) {
+	for _, graph := range []string{"complete: 64", "COMPLETE :64", "complete:64:7"} {
+		spec := Spec{Graph: graph, Process: "bips", Branch: 2, Trials: 1, Seed: 3}
+		_, errNil := Compile(spec, nil)
+		_, errCache := Compile(spec, NewCache(1))
+		if (errNil == nil) != (errCache == nil) {
+			t.Fatalf("%q: Compile without cache = %v, with cache = %v", graph, errNil, errCache)
+		}
+		if want := !strings.HasSuffix(graph, ":7"); (errNil == nil) != want {
+			t.Fatalf("%q: Compile = %v, want accepted=%v", graph, errNil, want)
+		}
+	}
+}
+
 // The determinism contract, clause by clause: identical per-trial results
 // and identical aggregates across worker counts {1, 2, GOMAXPROCS}, and
 // across cold vs warm graph cache.

@@ -42,18 +42,10 @@ func NewCache(capacity int) *Cache {
 	return &Cache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// Key returns the cache key for (spec, seed): the canonical spec string
-// tagged with the generation seed. Errors mirror graphspec.Canonical.
-func Key(spec string, seed uint64) (string, error) {
-	canon, err := graphspec.Canonical(spec)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s#%d", canon, seed), nil
-}
-
 // GetOrBuild returns the graph for (spec, seed), building and caching it
-// on a miss. Build failures are returned and never cached.
+// on a miss. Its key is the canonical spec string tagged with the
+// generation seed ("ba:500:3#7"). Build failures are returned and never
+// cached.
 func (c *Cache) GetOrBuild(spec string, seed uint64) (*graph.Graph, error) {
 	canon, err := graphspec.Canonical(spec)
 	if err != nil {

@@ -3,7 +3,6 @@ package batch
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -174,11 +173,15 @@ func (s SweepSpec) Validate() error {
 		}
 		seenProc[p] = true
 	}
+	for _, b := range s.Branches {
+		for _, rho := range s.rhos() {
+			if err := engine.ValidateBranching(ErrInput, b, rho); err != nil {
+				return err
+			}
+		}
+	}
 	seenBranch := make(map[int]bool, len(s.Branches))
 	for _, b := range s.Branches {
-		if b < 1 {
-			return fmt.Errorf("%w: branch must be >= 1, got %d", ErrInput, b)
-		}
 		if seenBranch[b] {
 			return fmt.Errorf("%w: duplicate branch axis entry %d", ErrInput, b)
 		}
@@ -186,9 +189,6 @@ func (s SweepSpec) Validate() error {
 	}
 	seenRho := make(map[float64]bool, len(s.rhos()))
 	for _, rho := range s.rhos() {
-		if math.IsNaN(rho) || rho < 0 || rho > 1 {
-			return fmt.Errorf("%w: rho must be in [0,1], got %v", ErrInput, rho)
-		}
 		if seenRho[rho] {
 			return fmt.Errorf("%w: duplicate rho axis entry %v", ErrInput, rho)
 		}

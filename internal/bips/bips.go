@@ -67,13 +67,7 @@ func (c Config) EffectiveBranch() float64 { return float64(c.Branch) + c.Rho }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Branch < 1 {
-		return fmt.Errorf("%w: Branch must be >= 1, got %d", ErrConfig, c.Branch)
-	}
-	if c.Rho < 0 || c.Rho > 1 {
-		return fmt.Errorf("%w: Rho must be in [0,1], got %v", ErrConfig, c.Rho)
-	}
-	return nil
+	return engine.ValidateBranching(ErrConfig, c.Branch, c.Rho)
 }
 
 func (c Config) maxRounds(n int) int {

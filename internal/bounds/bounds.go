@@ -79,9 +79,9 @@ func HypercubeTriple(d int) (lnCubed, lnFourth, lnEighth float64) {
 }
 
 // FractionalScale returns the Section 6 round-count multiplier 1/ρ² for
-// branching factor 1+ρ.
+// branching factor 1+ρ, ρ ∈ (0, 1]; NaN fails.
 func FractionalScale(rho float64) (float64, error) {
-	if rho <= 0 || rho > 1 {
+	if !(rho > 0 && rho <= 1) {
 		return 0, ErrInput
 	}
 	return 1 / (rho * rho), nil

@@ -98,6 +98,9 @@ func TestFractionalScale(t *testing.T) {
 	if _, err := FractionalScale(2); !errors.Is(err, ErrInput) {
 		t.Fatal("rho=2 accepted")
 	}
+	if _, err := FractionalScale(math.NaN()); !errors.Is(err, ErrInput) {
+		t.Fatal("rho=NaN accepted")
+	}
 }
 
 func TestSPAA16Validation(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"github.com/repro/cobra/internal/bitset"
+	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
 )
@@ -42,13 +43,7 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Branch < 1 {
-		return fmt.Errorf("%w: Branch must be >= 1", ErrInput)
-	}
-	if c.Rho < 0 || c.Rho > 1 {
-		return fmt.Errorf("%w: Rho must be in [0,1]", ErrInput)
-	}
-	return nil
+	return engine.ValidateBranching(ErrInput, c.Branch, c.Rho)
 }
 
 // Table is a materialised selection table ω(u, t) for rounds 1..T.

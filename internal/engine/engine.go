@@ -139,33 +139,36 @@ type Params struct {
 	// Deprecated: parallelise across trials instead (batch.Spec.Workers,
 	// sim.Runner.Workers).
 	Workers int
-	// DenseDiv overrides the COBRA sparse→dense crossover (dense when
-	// |frontier|·DenseDiv > n); 0 selects DefaultDenseDiv.
-	DenseDiv int
 }
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.Branch < 1 {
-		return fmt.Errorf("%w: Branch must be >= 1, got %d", ErrConfig, p.Branch)
+	return ValidateBranching(ErrConfig, p.Branch, p.Rho)
+}
+
+// ValidateBranching is the one check of the paper's branching factor
+// b = branch + rho: an integer branch >= 1 plus an extra branch taken
+// with probability rho ∈ [0, 1] (Section 6's b = 1 + ρ). NaN and ±Inf
+// fail. The error wraps sentinel, so each package that takes a branching
+// factor (core, bips, duality, exact, batch) reports a bad one under its
+// own error value.
+func ValidateBranching(sentinel error, branch int, rho float64) error {
+	if branch < 1 {
+		return fmt.Errorf("%w: branch must be >= 1, got %d", sentinel, branch)
 	}
-	if p.Rho < 0 || p.Rho > 1 {
-		return fmt.Errorf("%w: Rho must be in [0,1], got %v", ErrConfig, p.Rho)
-	}
-	if p.DenseDiv < 0 {
-		return fmt.Errorf("%w: DenseDiv must be >= 0, got %d", ErrConfig, p.DenseDiv)
+	if !(rho >= 0 && rho <= 1) {
+		return fmt.Errorf("%w: rho must be in [0,1], got %v", sentinel, rho)
 	}
 	return nil
 }
 
 // Kernel is one frontier simulation. It is not safe for concurrent use.
 type Kernel struct {
-	g        *graph.Graph
-	kind     Kind
-	par      Params
-	seed     uint64
-	source   int // Bips only
-	denseDiv int
+	g      *graph.Graph
+	kind   Kind
+	par    Params
+	seed   uint64
+	source int // Bips only
 
 	// Frontier state. cur is always authoritative; curList mirrors it
 	// when curListOK (maintained by sparse rounds, rebuilt on demand).
@@ -263,10 +266,6 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("%w: %s", ErrDisconnected, g.Name())
 	}
-	denseDiv := par.DenseDiv
-	if denseDiv == 0 {
-		denseDiv = DefaultDenseDiv
-	}
 	n := g.N()
 	var k *Kernel
 	if ws != nil {
@@ -278,7 +277,6 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	k.kind = kind
 	k.par = par
 	k.seed = seed
-	k.denseDiv = denseDiv
 	return k, nil
 }
 
@@ -405,7 +403,7 @@ func (k *Kernel) useDense() bool {
 		return true
 	}
 	if k.kind == Cobra {
-		return k.frontierN*k.denseDiv > k.g.N()
+		return k.frontierN*DefaultDenseDiv > k.g.N()
 	}
 	return k.frontierVol > k.g.N()
 }

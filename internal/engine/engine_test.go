@@ -16,7 +16,6 @@ func TestParamsValidate(t *testing.T) {
 		{Branch: 0},
 		{Branch: 1, Rho: -0.5},
 		{Branch: 1, Rho: 1.5},
-		{Branch: 1, DenseDiv: -2},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); !errors.Is(err, ErrConfig) {

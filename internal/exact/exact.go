@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 )
 
@@ -36,13 +37,14 @@ type Config struct {
 	Lazy   bool
 }
 
-// Validate checks the configuration (exact supports b = 1, 1+ρ, 2, 3).
+// Validate checks the configuration: the simulators' branching check,
+// narrowed to the factors exact supports (b = 1, 1+ρ, 2, 3).
 func (c Config) Validate() error {
-	if c.Branch < 1 || c.Branch > 3 {
-		return fmt.Errorf("%w: exact analysis supports Branch 1..3, got %d", ErrInput, c.Branch)
+	if err := engine.ValidateBranching(ErrInput, c.Branch, c.Rho); err != nil {
+		return err
 	}
-	if c.Rho < 0 || c.Rho > 1 {
-		return fmt.Errorf("%w: Rho must be in [0,1]", ErrInput)
+	if c.Branch > 3 {
+		return fmt.Errorf("%w: exact analysis supports Branch 1..3, got %d", ErrInput, c.Branch)
 	}
 	if c.Branch > 1 && c.Rho != 0 {
 		return fmt.Errorf("%w: fractional Rho requires Branch=1", ErrInput)

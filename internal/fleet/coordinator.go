@@ -28,10 +28,6 @@ type CoordinatorConfig struct {
 	Store *store.Store
 	// Logger receives lease lifecycle records. nil uses slog.Default().
 	Logger *slog.Logger
-	// Registry, when non-nil, registers the cobrad_fleet_* metric
-	// families (per-worker counters plus coordinator roll-ups). Pass the
-	// batch server's Registry() so they share its /metrics exposition.
-	Registry *obs.Registry
 }
 
 // cellKey identifies one job cell across the fleet: a sweep's cell, or
@@ -141,7 +137,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			logger.Info("fleet lease restored", "lease", l.id, "job", l.key.job, "cell", l.key.cell, "worker", l.worker)
 		}
 	}
-	c.met = newFleetMetrics(cfg.Registry, c)
 	c.hold = ttl / 4
 	if c.hold < 10*time.Millisecond {
 		c.hold = 10 * time.Millisecond
@@ -165,11 +160,12 @@ func leaseSeq(id string) uint64 {
 	return n
 }
 
-// RegisterMetrics registers the cobrad_fleet_* families into reg, for
-// wirings where the registry only exists after the coordinator does
-// (cmd/cobrad builds the coordinator first so a recovering server
-// re-offers cells straight into the restored lease table, then attaches
-// the server's registry). No-op when nil or already registered.
+// RegisterMetrics registers the cobrad_fleet_* families (per-worker
+// counters plus coordinator roll-ups) into reg, the batch server's
+// Registry(), so they share its /metrics exposition. The registry only
+// exists after the coordinator does: cmd/cobrad builds the coordinator
+// first so a recovering server re-offers cells straight into the
+// restored lease table. No-op when nil or already registered.
 func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -710,9 +706,6 @@ type fleetMetrics struct {
 }
 
 func newFleetMetrics(reg *obs.Registry, c *Coordinator) *fleetMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &fleetMetrics{
 		grants:    reg.CounterVec("cobrad_fleet_leases_granted_total", "Cell leases granted, by worker.", "worker"),
 		renews:    reg.CounterVec("cobrad_fleet_lease_renewals_total", "Lease heartbeat renewals accepted, by worker.", "worker"),

@@ -3,6 +3,8 @@ package graphspec
 import (
 	"errors"
 	"testing"
+
+	"github.com/repro/cobra/internal/graph"
 )
 
 func TestParseAllFamilies(t *testing.T) {
@@ -62,6 +64,13 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("spec %q accepted", spec)
 		}
 	}
+	// Oversize specs pass Canonical; the generators' size guards must
+	// refuse them before allocating anything.
+	for _, spec := range []string{"torus:1000000:1000000", "hypercube:40", "grid:99999:99999"} {
+		if _, err := Parse(spec, 1); !errors.Is(err, ErrSpec) {
+			t.Errorf("Parse(%q) = %v, want ErrSpec", spec, err)
+		}
+	}
 }
 
 func TestParseSeedDeterminism(t *testing.T) {
@@ -73,14 +82,52 @@ func TestParseSeedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameGraph(t, "seeded parse", a, b)
+}
+
+// Canonical and Parse read one grammar: extra arguments fail both with
+// ErrSpec, and spaced ones pass both, building the graph of their
+// canonical form.
+func TestOneGrammar(t *testing.T) {
+	for _, spec := range oneGrammarSpecs[:5] {
+		if _, err := Canonical(spec); !errors.Is(err, ErrSpec) {
+			t.Errorf("Canonical(%q) = %v, want ErrSpec", spec, err)
+		}
+		if _, err := Parse(spec, 1); !errors.Is(err, ErrSpec) {
+			t.Errorf("Parse(%q) = %v, want ErrSpec", spec, err)
+		}
+	}
+	for _, spec := range oneGrammarSpecs[5:] {
+		canon, err := Canonical(spec)
+		if err != nil {
+			t.Fatalf("Canonical(%q): %v", spec, err)
+		}
+		g, err := Parse(spec, 3)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		gc, err := Parse(canon, 3)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", canon, err)
+		}
+		sameGraph(t, spec, g, gc)
+	}
+}
+
+// sameGraph fails unless a and b have the same n, m and neighbour lists.
+func sameGraph(t *testing.T, what string, a, b *graph.Graph) {
+	t.Helper()
+	if a.N() != b.N() || a.M() != b.M() {
+		t.Fatalf("%s: different graphs (n=%d/%d m=%d/%d)", what, a.N(), b.N(), a.M(), b.M())
+	}
 	for v := 0; v < a.N(); v++ {
 		na, nb := a.Neighbors(v), b.Neighbors(v)
 		if len(na) != len(nb) {
-			t.Fatal("seeded parse not deterministic")
+			t.Fatalf("%s: vertex %d has degree %d vs %d", what, v, len(na), len(nb))
 		}
 		for i := range na {
 			if na[i] != nb[i] {
-				t.Fatal("seeded parse not deterministic")
+				t.Fatalf("%s: vertex %d neighbour %d is %d vs %d", what, v, i, na[i], nb[i])
 			}
 		}
 	}

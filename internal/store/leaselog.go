@@ -66,21 +66,19 @@ type LeaseEvent struct {
 	Expires  time.Time `json:"expires"`
 }
 
-// LeaseLog is an open append handle on the lease table. Appends are
-// serialized internally; errors are sticky like journal errors.
+// LeaseLog is an open append handle on the lease table: a Journal
+// without a header, whose lines are lease events. Appends are serialized
+// internally; write errors are sticky like any journal's.
 type LeaseLog struct {
-	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
-	m   Metrics
-	err error
+	mu sync.Mutex
+	j  *Journal
 }
 
 // OpenLeaseLog opens (creating if absent) the store's lease log,
 // returning the append handle and every event already on disk. A torn
-// or undecodable tail is truncated away — exactly the ResumeAt
-// discipline — so the returned events are the committed prefix the next
-// append continues.
+// or undecodable tail is truncated away and the truncation fsynced —
+// exactly the ResumeAt discipline — so the returned events are the
+// committed prefix the next append continues.
 func (s *Store) OpenLeaseLog() (*LeaseLog, []LeaseEvent, error) {
 	path := filepath.Join(s.dir, leaseLogName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -88,19 +86,14 @@ func (s *Store) OpenLeaseLog() (*LeaseLog, []LeaseEvent, error) {
 		return nil, nil, fmt.Errorf("store: lease log: %w", err)
 	}
 	events, off, err := ScanLeaseEvents(bufio.NewReaderSize(f, 64<<10))
+	if err == nil {
+		err = truncateAt(f, off)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: lease log: %w", err)
 	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: lease log: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: lease log: %w", err)
-	}
-	return &LeaseLog{f: f, w: bufio.NewWriterSize(f, 16<<10), m: s.metrics}, events, nil
+	return &LeaseLog{j: s.appendHandle(f)}, events, nil
 }
 
 // ScanLeaseEvents parses lease events from r until EOF or the first
@@ -141,56 +134,21 @@ func ScanLeaseEvents(br *bufio.Reader) ([]LeaseEvent, int64, error) {
 func (l *LeaseLog) Append(ev LeaseEvent, commit bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
 	line, err := json.Marshal(ev)
 	if err != nil {
-		l.err = fmt.Errorf("store: lease log: encode: %w", err)
-		return l.err
+		return fmt.Errorf("store: lease log: encode: %w", err)
 	}
-	if len(line) >= maxLine {
-		l.err = fmt.Errorf("store: lease log: event of %d bytes exceeds the %d-byte line limit", len(line), maxLine)
-		return l.err
+	if err := l.j.Append(line); err != nil || !commit {
+		return err
 	}
-	if _, err := l.w.Write(line); err != nil {
-		l.err = fmt.Errorf("store: lease log: %w", err)
-		return l.err
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		l.err = fmt.Errorf("store: lease log: %w", err)
-		return l.err
-	}
-	l.m.Appends.Inc()
-	if !commit {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		l.err = fmt.Errorf("store: lease log: flush: %w", err)
-		return l.err
-	}
-	start := time.Now()
-	err = l.f.Sync()
-	l.m.FsyncSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		l.err = fmt.Errorf("store: lease log: fsync: %w", err)
-	}
-	return l.err
+	return l.j.Commit()
 }
 
 // Close flushes, fsyncs, and closes the log.
 func (l *LeaseLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	flushErr := l.w.Flush()
-	syncErr := l.f.Sync()
-	closeErr := l.f.Close()
-	for _, err := range []error{flushErr, syncErr, closeErr} {
-		if err != nil && l.err == nil {
-			l.err = fmt.Errorf("store: lease log: close: %w", err)
-		}
-	}
-	return l.err
+	return l.j.Close()
 }
 
 // LiveLeases folds a lease event sequence into the set of leases still

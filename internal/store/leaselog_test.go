@@ -124,6 +124,71 @@ func TestLeaseLogTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// testdata/leases.log was written by the lease log of commit f825652,
+// which had its own bufio writer; the log now appends through Journal.
+// The file format is pinned: the file folds to the same live leases,
+// and appending its events (renews buffered, the rest committed) through
+// today's writer reproduces it byte for byte. Never regenerate it.
+func TestLeaseLogReadsOldFile(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", leaseLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := leaseStore(t)
+	if err := os.WriteFile(filepath.Join(s.Dir(), leaseLogName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, events, err := s.OpenLeaseLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 12 {
+		t.Fatalf("replayed %d events, want 12", len(events))
+	}
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	want := []LeaseEvent{
+		{Event: LeaseGrant, Lease: "l1", Job: "s000001", Cell: 0, Worker: "w1", SpecHash: "9f1c0a", Expires: t0.Add(40 * time.Second)},
+		{Event: LeaseGrant, Lease: "l4", Job: "c000002", Cell: 0, Worker: "w2", From: 17, SpecHash: "d03e77", Expires: t0.Add(70 * time.Second)},
+	}
+	live := LiveLeases(events, t0.Add(20*time.Second))
+	if len(live) != len(want) {
+		t.Fatalf("live = %+v, want %+v", live, want)
+	}
+	for i := range want {
+		if !live[i].Expires.Equal(want[i].Expires) {
+			t.Fatalf("live[%d] expires %v, want %v", i, live[i].Expires, want[i].Expires)
+		}
+		live[i].Expires = want[i].Expires
+		if live[i] != want[i] {
+			t.Fatalf("live[%d] = %+v, want %+v", i, live[i], want[i])
+		}
+	}
+
+	fresh := leaseStore(t)
+	l, _, err = fresh.OpenLeaseLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := l.Append(ev, ev.Event != LeaseRenew); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(fresh.Dir(), leaseLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("rewritten lease log differs from testdata:\n%s\nwant:\n%s", got, old)
+	}
+}
+
 func TestLiveLeasesDropExpired(t *testing.T) {
 	t0 := time.Unix(1000, 0).UTC()
 	events := []LeaseEvent{

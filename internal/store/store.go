@@ -206,7 +206,7 @@ func (s *Store) Create(h Header) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	j := &Journal{f: f, w: bufio.NewWriterSize(f, 64<<10), m: s.metrics}
+	j := s.appendHandle(f)
 	if err := j.Append(line); err == nil {
 		err = j.Commit()
 	}
@@ -373,16 +373,30 @@ func (s *Store) reopen(id, op string, keepResults bool) (*Journal, int, error) {
 			off += int64(len(line)) + 1
 		}
 	}
-	if err := f.Truncate(off); err != nil {
+	if err := truncateAt(f, off); err != nil {
 		return fail(err)
+	}
+	return s.appendHandle(f), count, nil
+}
+
+// truncateAt cuts f back to its first off bytes, fsyncs the cut and
+// positions f there for appending: the shared tail of reopening a
+// journal or the lease log after a scan found where its committed
+// prefix ends.
+func truncateAt(f *os.File, off int64) error {
+	if err := f.Truncate(off); err != nil {
+		return err
 	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return fail(err)
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	return &Journal{f: f, w: bufio.NewWriterSize(f, 64<<10), m: s.metrics}, count, nil
+	return f.Sync()
+}
+
+// appendHandle wraps an open file positioned for appending as a Journal
+// reporting to the store's instruments.
+func (s *Store) appendHandle(f *os.File) *Journal {
+	return &Journal{f: f, w: bufio.NewWriterSize(f, 64<<10), m: s.metrics}
 }
 
 // Quarantine renames an unusable journal to <id>.ndjson.corrupt: later
