@@ -218,33 +218,15 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 			end(endComplete)
 			return
 		}
+		// Server shutdown needs no case of its own: Close brings every job
+		// to a terminal state before it returns, so the follower keeps
+		// waiting on the notify channel until the terminal snapshot arrives
+		// and observes the job's fate. Only a client disconnect aborts.
 		select {
 		case <-snap.wake:
 		case <-r.Context().Done():
 			end(endAborted)
 			return
-		case <-s.ctx.Done():
-			// Server shutdown: Close's contract says every job reaches a
-			// terminal state before Close returns, so keep following the
-			// notify channel until the terminal snapshot arrives — the
-			// follower must observe the job's fate, not just lose its
-			// connection. Only a client disconnect aborts the stream now.
-			for {
-				snap := s.snapshotEvents(job)
-				if !deliver(snap) {
-					return
-				}
-				if snap.terminal {
-					end(endComplete)
-					return
-				}
-				select {
-				case <-snap.wake:
-				case <-r.Context().Done():
-					end(endAborted)
-					return
-				}
-			}
 		}
 	}
 }

@@ -12,17 +12,23 @@ import (
 )
 
 // Durability layer of the cobrad service. A Server built with
-// NewServerWith journals every accepted job to a Store: the header
-// (kind + spec) is durable before the submission is acknowledged, result
-// records are appended as trials commit (the same bytes the results
-// endpoint streams), and a terminal record seals the journal when the
-// job finishes. On startup the server replays the store: finished jobs
-// are restored with their aggregates in RAM and their results served
-// from disk; interrupted or still-queued jobs are *resumed* — the
-// committed journal prefix is replayed into RAM (results, aggregates,
-// cell phases) and the job is requeued to execute only the uncommitted
-// tail, which the campaign determinism contract makes byte-identical to
-// the tail the crash destroyed. Unusable journals are quarantined to
+// NewServerWith journals every accepted job to a Store. A job holds one
+// *store.Journal from Create — or from Resume or Reset at recovery —
+// until terminate seals it; an in-memory server's jobs hold nil, which
+// persists nothing and encodes nothing. The header (kind + spec) is
+// durable before the submission is acknowledged, result records are
+// appended as trials commit (the same bytes the results endpoint
+// streams), and a terminal record seals the journal when the job
+// finishes. Journal errors are sticky: a failed write stops persisting,
+// never the run, and terminate logs it once as it seals or closes the
+// journal. On startup the server replays the store: finished jobs are
+// restored with their aggregates in RAM and their results served from
+// disk; interrupted or still-queued jobs are *resumed* — the journal is
+// reopened where Recover's scan found its committed prefix ending, that
+// prefix is replayed into RAM (results, aggregates, cell phases), and
+// the job is requeued to execute only the uncommitted tail, which the
+// campaign determinism contract makes byte-identical to the tail the
+// crash destroyed. Unusable journals are quarantined to
 // <id>.ndjson.corrupt rather than silently rescanned forever.
 
 // Store is the pluggable durability layer behind a persistent Server,
@@ -30,136 +36,46 @@ import (
 // survive a restart, and finished results are never evicted from RAM).
 type Store interface {
 	Create(h store.Header) (*store.Journal, error)
+	Recover() ([]store.Recovered, error)
+	Resume(rec store.Recovered) (*store.Journal, error)
 	Reset(id string) (*store.Journal, error)
-	ResumeAt(id string) (*store.Journal, int, error)
 	Quarantine(id string) error
 	Remove(id string) error
 	Results(id string) (*store.Results, error)
-	Recover() ([]store.Recovered, error)
+	SetMetrics(m store.Metrics)
 }
 
-// campaignCommitEvery is the campaign journal's commit boundary: results
-// are fsynced every this many records (sweeps additionally commit at
-// every cell boundary). Commits define the resume point: recovery keeps
-// the fsynced prefix, replays it from disk, and re-executes only the
-// trials past it, so the boundary bounds how much work an ill-timed
-// crash can force a recovered job to recompute — never correctness,
-// because the committed prefix is byte-identical to what the re-run
-// would produce (the campaign determinism contract).
-const campaignCommitEvery = 256
-
-// journalSink serializes one job's results into its journal. It is used
-// only from the single goroutine running the job (plus Close on the
-// submit path for drained jobs), so it needs no locking. Errors are
-// sticky and silent: a broken journal stops persisting but never fails
-// the in-RAM job; the unterminated journal simply means the job is re-run
-// on the next recovery.
-type journalSink struct {
-	j           *store.Journal
-	uncommitted int
-	broken      bool
-}
-
-func newJournalSink(j *store.Journal) *journalSink {
-	return &journalSink{j: j}
-}
-
-// record appends one result record (json.Marshal of v — byte-identical
-// to the json.Encoder lines the results endpoint streams).
-func (js *journalSink) record(v any) {
-	if js == nil || js.broken {
-		return
-	}
-	line, err := json.Marshal(v)
-	if err != nil {
-		js.broken = true
-		return
-	}
-	if js.j.Append(line) != nil {
-		js.broken = true
-		return
-	}
-	js.uncommitted++
-	if js.uncommitted >= campaignCommitEvery {
-		js.commitNow()
-	}
-}
-
-// boundary marks an explicit commit boundary (sweeps call it when the
-// committed cell changes).
-func (js *journalSink) boundary() {
-	if js == nil || js.broken || js.uncommitted == 0 {
-		return
-	}
-	js.commitNow()
-}
-
-func (js *journalSink) commitNow() {
-	if js.j.Commit() != nil {
-		js.broken = true
-	}
-	js.uncommitted = 0
-}
-
-// finish seals the journal with the job's terminal record, reporting
-// whether the journal is durably terminal (the job's results may then be
-// evicted from RAM and served from disk).
-func (js *journalSink) finish(state JobState, completed int, finished time.Time, final any, errMsg string) bool {
-	if js == nil {
-		return false
-	}
-	if js.broken {
-		js.j.Close()
-		return false
-	}
-	var raw json.RawMessage
-	if final != nil {
-		var err error
-		if raw, err = json.Marshal(final); err != nil {
-			js.broken = true
-			js.j.Close()
-			return false
-		}
-	}
-	err := js.j.Finish(store.Terminal{
-		State:     string(state),
-		Completed: completed,
-		Finished:  finished,
-		Final:     raw,
-		Error:     errMsg,
-	})
-	if err != nil {
-		js.broken = true
-		js.j.Close() // a failed Finish must still release the descriptor
-		return false
-	}
-	return true
-}
-
-// interrupt flushes and closes the journal without a terminal record:
-// the shutdown path for queued and aborted-mid-run jobs, which recovery
-// requeues for a byte-identical re-run.
-func (js *journalSink) interrupt() {
-	if js == nil {
-		return
-	}
-	js.j.Close()
-}
-
-// createJournal opens a journal for a freshly accepted job.
-func (s *Server) createJournal(kind store.Kind, id string, spec any, created time.Time) (*journalSink, error) {
+// createJournal writes and fsyncs a freshly accepted job's journal
+// header; without a store the job keeps a nil journal.
+func (s *Server) createJournal(job *Job) error {
 	if s.store == nil {
-		return nil, nil
+		return nil
 	}
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(job.headerSpec())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	j, err := s.store.Create(store.Header{Kind: kind, ID: id, Created: created, Spec: raw})
-	if err != nil {
-		return nil, err
+	job.journal, err = s.store.Create(store.Header{Kind: job.kind, ID: job.id, Created: job.created, Spec: raw})
+	return err
+}
+
+// seal writes the job's terminal record and closes its journal: the
+// job's terminal state and final aggregate are durable when seal returns
+// nil. Without a journal there is nothing to seal or to encode.
+func (job *Job) seal(state JobState, completed int, finished time.Time, cells []CellSummary, errMsg string) error {
+	if job.journal == nil {
+		return nil
 	}
-	return newJournalSink(j), nil
+	t := store.Terminal{State: string(state), Completed: completed, Finished: finished, Error: errMsg}
+	if final := job.final(cells); final != nil {
+		raw, err := json.Marshal(final)
+		if err != nil {
+			_ = job.journal.Close() // left unsealed: recovery resumes the job
+			return fmt.Errorf("encode final: %w", err)
+		}
+		t.Final = raw
+	}
+	return job.journal.Finish(t)
 }
 
 // recoverJobs replays every journal in the store into the server's job
@@ -220,11 +136,12 @@ func idNumber(id string) int {
 }
 
 // recoverJob rebuilds one journal's job. A sealed journal restores the
-// finished job as it was — results stay on disk. An unterminated one is
-// reopened for resumption: the committed prefix is kept (any torn tail
-// truncated), replayed into RAM, and the job requeued to compute only the
-// tail; a prefix that will not scan falls back to Reset and a
-// from-scratch re-run rather than losing the job.
+// finished job as it was — results stay on disk. An unsealed one is
+// resumed where Recover's scan found its committed prefix ending (any
+// torn tail truncated), the prefix replayed into RAM, and the job
+// requeued to compute only the tail; a prefix that will not replay
+// falls back to Reset and a from-scratch re-run rather than losing the
+// job.
 func (s *Server) recoverJob(rec store.Recovered) error {
 	spec, plan, err := decodeHeader(rec.Header)
 	if err != nil {
@@ -255,21 +172,13 @@ func (s *Server) recoverJob(rec store.Recovered) error {
 			}
 		}
 	} else {
-		j, n, err := s.store.ResumeAt(job.id)
-		if err != nil {
-			s.log().Warn("resume scan failed; re-running from scratch",
-				"job", job.id, "err", err)
-			if j, err = s.store.Reset(job.id); err != nil {
-				return err
-			}
-			n = 0
+		job.journal, err = s.store.Resume(rec)
+		if err == nil && rec.Results > 0 {
+			err = s.replay(job)
 		}
-		job.sink = newJournalSink(j)
-		if n > 0 {
-			if err := s.replay(job, n); err != nil {
-				if err := s.resetForRerun(job, err); err != nil {
-					return err
-				}
+		if err != nil {
+			if err := s.resetForRerun(job, err); err != nil {
+				return err
 			}
 		}
 		s.queue.push(job, true)
@@ -279,19 +188,16 @@ func (s *Server) recoverJob(rec store.Recovered) error {
 	return nil
 }
 
-// replay loads an interrupted job's committed prefix — n result records —
-// from its journal into RAM (results, count, per-cell folds, phases), so
-// the requeued job resumes at record n instead of recomputing the prefix.
-// Records are validated against the flattened (cell, trial) order:
-// record i must carry cell i/Trials, trial i%Trials (a campaign's records
-// carry no cell, which decodes as cell 0). Replayed records never touch
-// the trials-executed counter: only genuinely computed trials count
-// there.
-func (s *Server) replay(job *Job, n int) error {
+// replay loads an interrupted job's committed prefix from its resumed
+// journal into RAM (results, count, per-cell folds, phases), so the
+// requeued job continues after it instead of recomputing it. Records
+// are validated against the flattened (cell, trial) order: record i must
+// carry cell i/Trials, trial i%Trials (a campaign's records carry no
+// cell, which decodes as cell 0). Replayed records never touch the
+// trials-executed counter: only genuinely computed trials count there.
+func (s *Server) replay(job *Job) error {
 	trials := job.sweep.Trials
-	if n > len(job.cellSpecs)*trials {
-		return fmt.Errorf("journal holds %d results for a %d-trial job", n, len(job.cellSpecs)*trials)
-	}
+	total := len(job.cellSpecs) * trials
 	it, err := s.store.Results(job.id)
 	if err != nil {
 		return err
@@ -299,6 +205,9 @@ func (s *Server) replay(job *Job, n int) error {
 	defer it.Close()
 	for it.Next() {
 		i := len(job.cellResults)
+		if i == total {
+			return fmt.Errorf("journal holds more than the job's %d results", total)
+		}
 		var r CellResult
 		if err := json.Unmarshal(it.Line(), &r); err != nil {
 			return fmt.Errorf("undecodable result record %d: %v", i, err)
@@ -313,9 +222,7 @@ func (s *Server) replay(job *Job, n int) error {
 	if err := it.Err(); err != nil {
 		return err
 	}
-	if len(job.cellResults) != n {
-		return fmt.Errorf("journal replay read %d results, resume scan counted %d", len(job.cellResults), n)
-	}
+	n := len(job.cellResults)
 	for i := 0; i < n/trials; i++ {
 		job.cellPhases[i] = CellDone
 	}
@@ -324,19 +231,19 @@ func (s *Server) replay(job *Job, n int) error {
 	return nil
 }
 
-// resetForRerun abandons an unusable committed prefix: the journal is
-// truncated back to its header, RAM state cleared, and the job re-runs
-// from trial 0 — the pre-resume recovery behavior, kept as the fallback.
+// resetForRerun abandons a committed prefix that cannot be resumed: the
+// journal is truncated back to its header, RAM state cleared, and the
+// job re-runs from trial 0 — the pre-resume recovery behavior, kept as
+// the fallback.
 func (s *Server) resetForRerun(job *Job, cause error) error {
 	s.log().Warn("cannot resume from committed prefix; re-running from scratch",
 		"job", job.id, "err", cause)
-	job.sink.interrupt()
-	job.sink = nil
+	_ = job.journal.Close() // nothing appended yet; Reset reopens the file
 	j, err := s.store.Reset(job.id)
 	if err != nil {
 		return err
 	}
-	job.sink = newJournalSink(j)
+	job.journal = j
 	job.cellResults = nil
 	job.completed = 0
 	job.started = false
@@ -356,52 +263,6 @@ func (s *Server) quarantine(id string, cause error) {
 	if err := s.store.Quarantine(id); err != nil {
 		s.log().Error("quarantine journal failed", "job", id, "err", err)
 	}
-}
-
-// reopenSink reopens a resumed job's journal before a run attempt (the
-// previous attempt closed it at a committed boundary when the job was
-// preempted, or recovery's reopen was lost). The scan's committed count
-// is reconciled with RAM: normally they already agree — every record is
-// written to the journal before RAM, and preemption closes with a flush
-// — but if the previous attempt's sink had broken mid-run, disk is
-// behind RAM, and disk wins: the resumed attempt appends after the
-// committed prefix, so RAM rolls back to it and the tail past it is
-// recomputed (byte-identically).
-func (s *Server) reopenSink(job *Job) {
-	if job.sink != nil {
-		return
-	}
-	j, n, err := s.store.ResumeAt(job.id)
-	if err != nil {
-		s.log().Warn("reopen journal for resume failed; continuing without persistence",
-			"job", job.id, "err", err)
-		return
-	}
-	job.sink = newJournalSink(j)
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.completed == n {
-		return
-	}
-	if n > len(job.cellResults) {
-		n = len(job.cellResults) // unreachable: disk never leads RAM
-	}
-	job.cellResults = job.cellResults[:n]
-	for i := range job.cellOnline {
-		job.cellOnline[i] = stats.NewOnline()
-	}
-	for _, r := range job.cellResults {
-		job.cellOnline[r.Cell].Add(float64(r.Rounds))
-	}
-	done := n / job.sweep.Trials
-	for i := range job.cellPhases {
-		if i < done {
-			job.cellPhases[i] = CellDone
-		} else {
-			job.cellPhases[i] = CellQueued
-		}
-	}
-	job.completed = n
 }
 
 // applyTerminal restores a job's terminal state from its journal. The

@@ -176,7 +176,7 @@ type ServerConfig struct {
 	// default; never affects results, only when trials execute.
 	Preempt bool
 	// Logger receives the server's structured log records (recovery
-	// fallbacks, quarantines, resume reconciliation), each carrying the
+	// fallbacks, quarantines, journal write failures), each carrying the
 	// job id and context fields. nil uses slog.Default(), which cmd/cobrad
 	// configures from -log-format.
 	Logger *slog.Logger
@@ -184,7 +184,7 @@ type ServerConfig struct {
 	// admitted cells — a campaign job's one cell included — are handed to
 	// Remote.RunCell instead of being compiled and computed locally, and
 	// the remotely computed trials flow through the exact same reorder
-	// buffer, journal sink, aggregates, and streams — byte-identical to
+	// buffer, journal, aggregates, and streams — byte-identical to
 	// local execution by the campaign determinism contract. See
 	// internal/fleet for the coordinator implementation.
 	Remote CellRunner
@@ -223,8 +223,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Job is one submitted campaign or sweep and its accumulated results.
 // Every job runs as a sweep: a campaign's plan is its one-cell sweep, so
-// one run loop, one set of per-cell RAM state and one journal sink serve
-// both kinds, and kind only selects the wire encoding (wire.go).
+// one run loop, one set of per-cell RAM state and one journal serve both
+// kinds, and kind only selects the wire encoding (wire.go).
 type Job struct {
 	id        string
 	kind      store.Kind // wire encoding: campaign or sweep
@@ -236,7 +236,9 @@ type Job struct {
 	deadline time.Time // zero = none; expired-in-queue jobs never run
 	seq      int       // global submission sequence (FIFO tie-break)
 	queuedAt time.Time // last time the job entered the queue (admission-wait metric)
-	sink     *journalSink
+	// journal is held from submission or recovery until terminate seals
+	// it; nil without a store (see persist.go).
+	journal *store.Journal
 
 	mu          sync.Mutex
 	state       JobState
@@ -364,13 +366,11 @@ func NewServerWith(cfg ServerConfig, st Store) (*Server, error) {
 	if s.store != nil {
 		// Attach the journal instruments before recovery so replay and
 		// resume I/O (fsyncs, appends, quarantines) are observed too.
-		if sm, ok := st.(interface{ SetMetrics(store.Metrics) }); ok {
-			sm.SetMetrics(store.Metrics{
-				Appends:      s.met.journalAppends,
-				FsyncSeconds: s.met.fsync,
-				Quarantines:  s.met.quarantines,
-			})
-		}
+		st.SetMetrics(store.Metrics{
+			Appends:      s.met.journalAppends,
+			FsyncSeconds: s.met.fsync,
+			Quarantines:  s.met.quarantines,
+		})
 		if err := s.recoverJobs(); err != nil {
 			cancel()
 			return nil, err
@@ -584,13 +584,6 @@ func (s *Server) runJob(job *Job) {
 		s.met.admission.Observe(time.Since(queuedAt).Seconds())
 	}
 
-	// A resumed job (preempted earlier, or recovered with its reopen
-	// deferred) has no sink: reopen the journal positioned after the
-	// committed prefix and reconcile RAM with it.
-	if s.store != nil {
-		s.reopenSink(job)
-	}
-
 	sweep, err := CompileSweep(job.sweep, s.cache)
 	if err != nil {
 		s.fail(job, err)
@@ -640,13 +633,15 @@ func (s *Server) runJob(job *Job) {
 	}
 	lastCell := -1
 	cells, err := sweep.RunFrom(runCtx, from, prefix, func(r CellResult) {
+		// Journal errors are sticky and reported once, by terminate: a
+		// failed write stops persisting, never the run.
 		if r.Cell != lastCell {
 			// A new cell starts committing: fsync the finished one (the
 			// sweep journal's commit boundary).
-			job.sink.boundary()
+			_ = job.journal.Commit()
 			lastCell = r.Cell
 		}
-		job.sink.record(job.result(r))
+		_ = job.journal.Record(job.result(r))
 		if !remote {
 			// Coordinator mode: these trials were computed by fleet
 			// workers, not this process — the fleet counters receive
@@ -667,7 +662,7 @@ func (s *Server) runJob(job *Job) {
 			// prefix, then stop the attempt. Trials already in flight may
 			// still deliver before the scheduler drains; each lands in the
 			// journal and RAM alike, keeping the two in lockstep.
-			job.sink.boundary()
+			_ = job.journal.Commit()
 			cancelRun()
 		}
 	})
@@ -697,22 +692,30 @@ func (s *Server) fail(job *Job, err error) {
 // the state becomes visible together with the durable verdict and the
 // job's retention entry: a client that observes done, failed or expired
 // never finds a job whose journal is not yet sealed or that retention
-// cannot evict yet. Shutdown aborts pass seal false and write no
-// terminal record, so recovery requeues them. Cells left running, and
-// every cell of a job that was still queued, end failed: no phantom
-// phase outlives the job (cells of a running job that were never
-// admitted stay queued — they genuinely never started).
+// cannot evict yet. A seal that fails is logged once; the job still
+// shows its terminal state but stays unpersisted, so it is never evicted
+// and the next recovery resumes it from its committed prefix. Shutdown
+// aborts pass seal false and write no terminal record, so recovery
+// requeues them. Cells left running, and every cell of a job that was
+// still queued, end failed: no phantom phase outlives the job (cells of
+// a running job that were never admitted stay queued — they genuinely
+// never started).
 func (s *Server) terminate(job *Job, state JobState, errMsg string, cells []CellSummary, seal bool) {
 	now := time.Now()
-	persisted := false
+	var err error
 	if seal {
 		job.mu.Lock()
 		completed := job.completed
 		job.mu.Unlock()
-		persisted = job.sink.finish(state, completed, now, job.final(cells), errMsg)
+		err = job.seal(state, completed, now, cells, errMsg)
 	} else {
-		job.sink.interrupt()
+		err = job.journal.Close()
 	}
+	if err != nil {
+		s.log().Error("journal write failed; the next recovery resumes the job from its committed prefix",
+			"job", job.id, "state", state, "err", err)
+	}
+	persisted := seal && job.journal != nil && err == nil
 	s.countTerminal(job, state)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -736,12 +739,12 @@ func (s *Server) terminate(job *Job, state JobState, errMsg string, cells []Cell
 }
 
 // requeuePreempted handles a run attempt that stopped because the job
-// was asked to yield: the journal is closed at a committed boundary
-// (reopened by the next attempt via ResumeAt) and the job goes back in
-// the queue at its own priority, state queued. Reports false when the
-// stop was not a preemption — genuine failure (runCtx not cancelled, so
-// the yield was never checkpointed) or server shutdown — in which case
-// the caller's normal error path applies.
+// was asked to yield: the journal is committed at the checkpoint and
+// stays open for the next attempt, and the job goes back in the queue at
+// its own priority, state queued. Reports false when the stop was not a
+// preemption — genuine failure (runCtx not cancelled, so the yield was
+// never checkpointed) or server shutdown — in which case the caller's
+// normal error path applies.
 func (s *Server) requeuePreempted(job *Job, runCtx context.Context) bool {
 	job.mu.Lock()
 	if !job.preempt || runCtx.Err() == nil || s.ctx.Err() != nil {
@@ -764,10 +767,10 @@ func (s *Server) requeuePreempted(job *Job, runCtx context.Context) bool {
 	}
 	job.bumpLocked()
 	job.mu.Unlock()
-	// Close (flush+fsync) the journal so the resumed attempt's ResumeAt
-	// sees every delivered trial as committed prefix.
-	job.sink.interrupt()
-	job.sink = nil
+	// Commit the trials that delivered after the checkpoint too, so the
+	// journal's committed prefix is everything in RAM; the resumed attempt
+	// appends straight after it.
+	_ = job.journal.Commit()
 	s.met.preempts.Inc()
 	if !s.queue.push(job, true) {
 		// The queue closed during the preemption window: Close's drain ran
@@ -874,19 +877,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind store.Kind)
 	// job is never forgotten by a crash. It carries the effective spec
 	// (a sweep's cell_workers default already substituted), so a
 	// recovered re-run uses the same plan.
-	sink, err := s.createJournal(kind, id, job.headerSpec(), job.created)
-	if err != nil {
+	if err := s.createJournal(job); err != nil {
 		httpError(w, http.StatusInternalServerError, "persist submission: "+err.Error())
 		return
 	}
-	job.sink = sink
 
 	// Reserve the queue slot before publishing the job: a rejected
 	// submission must never be observable (a watcher of a published-then-
 	// rolled-back job would hang on a notify that never comes).
 	if !s.queue.push(job, false) {
-		if sink != nil {
-			sink.interrupt()
+		if job.journal != nil {
+			_ = job.journal.Close()
 			_ = s.store.Remove(id)
 		}
 		httpError(w, http.StatusServiceUnavailable, "campaign queue full, retry later")

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -663,5 +665,95 @@ func TestServiceRecoveryKeepsPriority(t *testing.T) {
 			t.Fatalf("recovered jobs never started (low %s, high %s)", ls, hs)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// syncBuffer is a log sink the server's goroutines can share with the
+// test.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServiceFailedSealStaysResumable pins what a job whose journal
+// fails publishes: it still shows its terminal state and serves its
+// results from RAM, the failure is logged once at Error with the job
+// id, retention never evicts it (it was never persisted), and the next
+// recovery resumes it from its committed prefix — here just the header,
+// so the job re-runs to the same bytes.
+func TestServiceFailedSealStaysResumable(t *testing.T) {
+	dir := t.TempDir()
+	var logs syncBuffer
+	cfg := ServerConfig{
+		CampaignWorkers: 1,
+		RetainResults:   -1,
+		RetainTTL:       time.Hour,
+		Logger:          slog.New(slog.NewTextHandler(&logs, nil)),
+	}
+	svc, ts := newPersistentServer(t, dir, cfg)
+	blocker := testSpec()
+	blocker.Graph = "grid:64:64"
+	blocker.Trials = 100
+	bid := postCampaign(t, ts, blocker)
+	spec := testSpec()
+	id := postCampaign(t, ts, spec)
+
+	// Fail an append on the queued job's journal; taking job.mu while the
+	// job is still queued orders the failure before its run.
+	svc.mu.Lock()
+	job := svc.jobs[id]
+	svc.mu.Unlock()
+	job.mu.Lock()
+	if job.state != StateQueued {
+		job.mu.Unlock()
+		t.Fatalf("job %s left the queue before its journal could fail", id)
+	}
+	if job.journal.Append(make([]byte, 1<<20)) == nil {
+		t.Fatal("oversized journal record accepted")
+	}
+	job.mu.Unlock()
+
+	awaitTerminal(t, ts, "/v1/campaigns/"+bid, StateDone)
+	awaitTerminal(t, ts, "/v1/campaigns/"+id, StateDone)
+	live, trailer := fetchRaw(t, ts, "/v1/campaigns/"+id+"/results")
+	if trailer != StreamComplete {
+		t.Fatalf("live trailer %q", trailer)
+	}
+	if got := strings.Count(logs.String(), "level=ERROR msg=\"journal write failed"); got != 1 {
+		t.Fatalf("%d Error records for the failed seal, want 1:\n%s", got, logs.String())
+	}
+	if !strings.Contains(logs.String(), "job="+id) {
+		t.Fatalf("failed-seal record does not name job %s:\n%s", id, logs.String())
+	}
+	// Past the TTL the sealed blocker is evicted; the unsealed job is not.
+	svc.setClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
+	getStatus(t, ts, "/v1/campaigns/"+id)
+	if !jobEvicted(svc, bid) || jobEvicted(svc, id) {
+		t.Fatalf("evicted: sealed %v, unsealed %v; want true, false", jobEvicted(svc, bid), jobEvicted(svc, id))
+	}
+	ts.Close()
+	svc.Close()
+
+	svc2, ts2 := newPersistentServer(t, dir, ServerConfig{})
+	t.Cleanup(func() { ts2.Close(); svc2.Close() })
+	awaitTerminal(t, ts2, "/v1/campaigns/"+id, StateDone)
+	recovered, trailer := fetchRaw(t, ts2, "/v1/campaigns/"+id+"/results")
+	if trailer != StreamComplete || !bytes.Equal(recovered, live) {
+		t.Fatalf("resumed job's stream differs from the live run (trailer %q): %d vs %d bytes", trailer, len(recovered), len(live))
+	}
+	if exec := svc2.TrialsExecuted(); exec != int64(spec.Trials) {
+		t.Fatalf("recovery executed %d trials, want %d (nothing past the header was committed)", exec, spec.Trials)
 	}
 }

@@ -295,6 +295,24 @@ func TestServicePreemptResume(t *testing.T) {
 				t.Fatalf("live follower lost bytes across the preemption: %d vs %d",
 					len(follower), len(want))
 			}
+			if !tc.durable {
+				return
+			}
+			// The one journal the job kept across the preemption holds the
+			// uninterrupted run's bytes too.
+			it, err := svc.store.Results(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			var journal []byte
+			for it.Next() {
+				journal = append(append(journal, it.Line()...), '\n')
+			}
+			if it.Err() != nil || !bytes.Equal(journal, want) {
+				t.Fatalf("journal after preempt + resume differs from the uninterrupted run: %d vs %d bytes (err %v)",
+					len(journal), len(want), it.Err())
+			}
 		})
 	}
 }

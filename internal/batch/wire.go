@@ -11,7 +11,7 @@ import (
 
 // The two wire encodings of a cobrad job. Every job runs one way — as a
 // sweep, through one run loop, one set of per-cell RAM state and one
-// journal sink (service.go, persist.go) — and a campaign is a sweep with
+// journal (service.go, persist.go) — and a campaign is a sweep with
 // one cell (campaignSweep). Only the encoding at the edges depends on
 // the job's kind; all of it lives here except the event stream's, which
 // events.go derives from the same kind:

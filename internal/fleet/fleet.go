@@ -157,14 +157,10 @@ type batchResponse struct {
 	Done     bool  `json:"done,omitempty"`
 }
 
-// registerResponse answers /v1/fleet/register with the protocol timing
-// parameters the worker should run with. PollMilli is the wait after a
-// 204 acquire. This coordinator holds empty acquires, so it answers 0
-// and workers re-acquire at once; a worker registered with an older,
-// polling coordinator gets that coordinator's interval instead.
+// registerResponse answers /v1/fleet/register with the lease TTL the
+// worker derives its heartbeat from.
 type registerResponse struct {
-	TTLMilli  int64 `json:"ttl_ms"`
-	PollMilli int64 `json:"poll_ms"`
+	TTLMilli int64 `json:"ttl_ms"`
 }
 
 // errorResponse is the JSON error body, matching the cobrad server's

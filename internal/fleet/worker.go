@@ -16,8 +16,7 @@ import (
 )
 
 // WorkerConfig configures a fleet worker. It sets no idle poll interval:
-// the coordinator holds an acquire until a cell opens, and its
-// registration answer says how long to wait after a 204 (see Run).
+// the coordinator holds an acquire until a cell opens (see Run).
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (e.g. http://host:8080).
 	Coordinator string
@@ -91,14 +90,13 @@ func (w *Worker) CellsCompleted() int64 { return w.cells.Load() }
 // Run registers and pulls cells until ctx is cancelled or Drain is
 // called. An acquire that finds no open cell is held by the coordinator
 // until one opens or its bound passes; after the coordinator's 204 the
-// worker waits the registered poll_ms (0 from a coordinator that holds
-// acquires) and acquires again, and after a failed acquire it backs off
+// worker acquires again at once, and after a failed acquire it backs off
 // a fixed acquireBackoff. Cancelling ctx is a hard stop: the in-flight
 // cell is abandoned mid-compute and its lease left to expire — the crash
 // path the re-lease machinery exists for. Run returns nil on drain or
 // cancellation; an error only when registration never succeeded.
 func (w *Worker) Run(ctx context.Context) error {
-	ttl, poll, err := w.register(ctx)
+	ttl, err := w.register(ctx)
 	if err != nil {
 		return err
 	}
@@ -109,7 +107,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if hb < 10*time.Millisecond {
 		hb = 10 * time.Millisecond
 	}
-	w.logger.Info("fleet worker running", "worker", w.cfg.ID, "coordinator", w.cfg.Coordinator, "heartbeat", hb, "poll", poll)
+	w.logger.Info("fleet worker running", "worker", w.cfg.ID, "coordinator", w.cfg.Coordinator, "heartbeat", hb)
 	// idle carries the acquires and the waits between them: a hard stop
 	// or a Drain cancels it, while a leased cell runs under ctx alone.
 	idle, stopIdle := context.WithCancel(ctx)
@@ -120,21 +118,19 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		grant, ok, err := w.acquire(idle)
-		wait := poll
 		if err != nil {
 			if idle.Err() != nil {
 				return nil
 			}
 			w.logger.Warn("fleet acquire failed", "worker", w.cfg.ID, "err", err)
-			wait = acquireBackoff
-		}
-		if !ok {
-			if !sleepCtx(idle, wait) {
+			if !sleepCtx(idle, acquireBackoff) {
 				return nil
 			}
 			continue
 		}
-		w.runLease(ctx, grant, hb)
+		if ok {
+			w.runLease(ctx, grant, hb)
+		}
 	}
 }
 
@@ -143,23 +139,23 @@ func (w *Worker) Run(ctx context.Context) error {
 // retrying without hammering it.
 const acquireBackoff = 250 * time.Millisecond
 
-// register announces the worker and fetches protocol timing, retrying
+// register announces the worker and fetches the lease TTL, retrying
 // until the coordinator answers or ctx ends.
-func (w *Worker) register(ctx context.Context) (ttl, poll time.Duration, err error) {
+func (w *Worker) register(ctx context.Context) (time.Duration, error) {
 	for attempt := 0; ; attempt++ {
 		var resp registerResponse
 		status, err := w.post(ctx, "/v1/fleet/register", acquireRequest{Worker: w.cfg.ID}, &resp)
 		if err == nil && status == http.StatusOK {
-			return time.Duration(resp.TTLMilli) * time.Millisecond, time.Duration(resp.PollMilli) * time.Millisecond, nil
+			return time.Duration(resp.TTLMilli) * time.Millisecond, nil
 		}
 		if err == nil {
-			return 0, 0, fmt.Errorf("fleet: register: coordinator answered %d", status)
+			return 0, fmt.Errorf("fleet: register: coordinator answered %d", status)
 		}
 		if attempt >= 50 {
-			return 0, 0, fmt.Errorf("fleet: register: %w", err)
+			return 0, fmt.Errorf("fleet: register: %w", err)
 		}
 		if !sleepCtx(ctx, 200*time.Millisecond) {
-			return 0, 0, ctx.Err()
+			return 0, ctx.Err()
 		}
 	}
 }

@@ -75,10 +75,11 @@ type LeaseLog struct {
 }
 
 // OpenLeaseLog opens (creating if absent) the store's lease log,
-// returning the append handle and every event already on disk. A torn
-// or undecodable tail is truncated away and the truncation fsynced —
-// exactly the ResumeAt discipline — so the returned events are the
-// committed prefix the next append continues.
+// returning the append handle and every event already on disk. Like a
+// job journal's Resume, the one scan finds where the committed prefix
+// ends, and a torn or undecodable tail past it is truncated away and the
+// truncation fsynced, so the returned events are the prefix the next
+// append continues.
 func (s *Store) OpenLeaseLog() (*LeaseLog, []LeaseEvent, error) {
 	path := filepath.Join(s.dir, leaseLogName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -130,15 +131,13 @@ func ScanLeaseEvents(br *bufio.Reader) ([]LeaseEvent, int64, error) {
 // expire, release) pass commit=true to fsync before returning — those
 // transitions decide which worker owns a cell and must survive a crash;
 // renews pass commit=false (losing a buffered renew on crash only
-// shortens a recovered lease's remaining TTL, never changes ownership).
+// shortens a recovered lease's remaining TTL, never changes ownership),
+// and are fsynced with the next commit, or by the journal's own cadence
+// once commitEvery events are pending.
 func (l *LeaseLog) Append(ev LeaseEvent, commit bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("store: lease log: encode: %w", err)
-	}
-	if err := l.j.Append(line); err != nil || !commit {
+	if err := l.j.Record(ev); err != nil || !commit {
 		return err
 	}
 	return l.j.Commit()

@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// TestResumeAtKeepsCommittedPrefix pins the resume contract: ResumeAt on
-// an interrupted journal with a torn final line keeps every committed
+// TestResumeKeepsCommittedPrefix pins the resume contract: Resume on an
+// interrupted journal with a torn final line keeps every committed
 // record, truncates only the torn tail, and returns an append handle
 // that continues the stream exactly where the prefix ends.
-func TestResumeAtKeepsCommittedPrefix(t *testing.T) {
+func TestResumeKeepsCommittedPrefix(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -40,12 +40,13 @@ func TestResumeAtKeepsCommittedPrefix(t *testing.T) {
 	}
 	f.Close()
 
-	j2, n, err := s.ResumeAt("c000010")
+	rec := recoverOne(t, s, "c000010")
+	if rec.Err != nil || rec.Terminal != nil || rec.Results != 5 {
+		t.Fatalf("interrupted journal scans as %+v (err %v), want 5 results", rec, rec.Err)
+	}
+	j2, err := s.Resume(rec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("resume count %d, want 5", n)
 	}
 	// The torn tail is gone: appending continues the stream cleanly and
 	// the finished journal replays prefix + tail as one unbroken section.
@@ -68,15 +69,15 @@ func TestResumeAtKeepsCommittedPrefix(t *testing.T) {
 	if it.Err() != nil || i != 6 {
 		t.Fatalf("replayed %d lines, err %v", i, it.Err())
 	}
-	rec := recoverOne(t, s, "c000010")
+	rec = recoverOne(t, s, "c000010")
 	if rec.Err != nil || rec.Terminal == nil || rec.Results != 6 {
 		t.Fatalf("after resume: %+v (err %v)", rec, rec.Err)
 	}
 }
 
-// TestResumeAtCleanBoundary covers the no-torn-tail shape: a journal
+// TestResumeCleanBoundary covers the no-torn-tail shape: a journal
 // closed exactly at a commit boundary resumes with zero truncation.
-func TestResumeAtCleanBoundary(t *testing.T) {
+func TestResumeCleanBoundary(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -87,19 +88,22 @@ func TestResumeAtCleanBoundary(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, n, err := s.ResumeAt("c000011")
+	j2, err := s.Resume(recoverOne(t, s, "c000011"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("resume count %d, want 2", n)
-	}
+	record(t, j2, 2, 5)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if rec := recoverOne(t, s, "c000011"); rec.Err != nil || rec.Results != 3 {
+		t.Fatalf("resumed journal rescans as %+v (err %v), want 3 results", rec, rec.Err)
+	}
 }
 
-func TestResumeAtRejectsFinishedJournal(t *testing.T) {
+// TestResumeRejectsFinishedJournal: a sealed journal is never resumed,
+// and neither is a Recovered that Recover did not produce.
+func TestResumeRejectsFinishedJournal(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +113,56 @@ func TestResumeAtRejectsFinishedJournal(t *testing.T) {
 	if err := j.Finish(Terminal{State: "done", Completed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ResumeAt("c000012"); err == nil {
-		t.Fatal("ResumeAt accepted a finished journal")
+	if _, err := s.Resume(recoverOne(t, s, "c000012")); err == nil {
+		t.Fatal("Resume accepted a finished journal")
 	}
-	// The finished journal is untouched by the failed resume.
+	if _, err := s.Resume(Recovered{Header: Header{ID: "c000012"}}); err == nil {
+		t.Fatal("Resume accepted a journal Recover never scanned")
+	}
+	// The finished journal is untouched by the failed resumes.
 	rec := recoverOne(t, s, "c000012")
 	if rec.Err != nil || rec.Terminal == nil || rec.Results != 1 {
 		t.Fatalf("finished journal damaged: %+v (err %v)", rec, rec.Err)
+	}
+}
+
+// TestFailedFinishLeavesResumableJournal pins what a failed seal leaves
+// behind: Finish reports the failure and releases the journal, Recover
+// then finds the journal unsealed with its last committed prefix, and
+// resuming it continues that prefix.
+func TestFailedFinishLeavesResumableJournal(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := mustCreate(t, s, "c000016")
+	record(t, j, 0, 3)
+	record(t, j, 1, 4)
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	record(t, j, 2, 5) // buffered, never committed
+	j.f.Close()        // the file goes away under the journal
+	if err := j.Finish(Terminal{State: "done", Completed: 3}); err == nil {
+		t.Fatal("Finish on a closed file reported success")
+	}
+	if err := j.Close(); err == nil {
+		t.Fatal("Close after a failed Finish cleared the error")
+	}
+	rec := recoverOne(t, s, "c000016")
+	if rec.Err != nil || rec.Terminal != nil || rec.Results != 2 {
+		t.Fatalf("after a failed seal the journal scans as %+v (err %v), want unsealed with 2 results", rec, rec.Err)
+	}
+	j2, err := s.Resume(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(t, j2, 2, 5)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := recoverOne(t, s, "c000016"); rec.Err != nil || rec.Terminal != nil || rec.Results != 3 {
+		t.Fatalf("resumed journal rescans as %+v (err %v), want 3 results", rec, rec.Err)
 	}
 }
 
@@ -145,8 +192,9 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 }
 
 // TestScanRejectsOversizedLine pins the read-side bound: a journal line
-// past maxLine fails the recovery scan (Recovered.Err) and ResumeAt —
-// instead of being buffered whole — so the caller quarantines the file.
+// past maxLine fails the recovery scan (Recovered.Err) instead of being
+// buffered whole, so the journal cannot be resumed and the caller
+// quarantines the file.
 func TestScanRejectsOversizedLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -172,8 +220,8 @@ func TestScanRejectsOversizedLine(t *testing.T) {
 	if rec.Err == nil {
 		t.Fatalf("oversized line not flagged: %+v", rec)
 	}
-	if _, _, err := s.ResumeAt("c000014"); err == nil {
-		t.Fatal("ResumeAt accepted an oversized line")
+	if _, err := s.Resume(rec); err == nil {
+		t.Fatal("Resume accepted a journal with an oversized line")
 	}
 }
 
@@ -205,8 +253,8 @@ func TestQuarantine(t *testing.T) {
 // FuzzRecoverScan feeds arbitrary (mostly truncated-journal) bytes to
 // the recovery scan: Recover must classify without panicking or
 // unbounded allocation, and any journal it reports as scannable and
-// unterminated must then be resumable with the same committed count —
-// the scan and ResumeAt may never disagree about the prefix.
+// unsealed must resume from that one scan — Resume reads nothing more —
+// so that appending one record rescans as the scan's count plus one.
 func FuzzRecoverScan(f *testing.F) {
 	hdr, err := json.Marshal(Header{
 		Journal: Magic, Version: Version, Kind: KindCampaign, ID: "c000001",
@@ -252,12 +300,9 @@ func FuzzRecoverScan(f *testing.F) {
 		if rec.Err != nil || rec.Terminal != nil {
 			return // unusable or finished: nothing to resume
 		}
-		j, n, err := s.ResumeAt("c000001")
+		j, err := s.Resume(rec)
 		if err != nil {
 			t.Fatalf("scan succeeded but resume failed: %v", err)
-		}
-		if n != rec.Results {
-			t.Fatalf("resume count %d != scan count %d", n, rec.Results)
 		}
 		if err := j.Append([]byte(`{"trial":99,"rounds":1}`)); err != nil {
 			t.Fatal(err)
@@ -265,8 +310,8 @@ func FuzzRecoverScan(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if rec2 := recoverOne(t, s, "c000001"); rec2.Err != nil || rec2.Results != n+1 {
-			t.Fatalf("appended journal rescans as %+v (err %v), want %d results", rec2, rec2.Err, n+1)
+		if rec2 := recoverOne(t, s, "c000001"); rec2.Err != nil || rec2.Terminal != nil || rec2.Results != rec.Results+1 {
+			t.Fatalf("appended journal rescans as %+v (err %v), want %d results", rec2, rec2.Err, rec.Results+1)
 		}
 	})
 }

@@ -22,19 +22,22 @@
 //
 // The header is fsynced before the submission is acknowledged, so an
 // accepted job is never forgotten. Result records are buffered and
-// fsynced at commit boundaries (Journal.Commit — the service commits
-// periodically for campaigns and at each cell commit for sweeps) and the
-// terminal record is fsynced before the journal closes, so a finished
-// job's results and aggregate survive any later crash. Between commit
-// boundaries a crash may lose buffered result lines — harmless, because
-// the complete lines that did reach disk are a committed prefix of the
-// result stream, and the campaign determinism contract (see
-// internal/batch) guarantees the job's re-run reproduces exactly that
-// prefix before computing the tail. ResumeAt is the recovery entry
-// point for unterminated journals: it keeps the committed prefix,
-// truncates any torn final line (crash mid-write), and positions an
-// append handle after the last complete record, so recovery replays the
-// prefix from disk and re-executes only the uncommitted tail.
+// fsynced at commit boundaries: Append commits every commitEvery
+// records, and the service calls Journal.Commit at each sweep cell
+// boundary and at a preemption checkpoint. The terminal record is
+// fsynced before the journal closes, so a finished job's results and
+// aggregate survive any later crash. Between commit boundaries a crash
+// may lose buffered result lines — harmless, because the complete lines
+// that did reach disk are a committed prefix of the result stream, and
+// the campaign determinism contract (see internal/batch) guarantees the
+// job's re-run reproduces exactly that prefix before computing the tail.
+//
+// Recover is the recovery entry point. Its one scan classifies every
+// journal and, for an unsealed one, records where the committed prefix
+// ends; Resume then truncates the file there (dropping a torn final
+// line) and returns an append handle without reading the file again, so
+// recovery replays the prefix from disk and re-executes only the
+// uncommitted tail. Reset is the fallback when the prefix is unusable.
 //
 // Every journal line is bounded by maxLine on both sides: Append rejects
 // oversized records with a sticky error, and the recovery scan fails a
@@ -173,14 +176,25 @@ func validID(id string) bool {
 	return true
 }
 
-// Journal is an open append handle on one job's journal file.
+// Journal is an open append handle on one job's journal file. A job
+// holds one from Create (or Resume/Reset at recovery) until Finish seals
+// it. A nil *Journal persists nothing: every method is a no-op returning
+// nil, so a server without a store runs the same code.
 type Journal struct {
-	f        *os.File
-	w        *bufio.Writer
-	m        Metrics // observe-only; zero value no-ops
-	err      error   // first write error; later operations are no-ops
-	finished bool
+	f       *os.File
+	w       *bufio.Writer
+	m       Metrics // observe-only; zero value no-ops
+	err     error   // first failure; later writes are no-ops
+	pending int     // records appended since the last commit
+	closed  bool
 }
+
+// commitEvery is the journal's commit cadence: Append commits once this
+// many records are pending. Commits define a job's resume point, so the
+// cadence bounds how much work an ill-timed crash can force a recovered
+// job to recompute — never correctness, because the committed prefix is
+// byte-identical to what the re-run would produce.
+const commitEvery = 256
 
 // sync fsyncs the journal file, timing the call.
 func (j *Journal) sync() error {
@@ -219,12 +233,16 @@ func (s *Store) Create(h Header) (*Journal, error) {
 }
 
 // Append buffers one NDJSON record (json.Marshal output, no trailing
-// newline — Append adds it). Records must fit the journal line limit: an
-// oversized record fails without being written, so the scan-side bound
-// never encounters a line this package produced. Errors are sticky:
-// after the first failure every later Append/Commit/Finish returns it
-// without writing.
+// newline — Append adds it) and commits once commitEvery records are
+// pending. Records must fit the journal line limit: an oversized record
+// fails without being written, so the scan-side bound never encounters
+// a line this package produced. Errors are sticky: after the first
+// failure every later Append/Record/Commit/Finish returns it without
+// writing.
 func (j *Journal) Append(record []byte) error {
+	if j == nil {
+		return nil
+	}
 	if j.err != nil {
 		return j.err
 	}
@@ -241,13 +259,39 @@ func (j *Journal) Append(record []byte) error {
 		return j.err
 	}
 	j.m.Appends.Inc()
+	j.pending++
+	if j.pending >= commitEvery {
+		return j.Commit()
+	}
 	return nil
 }
 
-// Commit flushes buffered records and fsyncs the file — a commit
-// boundary: everything appended so far survives a crash.
-func (j *Journal) Commit() error {
+// Record appends v's JSON encoding as one record: json.Marshal output,
+// byte-identical to the lines json.Encoder writes on the wire. An
+// encoding failure is sticky like a write failure.
+func (j *Journal) Record(v any) error {
+	if j == nil {
+		return nil
+	}
 	if j.err != nil {
+		return j.err
+	}
+	line, err := json.Marshal(v)
+	if err != nil {
+		j.err = fmt.Errorf("store: encode: %w", err)
+		return j.err
+	}
+	return j.Append(line)
+}
+
+// Commit flushes buffered records and fsyncs the file — a commit
+// boundary: everything appended so far survives a crash. With nothing
+// pending it does nothing.
+func (j *Journal) Commit() error {
+	if j == nil {
+		return nil
+	}
+	if j.err != nil || j.pending == 0 {
 		return j.err
 	}
 	if err := j.w.Flush(); err != nil {
@@ -256,127 +300,90 @@ func (j *Journal) Commit() error {
 	}
 	if err := j.sync(); err != nil {
 		j.err = fmt.Errorf("store: fsync: %w", err)
+		return j.err
 	}
-	return j.err
+	j.pending = 0
+	return nil
 }
 
 // Finish appends the terminal record, commits, and closes the journal:
 // the job's terminal state and final aggregate are durable when Finish
-// returns. A finished journal is complete — Recover restores it without
-// re-running the job.
+// returns nil. A finished journal is complete — Recover restores it
+// without re-running the job. Finish releases the file on every outcome
+// and returns the journal's first error, an earlier failed append's
+// included; the journal is then unsealed, and Recover reports its
+// committed prefix for Resume.
 func (j *Journal) Finish(t Terminal) error {
-	if j.err != nil {
-		return j.err
-	}
-	t.JournalEnd = true
-	line, err := json.Marshal(t)
-	if err != nil {
-		j.err = fmt.Errorf("store: encode terminal: %w", err)
-		return j.err
-	}
-	if err := j.Append(line); err != nil {
-		return err
-	}
-	if err := j.Commit(); err != nil {
-		return err
-	}
-	j.finished = true
-	if err := j.f.Close(); err != nil {
-		j.err = fmt.Errorf("store: close: %w", err)
-	}
-	return j.err
-}
-
-// Close flushes and closes the journal without a terminal record —
-// the shutdown path for interrupted jobs: Recover sees an unterminated
-// journal and requeues the job for a (byte-identical) re-run.
-func (j *Journal) Close() error {
-	if j.finished {
+	if j == nil {
 		return nil
 	}
-	flushErr := j.w.Flush()
-	syncErr := j.sync()
-	closeErr := j.f.Close()
-	for _, err := range []error{flushErr, syncErr, closeErr} {
-		if err != nil && j.err == nil {
+	t.JournalEnd = true
+	j.Record(t) // a failure is sticky: Close returns it
+	return j.Close()
+}
+
+// Close commits and closes the journal without a terminal record — the
+// shutdown path for interrupted jobs: Recover sees an unsealed journal
+// and the job resumes from its committed prefix. It closes the file
+// once and returns the journal's first error.
+func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
+	j.Commit() // a failure is sticky: returned below
+	if !j.closed {
+		j.closed = true
+		if err := j.f.Close(); err != nil && j.err == nil {
 			j.err = fmt.Errorf("store: close: %w", err)
 		}
 	}
-	j.finished = true
 	return j.err
 }
 
-// Reset truncates a recovered journal back to its header, returning an
-// append handle positioned for the job's re-run from trial 0. It is the
-// fallback when the committed prefix is unusable (see ResumeAt, which
-// keeps the prefix); a crash during or after Reset leaves the journal
-// unterminated, so the job is simply requeued again on the next
-// recovery.
+// Resume reopens an unsealed journal that Recover scanned: it truncates
+// the file where the scan found the committed prefix ending — dropping a
+// torn final line left by a crash mid-append — and returns an append
+// handle positioned there. It reads nothing; the caller replays the
+// rec.Results committed records (Results) and re-executes only the tail.
+// A journal the scan found sealed or unusable cannot be resumed.
+func (s *Store) Resume(rec Recovered) (*Journal, error) {
+	if rec.Err != nil || rec.Terminal != nil || rec.end == 0 {
+		return nil, fmt.Errorf("store: resume %s: not an unsealed journal scanned by Recover", rec.Header.ID)
+	}
+	return s.reopen(rec.Header.ID, "resume", rec.end)
+}
+
+// Reset truncates a journal back to its header, returning an append
+// handle positioned for the job's re-run from trial 0. It is the
+// fallback when the committed prefix is unusable; a crash during or
+// after Reset leaves the journal unsealed, so the job is simply requeued
+// again on the next recovery.
 func (s *Store) Reset(id string) (*Journal, error) {
-	j, _, err := s.reopen(id, "reset", false)
-	return j, err
+	return s.reopen(id, "reset", -1)
 }
 
-// ResumeAt opens an interrupted journal for resumption: it scans the
-// committed result lines, truncates any torn final line (crash
-// mid-append), and returns an append handle positioned after the last
-// complete record, plus the committed result count. The caller replays
-// those records from disk (Results) and re-executes only the tail — the
-// committed prefix is never recomputed. A journal that already carries a
-// terminal record, or whose lines are oversized or header unreadable, is
-// an error: finished journals are never resumed, and a corrupt prefix
-// falls back to Reset.
-func (s *Store) ResumeAt(id string) (*Journal, int, error) {
-	return s.reopen(id, "resume", true)
-}
-
-// reopen is the shared Reset/ResumeAt implementation: it validates the
-// header, finds the keep boundary (after the header, or after the last
-// complete result line when keepResults is set), truncates everything
-// past it, and returns an append handle positioned there.
-func (s *Store) reopen(id, op string, keepResults bool) (*Journal, int, error) {
+// reopen opens a journal for appending at byte offset off, truncating
+// everything past it; a negative off means just past the header, which
+// is read and checked first.
+func (s *Store) reopen(id, op string, off int64) (*Journal, error) {
 	if !validID(id) {
-		return nil, 0, fmt.Errorf("store: invalid job id %q", id)
+		return nil, fmt.Errorf("store: invalid job id %q", id)
 	}
 	f, err := os.OpenFile(s.path(id), os.O_RDWR, 0)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	fail := func(err error) (*Journal, int, error) {
-		f.Close()
-		return nil, 0, fmt.Errorf("store: %s %s: %w", op, id, err)
+	if off < 0 {
+		_, off, err = readHeader(bufio.NewReader(f), id)
 	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	header, err := readLine(br)
+	if err == nil {
+		err = truncateAt(f, off)
+	}
 	if err != nil {
-		return fail(fmt.Errorf("unreadable header: %w", err))
+		f.Close()
+		return nil, fmt.Errorf("store: %s %s: %w", op, id, err)
 	}
-	var h Header
-	if err := json.Unmarshal(header, &h); err != nil || h.Journal != Magic || h.ID != id || h.Version > Version {
-		return fail(fmt.Errorf("bad header %.80q", header))
-	}
-	off := int64(len(header)) + 1
-	count := 0
-	if keepResults {
-		for {
-			line, err := readLine(br)
-			if err == errLineTooLong {
-				return fail(fmt.Errorf("result line exceeds %d bytes", maxLine))
-			}
-			if err != nil {
-				break // clean end or torn tail: the committed prefix ends here
-			}
-			if _, ok := terminalRecord(line); ok {
-				return fail(fmt.Errorf("journal already finished"))
-			}
-			count++
-			off += int64(len(line)) + 1
-		}
-	}
-	if err := truncateAt(f, off); err != nil {
-		return fail(err)
-	}
-	return s.appendHandle(f), count, nil
+	return s.appendHandle(f), nil
 }
 
 // truncateAt cuts f back to its first off bytes, fsyncs the cut and
@@ -435,11 +442,14 @@ type Recovered struct {
 	Terminal *Terminal
 	Results  int
 	Err      error
+	end      int64 // byte offset where the committed prefix ends (for Resume)
 }
 
 // Recover parses every journal in the directory, in id order. A torn
 // final line (crash mid-append) is ignored: the affected journal simply
-// reports one fewer committed result, or no terminal record.
+// reports one fewer committed result, or no terminal record. An unsealed
+// journal's Recovered also records where its committed prefix ends, for
+// Resume.
 func (s *Store) Recover() ([]Recovered, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -469,17 +479,12 @@ func (s *Store) scan(id string) Recovered {
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64<<10)
 
-	header, err := readLine(br)
+	h, end, err := readHeader(br, id)
 	if err != nil {
-		rec.Err = fmt.Errorf("store: journal %s: unreadable header: %w", id, err)
+		rec.Err = fmt.Errorf("store: journal %s: %w", id, err)
 		return rec
 	}
-	var h Header
-	if err := json.Unmarshal(header, &h); err != nil || h.Journal != Magic || h.ID != id || h.Version > Version {
-		rec.Err = fmt.Errorf("store: journal %s: bad header %.80q", id, header)
-		return rec
-	}
-	rec.Header = h
+	rec.Header, rec.end = h, end
 
 	for {
 		line, err := readLine(br)
@@ -500,7 +505,22 @@ func (s *Store) scan(id string) Recovered {
 			return rec
 		}
 		rec.Results++
+		rec.end += int64(len(line)) + 1
 	}
+}
+
+// readHeader reads and checks a journal's first line, returning the
+// header and the byte offset just past it.
+func readHeader(br *bufio.Reader, id string) (Header, int64, error) {
+	line, err := readLine(br)
+	if err != nil {
+		return Header{}, 0, fmt.Errorf("unreadable header: %w", err)
+	}
+	var h Header
+	if err := json.Unmarshal(line, &h); err != nil || h.Journal != Magic || h.ID != id || h.Version > Version {
+		return Header{}, 0, fmt.Errorf("bad header %.80q", line)
+	}
+	return h, int64(len(line)) + 1, nil
 }
 
 // readLine returns the next complete (newline-terminated) line without

@@ -41,8 +41,23 @@ func TestStoreMetrics(t *testing.T) {
 	if got := fsync.Count(); got <= createFsyncs {
 		t.Fatalf("commit recorded no fsync (count still %d)", got)
 	}
+	// A commit with nothing pending, and a close after it, fsync nothing;
+	// Append commits on its own once commitEvery records are pending.
+	committed := fsync.Count()
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < commitEvery; k++ {
+		record(t, j, 2+k, 1)
+		if want := committed + int64((k+1)/commitEvery); fsync.Count() != want {
+			t.Fatalf("after %d more records: %d fsyncs, want %d", k+1, fsync.Count(), want)
+		}
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := fsync.Count(); got != committed+1 {
+		t.Fatalf("close with nothing pending fsynced: %d fsyncs, want %d", got, committed+1)
 	}
 
 	if err := s.Quarantine("c000001"); err != nil {

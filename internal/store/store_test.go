@@ -107,6 +107,14 @@ func TestJournalLifecycle(t *testing.T) {
 	if _, err := s.Create(testHeader("c000001")); err == nil {
 		t.Fatal("duplicate journal created")
 	}
+
+	// A nil journal persists nothing and never fails.
+	var none *Journal
+	for _, err := range []error{none.Append(lines[0]), none.Record(term), none.Commit(), none.Finish(term), none.Close()} {
+		if err != nil {
+			t.Fatalf("nil journal: %v", err)
+		}
+	}
 }
 
 func TestJournalInterruptedAndReset(t *testing.T) {
