@@ -350,3 +350,59 @@ func BenchmarkEngineCoverAdaptive(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineDraws measures one dense round on RandomRegular(2^18, 3),
+// the paper-sweep expander, through a workspace, from a fixed frontier of
+// every other vertex (reinstalled outside the timer). The round's cost is
+// the per-vertex draws: b pushes per COBRA frontier vertex, up to b pulls
+// per BIPS vertex. The plain configurations (b = 1, 2, 3) take their
+// first three draws in closed form; b = 2 with ρ = 0.5 and b = 2 lazy
+// build each vertex's generator. Every row must report 0 allocs/op.
+func BenchmarkEngineDraws(b *testing.B) {
+	g, err := graph.RandomRegular(1<<18, 3, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	half := make([]int, 0, g.N()/2)
+	for v := 0; v < g.N(); v += 2 {
+		half = append(half, v)
+	}
+	configs := []struct {
+		name string
+		par  engine.Params
+	}{
+		{"b=1", engine.Params{Branch: 1}},
+		{"b=2", engine.Params{Branch: 2}},
+		{"b=3", engine.Params{Branch: 3}},
+		{"b=2,rho=0.5", engine.Params{Branch: 2, Rho: 0.5}},
+		{"b=2,lazy", engine.Params{Branch: 2, Lazy: true}},
+	}
+	for _, kind := range []string{"cobra", "bips"} {
+		for _, c := range configs {
+			b.Run(kind+"/"+c.name, func(b *testing.B) {
+				par := c.par
+				par.Mode = engine.ForceDense
+				ws := engine.NewWorkspace()
+				var k *engine.Kernel
+				var err error
+				if kind == "cobra" {
+					k, err = engine.NewCobraWith(ws, g, par, []int{0}, 1)
+				} else {
+					k, err = engine.NewBipsWith(ws, g, par, 0, 1)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				k.InstallFrontier(half) // grows the member slice before the timer runs
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					k.InstallFrontier(half)
+					b.StartTimer()
+					k.Step()
+				}
+			})
+		}
+	}
+}

@@ -60,19 +60,15 @@ func main() {
 	}
 
 	params := experiments.Params{Seed: *seed, Scale: scale, Workers: *workers}
-	fmt.Fprintf(out, "COBRA reproduction experiments (seed=%d scale=%s)\n\n", *seed, *scaleFlag)
-	for _, exp := range experiments.All() {
-		if len(wanted) > 0 && !wanted[exp.ID] {
-			continue
-		}
-		fmt.Fprintf(out, "[%s] %s\n", exp.ID, exp.Name)
-		start := time.Now()
-		tb, err := exp.Run(params)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", exp.ID, err))
-		}
-		tb.Render(out)
-		fmt.Fprintf(out, "(%s in %.1fs)\n\n", exp.ID, time.Since(start).Seconds())
+	var keep func(string) bool
+	if len(wanted) > 0 {
+		keep = func(id string) bool { return wanted[id] }
+	}
+	err := experiments.Report(out, params, keep, func(id string, took time.Duration) {
+		fmt.Fprintf(out, "(%s in %.1fs)\n", id, took.Seconds())
+	})
+	if err != nil {
+		fatal(err)
 	}
 }
 

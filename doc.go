@@ -63,9 +63,11 @@
 // evaluates them in vertex order. A dense round scans the frontier
 // bitset 64 vertices per word with no member slice at all, and sums its
 // bookkeeping — next-frontier popcount, frontier volume, newly-covered
-// count — in the pass that stores each word. Either way a vertex seeds
-// its (round, vertex) stream once and draws its particles or pulls
-// inline, with no call per draw. Every round runs on the calling
+// count — in the pass that stores each word. Either way a vertex draws
+// its particles or pulls inline from its (round, vertex) stream, with no
+// call per draw; without ρ or laziness its first three draws come in
+// closed form from the stream's splitmix64 words, so no generator state
+// is built at b ≤ 3 (BenchmarkEngineDraws). Every round runs on the calling
 // goroutine: the paper's bounds are distributions over independent
 // trials, so the batch layer parallelises across trials and sweep cells
 // instead. Steady-state wide rounds are allocation-free under workspace

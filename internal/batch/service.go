@@ -318,6 +318,8 @@ type Server struct {
 	finishedJobs []*Job            // terminal persisted jobs in finish order (retention)
 	running      map[*Job]struct{} // jobs currently on a campaign worker (preemption)
 	clock        func() time.Time  // time source for retention; tests may override
+
+	commitHook func(r CellResult) // tests only: runs before a job records r
 }
 
 // NewServer builds an in-memory service and starts its campaign workers.
@@ -461,6 +463,16 @@ func (s *Server) setClock(now func() time.Time) {
 	s.mu.Unlock()
 }
 
+// setCommitHook installs fn to run on a job's committer before each
+// result is journaled and recorded (tests only). Holding the committer
+// there parks the job at a trial boundary, as a slow client or disk
+// would.
+func (s *Server) setCommitHook(fn func(r CellResult)) {
+	s.mu.Lock()
+	s.commitHook = fn
+	s.mu.Unlock()
+}
+
 // retentionLoop enforces RetainTTL on a timer, so expired result slices
 // are released even when no job finishes and no client reads — the
 // pre-ticker behavior left them in RAM indefinitely on an idle server.
@@ -561,6 +573,7 @@ func (s *Server) expireJob(job *Job) bool {
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	s.running[job] = struct{}{}
+	hook := s.commitHook
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -633,6 +646,9 @@ func (s *Server) runJob(job *Job) {
 	}
 	lastCell := -1
 	cells, err := sweep.RunFrom(runCtx, from, prefix, func(r CellResult) {
+		if hook != nil {
+			hook(r)
+		}
 		// Journal errors are sticky and reported once, by terminate: a
 		// failed write stops persisting, never the run.
 		if r.Cell != lastCell {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -198,16 +199,26 @@ func preemptionsOf(t *testing.T, ts *httptest.Server, path string) int {
 // streaming across the preemption — and its status must report the
 // checkpoint. Covered for a durable campaign, a durable sweep, and an
 // in-memory campaign (no store: the checkpoint is RAM state alone).
+//
+// The victim's committer is held before it records trial holdAt until
+// the interloper is queued, so the yield is seen at that boundary. The
+// claimers run at most 64 buffered events plus one unit per worker ahead
+// of the committer, and each victim has far more trials than that past
+// holdAt: the yield always finds trials left to checkpoint, instead of a
+// run whose every trial was already computed.
 func TestServicePreemptResume(t *testing.T) {
+	const holdAt = 10
 	victim := testSpec()
 	victim.Graph = "grid:64:64"
 	victim.Trials = 200
+	victim.Workers = 2
 	sweepVictim := SweepSpec{
 		Graphs:    []string{"grid:64:64"},
 		Processes: []string{"cobra"},
 		Branches:  []int{2, 3},
-		Trials:    60,
+		Trials:    80,
 		Seed:      7,
+		Workers:   2,
 	}
 	interloper := testSpec()
 	interloper.Priority = 9
@@ -255,10 +266,19 @@ func TestServicePreemptResume(t *testing.T) {
 				svc = NewServer(cfg)
 				ts = httptest.NewServer(svc)
 			}
+			held, release := make(chan struct{}), make(chan struct{})
+			var hold, freed sync.Once
+			free := func() { freed.Do(func() { close(release) }) }
+			svc.setCommitHook(func(r CellResult) {
+				if r.Cell == 0 && r.Trial == holdAt {
+					hold.Do(func() { close(held); <-release })
+				}
+			})
 			t.Cleanup(func() { ts.Close(); svc.Close() })
+			t.Cleanup(free) // runs first: a failed test never leaves the committer parked
 
 			id := tc.submit(t, ts)
-			waitCompleted(t, ts, tc.status(id), 10)
+			<-held // the victim's committer waits before recording trial holdAt
 			// A follower attached before the preemption must see the whole
 			// stream: preempt + resume is invisible to live clients.
 			followerCh := make(chan []byte, 1)
@@ -273,7 +293,10 @@ func TestServicePreemptResume(t *testing.T) {
 				followerCh <- b
 			}()
 
+			// The interloper's POST answers after it is queued and the
+			// victim was asked to yield.
 			high := postCampaign(t, ts, interloper)
+			free()
 			awaitTerminal(t, ts, "/v1/campaigns/"+high, StateDone)
 			awaitTerminal(t, ts, tc.status(id), StateDone)
 

@@ -23,16 +23,64 @@ import (
 // draws from u's (round, u) stream in push's order — the fractional-branch
 // Bernoulli, then per pull the lazy coin and Lemire's multiply — and
 // stops at the first hit: the rest of the stream is never read anywhere.
+// As in push, a kernel with ρ = 0 and not Lazy takes the first three
+// pulls in closed form, so a pull that hits at once costs one splitmix64
+// finalisation, and builds a generator only for a fourth pull or for
+// Lemire's rejection tail.
 func (k *Kernel) pullsInfected(u int) bool {
-	rng := xrand.StreamValue(k.seed, streamKey(k.round, u))
-	b := k.par.Branch
-	if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
-		b++
-	}
 	nbrs := k.g.Neighbors(u)
-	deg := uint64(len(nbrs))
-	cur, lazy := k.cur, k.par.Lazy
-	for i := 0; i < b; i++ {
+	deg, cur := uint64(len(nbrs)), k.cur
+	key := streamKey(k.round, u)
+	b, i := k.par.Branch, 0
+	var rng xrand.RNG
+	switch {
+	case k.closed:
+		c := xrand.StreamCounter(k.seed, key)
+		s1 := xrand.StreamWord(c, 1)
+		hi, lo := bits.Mul64(xrand.Draw1(s1), deg)
+		if lo < deg { // Lemire's tail: the loop redraws from here
+			rng = xrand.StreamAt(k.seed, key, 0)
+			break
+		}
+		if cur.Contains(int(nbrs[hi])) {
+			return true
+		}
+		if b == 1 {
+			return false
+		}
+		s0, s2 := xrand.StreamWord(c, 0), xrand.StreamWord(c, 2)
+		hi, lo = bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
+		if lo < deg {
+			rng, i = xrand.StreamAt(k.seed, key, 1), 1
+			break
+		}
+		if cur.Contains(int(nbrs[hi])) {
+			return true
+		}
+		if b == 2 {
+			return false
+		}
+		s3 := xrand.StreamWord(c, 3)
+		hi, lo = bits.Mul64(xrand.Draw3(s0, s1, s3), deg)
+		if lo < deg {
+			rng, i = xrand.StreamAt(k.seed, key, 2), 2
+			break
+		}
+		if cur.Contains(int(nbrs[hi])) {
+			return true
+		}
+		if b == 3 {
+			return false
+		}
+		rng, i = xrand.Advanced(s0, s1, s2, s3, 3), 3
+	default:
+		rng.Reseed(xrand.StreamCounter(k.seed, key)) // StreamValue, built in place
+		if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
+			b++
+		}
+	}
+	lazy := k.par.Lazy
+	for ; i < b; i++ {
 		t := u
 		if !lazy || rng.Uint64()&1 == 0 {
 			hi, lo := bits.Mul64(rng.Uint64(), deg)

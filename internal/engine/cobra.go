@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 
+	"github.com/repro/cobra/internal/bitset"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -16,23 +17,66 @@ import (
 // bit.
 
 // push sends v's particles for this round and marks every target in next.
-// It seeds v's (round, v) stream once and draws in one fixed order: the
+// It draws from v's (round, v) stream in one fixed order: the
 // fractional-branch Bernoulli, then per particle the lazy coin and
-// Lemire's multiply onto v's neighbour list; only the rare rejection tail
-// (xrand's Uint64nTail) is a call. A sparse round passes its new-frontier
-// list, and push appends each target next did not hold yet: next
-// deduplicates the new frontier. A dense round passes nil. It returns the
-// particle count.
+// Lemire's multiply onto v's neighbour list. A kernel with ρ = 0 and not
+// Lazy (k.closed) takes the first three draws in closed form from the
+// stream's splitmix64 words (xrand.StreamCounter) and builds a generator
+// only for a fourth particle, or for Lemire's rejection tail, which a
+// draw reaches with probability below deg/2^64: the loop then redraws
+// from the stream positioned before the draw that fell in it. No draw
+// makes a call outside that tail. A sparse round
+// passes its new-frontier list, and push appends each target next did
+// not hold yet: next deduplicates the new frontier. A dense round passes
+// nil. It returns the particle count.
 func (k *Kernel) push(v int, list *[]int32) int {
-	rng := xrand.StreamValue(k.seed, streamKey(k.round, v))
-	b := k.par.Branch
-	if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
-		b++
-	}
 	nbrs := k.g.Neighbors(v)
-	deg := uint64(len(nbrs))
-	next, lazy := k.next, k.par.Lazy
-	for i := 0; i < b; i++ {
+	deg, next := uint64(len(nbrs)), k.next
+	key := streamKey(k.round, v)
+	b, i := k.par.Branch, 0
+	var rng xrand.RNG
+	switch {
+	case k.closed:
+		c := xrand.StreamCounter(k.seed, key)
+		s1 := xrand.StreamWord(c, 1)
+		hi, lo := bits.Mul64(xrand.Draw1(s1), deg)
+		if lo < deg { // Lemire's tail: the loop redraws from here
+			rng = xrand.StreamAt(k.seed, key, 0)
+			break
+		}
+		land(next, int(nbrs[hi]), list)
+		if b == 1 {
+			return 1
+		}
+		s0, s2 := xrand.StreamWord(c, 0), xrand.StreamWord(c, 2)
+		hi, lo = bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
+		if lo < deg {
+			rng, i = xrand.StreamAt(k.seed, key, 1), 1
+			break
+		}
+		land(next, int(nbrs[hi]), list)
+		if b == 2 {
+			return 2
+		}
+		s3 := xrand.StreamWord(c, 3)
+		hi, lo = bits.Mul64(xrand.Draw3(s0, s1, s3), deg)
+		if lo < deg {
+			rng, i = xrand.StreamAt(k.seed, key, 2), 2
+			break
+		}
+		land(next, int(nbrs[hi]), list)
+		if b == 3 {
+			return 3
+		}
+		rng, i = xrand.Advanced(s0, s1, s2, s3, 3), 3
+	default:
+		rng.Reseed(xrand.StreamCounter(k.seed, key)) // StreamValue, built in place
+		if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
+			b++
+		}
+	}
+	lazy := k.par.Lazy
+	for ; i < b; i++ {
 		t := v
 		if !lazy || rng.Uint64()&1 == 0 {
 			hi, lo := bits.Mul64(rng.Uint64(), deg)
@@ -41,13 +85,19 @@ func (k *Kernel) push(v int, list *[]int32) int {
 			}
 			t = int(nbrs[hi]) // a degree-0 vertex panics here
 		}
-		if list == nil {
-			next.Set(t)
-		} else if !next.TestAndSet(t) {
-			*list = append(*list, int32(t))
-		}
+		land(next, t, list)
 	}
 	return b
+}
+
+// land marks a particle's target t in next. A sparse round passes its
+// new-frontier list and gets t appended when next did not hold it yet.
+func land(next *bitset.Set, t int, list *[]int32) {
+	if list == nil {
+		next.Set(t)
+	} else if !next.TestAndSet(t) {
+		*list = append(*list, int32(t))
+	}
 }
 
 // cobraSparse runs one round over the active-vertex slice. Pushes mark

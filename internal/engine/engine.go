@@ -36,13 +36,23 @@
 // are therefore a pure function of (seed, round, vertex, frontier), so the
 // trajectory — every per-round frontier set and derived statistic — is
 // identical across representations (sparse, dense, adaptive). It depends
-// only on the seed. Each vertex seeds its stream once per round and draws
-// in one fixed order, inline in one loop over its neighbour list: the
-// fractional-branch Bernoulli, then per particle or pull the lazy coin
-// and Lemire's multiply (push for COBRA, pullsInfected for BIPS). No pull
-// makes a call except in xrand's rejection tail, which a pull reaches
-// with probability below deg/2^64. testdata/fingerprints.txt pins the
-// trajectories of every path to bytes an earlier kernel wrote.
+// only on the seed. Each vertex draws from its stream in one fixed order,
+// inline (push for COBRA, pullsInfected for BIPS): the fractional-branch
+// Bernoulli, then per particle or pull the lazy coin and Lemire's
+// multiply onto its neighbour list. A kernel with ρ = 0 and not Lazy, the
+// paper's plain b-branching process, takes a vertex's first three draws
+// in closed form from the stream's splitmix64 words
+// (xrand.StreamCounter, StreamWord, Draw1–Draw3), so at b ≤ 3 it builds
+// no generator: a BIPS pull that hits at once costs one finalisation, a
+// COBRA b = 2 push three. A fourth draw continues on a generator built
+// from those words. A draw that falls into Lemire's rejection tail
+// (probability below deg/2^64) is redrawn from the stream positioned
+// before it (xrand.StreamAt) through the rejection loop
+// xrand.(*RNG).Uint64nTail; no draw makes a call outside that tail.
+// ρ > 0 or Lazy kernels build each vertex's generator once per round and
+// draw from it. The choice is made once, at construction, from Params.
+// testdata/fingerprints.txt pins the trajectories of every path to bytes
+// an earlier kernel wrote.
 //
 // Every round runs on the calling goroutine. The paper's bounds describe
 // distributions over independent trials, so callers parallelise across
@@ -169,6 +179,10 @@ type Kernel struct {
 	par    Params
 	seed   uint64
 	source int // Bips only
+	// closed selects the closed-form first draws of push and
+	// pullsInfected: ρ = 0 and not Lazy, so a vertex's first draws are
+	// its neighbour picks.
+	closed bool
 
 	// Frontier state. cur is always authoritative; curList mirrors it
 	// when curListOK (maintained by sparse rounds, rebuilt on demand).
@@ -277,6 +291,7 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	k.kind = kind
 	k.par = par
 	k.seed = seed
+	k.closed = !(par.Rho > 0) && !par.Lazy
 	return k, nil
 }
 

@@ -11,8 +11,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
+	"time"
 
 	"github.com/repro/cobra/internal/bips"
 	"github.com/repro/cobra/internal/bounds"
@@ -34,6 +36,14 @@ const (
 	// Full runs the sizes reported in EXPERIMENTS.md.
 	Full
 )
+
+// String returns the scale's command-line spelling, "quick" or "full".
+func (s Scale) String() string {
+	if s == Full {
+		return "full"
+	}
+	return "quick"
+}
 
 // Params configures an experiment run.
 type Params struct {
@@ -100,6 +110,34 @@ func All() []Experiment {
 		{"A1", "Ablation — with vs without replacement neighbour sampling", AblationReplacement},
 		{"A2", "Ablation — lazy overhead on non-bipartite graphs", AblationLazy},
 	}
+}
+
+// Report runs the experiments of All in registry order, skipping those
+// keep rejects (nil keeps every one), and writes the report
+// cmd/experiments prints: a heading with the seed and scale, then per
+// experiment its title line, its table and a blank line. done, when not
+// nil, is called between the table and the blank line with the
+// experiment's wall time; everything else Report writes is a function
+// of p alone (testdata/quick-seed1.txt pins it at Quick scale, seed 1).
+func Report(w io.Writer, p Params, keep func(id string) bool, done func(id string, took time.Duration)) error {
+	fmt.Fprintf(w, "COBRA reproduction experiments (seed=%d scale=%s)\n\n", p.Seed, p.Scale)
+	for _, exp := range All() {
+		if keep != nil && !keep(exp.ID) {
+			continue
+		}
+		fmt.Fprintf(w, "[%s] %s\n", exp.ID, exp.Name)
+		start := time.Now()
+		tb, err := exp.Run(p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", exp.ID, err)
+		}
+		tb.Render(w)
+		if done != nil {
+			done(exp.ID, time.Since(start))
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 // wsPool shares engine workspaces across every experiment hot loop: one

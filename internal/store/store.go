@@ -56,6 +56,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/repro/cobra/internal/obs"
@@ -123,7 +124,7 @@ type Terminal struct {
 // campaign worker running it).
 type Store struct {
 	dir     string
-	metrics Metrics
+	metrics atomic.Pointer[Metrics] // nil until SetMetrics; see instruments
 }
 
 // Metrics is the store's observe-only instrument set. Every field is
@@ -140,10 +141,25 @@ type Metrics struct {
 	Quarantines *obs.Counter
 }
 
-// SetMetrics attaches instruments to the store. Call it before journals
-// are opened (journals capture the instrument set at open); the cobrad
-// server wires it before recovery so replay I/O is observed too.
-func (s *Store) SetMetrics(m Metrics) { s.metrics = m }
+// SetMetrics attaches instruments to the store. Every journal reads them
+// at each append and fsync, so one opened earlier reports to them from
+// then on: cobrad's fleet coordinator opens the lease log before the
+// server attaches the job journals' instruments. It is safe to call
+// while journals are being written; the cobrad server calls it before
+// recovery so replay I/O is observed too.
+func (s *Store) SetMetrics(m Metrics) { s.metrics.Store(&m) }
+
+// noMetrics is the instrument set of a store without SetMetrics: every
+// instrument nil, so every observation is a no-op.
+var noMetrics Metrics
+
+// instruments returns the store's current instrument set.
+func (s *Store) instruments() *Metrics {
+	if m := s.metrics.Load(); m != nil {
+		return m
+	}
+	return &noMetrics
+}
 
 // Open prepares (creating if needed) the journal directory.
 func Open(dir string) (*Store, error) {
@@ -183,9 +199,9 @@ func validID(id string) bool {
 type Journal struct {
 	f       *os.File
 	w       *bufio.Writer
-	m       Metrics // observe-only; zero value no-ops
-	err     error   // first failure; later writes are no-ops
-	pending int     // records appended since the last commit
+	s       *Store // whose instruments observe appends and fsyncs
+	err     error  // first failure; later writes are no-ops
+	pending int    // records appended since the last commit
 	closed  bool
 }
 
@@ -200,7 +216,7 @@ const commitEvery = 256
 func (j *Journal) sync() error {
 	start := time.Now()
 	err := j.f.Sync()
-	j.m.FsyncSeconds.Observe(time.Since(start).Seconds())
+	j.s.instruments().FsyncSeconds.Observe(time.Since(start).Seconds())
 	return err
 }
 
@@ -258,7 +274,7 @@ func (j *Journal) Append(record []byte) error {
 		j.err = fmt.Errorf("store: append: %w", err)
 		return j.err
 	}
-	j.m.Appends.Inc()
+	j.s.instruments().Appends.Inc()
 	j.pending++
 	if j.pending >= commitEvery {
 		return j.Commit()
@@ -403,7 +419,7 @@ func truncateAt(f *os.File, off int64) error {
 // appendHandle wraps an open file positioned for appending as a Journal
 // reporting to the store's instruments.
 func (s *Store) appendHandle(f *os.File) *Journal {
-	return &Journal{f: f, w: bufio.NewWriterSize(f, 64<<10), m: s.metrics}
+	return &Journal{f: f, w: bufio.NewWriterSize(f, 64<<10), s: s}
 }
 
 // Quarantine renames an unusable journal to <id>.ndjson.corrupt: later
@@ -416,7 +432,7 @@ func (s *Store) Quarantine(id string) error {
 	if err := os.Rename(s.path(id), s.path(id)+corruptExt); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.metrics.Quarantines.Inc()
+	s.instruments().Quarantines.Inc()
 	return nil
 }
 

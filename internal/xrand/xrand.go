@@ -35,7 +35,12 @@ const golden = 0x9e3779b97f4a7c15
 // splitmix64 advances *x and returns the next splitmix64 output.
 func splitmix64(x *uint64) uint64 {
 	*x += golden
-	z := *x
+	return finalize(*x)
+}
+
+// finalize is splitmix64's output function. It is a bijection of the
+// 64-bit words (two xorshifts and two odd multiplies) that maps 0 to 0.
+func finalize(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -58,34 +63,95 @@ func NewStream(seed, stream uint64) *RNG {
 }
 
 // StreamValue is NewStream returning the generator by value, for hot loops
-// that derive one short-lived stream per item and want it stack-allocated
-// (the per-(round, vertex) draws of the frontier engine). The sequence is
-// bit-identical to NewStream(seed, stream).
+// that derive one short-lived stream per item and want it stack-allocated.
+// The sequence is bit-identical to NewStream(seed, stream).
 func StreamValue(seed, stream uint64) RNG {
-	// Scramble the stream index by an odd constant so that consecutive
-	// stream indices land far apart in splitmix64's sequence space.
 	var r RNG
-	r.Reseed(seed ^ (stream*0xd1342543de82ef95 + 0x632be59bd9b4e019))
+	r.Reseed(StreamCounter(seed, stream))
 	return r
 }
 
+// StreamCounter is the splitmix64 counter StreamValue(seed, stream) seeds
+// from. The stream index is scrambled by an odd constant so that
+// consecutive indices land far apart in splitmix64's sequence space.
+//
+// StreamCounter, StreamWord and Draw1–Draw3 give the first three draws of
+// a stream in closed form, without building its state. With
+// c = StreamCounter(seed, stream) and si = StreamWord(c, i), the draws of
+// StreamValue(seed, stream) are Draw1(s1), Draw2(s0, s1, s2) and
+// Draw3(s0, s1, s3): xoshiro256**'s output reads only the second state
+// word, and the first two steps make that word s0^s1^s2, then
+// s0^s3^(s1<<17). A caller that needs a fourth draw continues on
+// Advanced(s0, s1, s2, s3, 3). One whose bounded draw falls into
+// Lemire's rejection tail takes that draw again, and every later one,
+// from StreamAt(seed, stream, k), where k draws came before it. Both are
+// StreamValue(seed, stream) advanced by 3, respectively k, draws. The
+// frontier engine's per-(round, vertex) draws take this path.
+func StreamCounter(seed, stream uint64) uint64 {
+	return seed ^ (stream*0xd1342543de82ef95 + 0x632be59bd9b4e019)
+}
+
+// StreamWord returns state word i ∈ {0, 1, 2, 3} of the generator that
+// Reseed(c) builds: splitmix64 output i+1 from counter c.
+func StreamWord(c uint64, i int) uint64 {
+	return finalize(c + uint64(i+1)*golden)
+}
+
+// Draw1 is the first draw of the generator whose second state word is s1.
+func Draw1(s1 uint64) uint64 { return scramble(s1) }
+
+// Draw2 is the second draw of the generator whose state words are s0, s1,
+// s2 and any s3.
+func Draw2(s0, s1, s2 uint64) uint64 { return scramble(s0 ^ s1 ^ s2) }
+
+// Draw3 is the third draw of the generator whose state words are s0, s1,
+// s3 and any s2.
+func Draw3(s0, s1, s3 uint64) uint64 { return scramble(s0 ^ s3 ^ s1<<17) }
+
+// scramble is xoshiro256**'s output function: the draw of a state whose
+// second word is s1.
+func scramble(s1 uint64) uint64 {
+	return bits.RotateLeft64(s1*5, 7) * 9
+}
+
+// Advanced returns the generator with state words s0, s1, s2, s3,
+// advanced by k draws.
+func Advanced(s0, s1, s2, s3 uint64, k int) RNG {
+	r := RNG{s0, s1, s2, s3}
+	for ; k > 0; k-- {
+		r.Uint64()
+	}
+	return r
+}
+
+// StreamAt returns StreamValue(seed, stream) advanced by k draws. It
+// serves the rare closed-form draw that falls into Lemire's rejection
+// tail, so it stays out of line.
+//
+//go:noinline
+func StreamAt(seed, stream uint64, k int) RNG {
+	c := StreamCounter(seed, stream)
+	return Advanced(StreamWord(c, 0), StreamWord(c, 1), StreamWord(c, 2), StreamWord(c, 3), k)
+}
+
 // Reseed resets the generator state from seed, as New does.
+//
+// xoshiro's all-zero state is absorbing, but Reseed cannot produce it:
+// the four words finalise the distinct counters seed+golden, …,
+// seed+4·golden (golden is odd), and finalize is a bijection that fixes
+// 0, so at most one word is 0. No guard is needed, so the closed-form
+// draws above, which build no state, skip none.
 func (r *RNG) Reseed(seed uint64) {
 	x := seed
 	r.s0 = splitmix64(&x)
 	r.s1 = splitmix64(&x)
 	r.s2 = splitmix64(&x)
 	r.s3 = splitmix64(&x)
-	// xoshiro's all-zero state is absorbing; splitmix64 cannot produce four
-	// zero outputs in a row, but guard anyway for clarity.
-	if r.s0|r.s1|r.s2|r.s3 == 0 {
-		r.s0 = golden
-	}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	result := scramble(r.s1)
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
