@@ -97,6 +97,17 @@
 // is a public knob; the forced modes (internal/engine Params.Mode) exist
 // for the repository's own benchmarks and equivalence tests.
 //
+// A cold job first compiles its graph. graph.Builder keeps the edge set
+// in one flat open-addressing table and fills the CSR arrays straight
+// from it, with no map and no per-vertex allocation.
+// BenchmarkGraphCompile (internal/graphspec; medians of 7 samples of 5
+// compiles, 2-core host) compiles rreg:262144:3 in 111 ms with 46
+// allocations, ba:65536:3 in 29 ms and torus:128:128 in 1.7 ms, where the
+// map-based builder took 267, 101 and 11 ms and made 526,404, 132,138 and
+// 33,064 allocations. At 2^20 vertices rreg:1048576:3 compiles in about
+// 1.0 s, ba:1048576:3 in 1.4 s and torus:1024:1024 in 0.5 s (one process
+// per compile, 3 runs each).
+//
 // # Batch campaigns and the cobrad service
 //
 // The paper's theorems are statements about distributions over many

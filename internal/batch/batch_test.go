@@ -11,6 +11,7 @@ import (
 	"github.com/repro/cobra/internal/bips"
 	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/graphspec"
+	"github.com/repro/cobra/internal/obs"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -256,6 +257,43 @@ func TestCacheConcurrentSingleBuild(t *testing.T) {
 	hits, misses, size := cache.Stats()
 	if misses != 1 || hits != 7 || size != 1 {
 		t.Fatalf("hits=%d misses=%d size=%d, want 7/1/1", hits, misses, size)
+	}
+}
+
+// The compile histogram observes each build a miss starts: a cold compile
+// once, a hit never, a build that fails once, and a spec Canonical
+// rejects never (nothing is built).
+func TestCacheCompileHistogram(t *testing.T) {
+	cache := NewCache(4)
+	cache.compile = obs.NewRegistry().Histogram("compile_seconds", "test", obs.ExpBuckets(0.001, 2, 4))
+	want := int64(0)
+	check := func(step string) {
+		t.Helper()
+		if got := cache.compile.Count(); got != want {
+			t.Fatalf("%s: %d compile samples, want %d", step, got, want)
+		}
+	}
+	if _, err := cache.GetOrBuild("cycle:64", 1); err != nil {
+		t.Fatal(err)
+	}
+	want++
+	check("cold compile")
+	if _, err := cache.GetOrBuild("cycle: 64", 1); err != nil {
+		t.Fatal(err)
+	}
+	check("cache hit")
+	if _, err := cache.GetOrBuild("cycle:2", 1); !errors.Is(err, graphspec.ErrSpec) {
+		t.Fatalf("cycle:2 built: %v", err)
+	}
+	want++
+	check("failed build")
+	if _, err := cache.GetOrBuild("bogus:1", 1); !errors.Is(err, graphspec.ErrSpec) {
+		t.Fatalf("bogus:1 accepted: %v", err)
+	}
+	check("rejected spec")
+	// A library cache carries no histogram and still builds.
+	if _, err := NewCache(1).GetOrBuild("cycle:64", 1); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/graphspec"
+	"github.com/repro/cobra/internal/obs"
 )
 
 // Cache is a thread-safe LRU of compiled graphs keyed by canonical
@@ -24,6 +26,11 @@ type Cache struct {
 	m            map[string]*list.Element
 	hits, misses int64
 	evictions    int64
+
+	// compile observes every build a miss starts, failed ones included.
+	// A Server sets it before first use; library and fleet-worker caches
+	// leave it nil, which no-ops.
+	compile *obs.Histogram
 }
 
 type cacheEntry struct {
@@ -69,7 +76,9 @@ func (c *Cache) GetOrBuild(spec string, seed uint64) (*graph.Graph, error) {
 	c.evictLocked()
 	c.mu.Unlock()
 
+	start := time.Now()
 	e.g, e.err = graphspec.Parse(canon, seed)
+	c.compile.Observe(time.Since(start).Seconds())
 	close(e.ready)
 	if e.err != nil {
 		c.mu.Lock()

@@ -53,7 +53,7 @@ type serverMetrics struct {
 // newServerMetrics registers the full cobrad metric set against s. The
 // graph cache, queue depth, and running-job gauges read live state at
 // scrape time (Func instruments and the OnGather hook); everything else
-// ticks at the event.
+// ticks at the event, the compile histogram inside s.cache.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg, seenBands: make(map[int]bool)}
@@ -120,6 +120,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		_, _, size := s.cache.Stats()
 		return int64(size)
 	})
+	s.cache.compile = reg.Histogram("cobrad_graph_compile_seconds",
+		"Wall time of each graph build a cache miss starts, failed builds included; hits build nothing.",
+		obs.ExpBuckets(0.001, 2, 16))
 
 	m.journalAppends = reg.Counter("cobrad_journal_appends_total",
 		"Lines appended to job journals (headers, results, terminals).")

@@ -112,6 +112,7 @@ func TestMetricsExpositionCoversAllLayers(t *testing.T) {
 		"graph cache": {
 			"cobrad_graph_cache_hits_total", "cobrad_graph_cache_misses_total",
 			"cobrad_graph_cache_evictions_total", "cobrad_graph_cache_entries",
+			"cobrad_graph_compile_seconds",
 		},
 		"engine": {
 			"cobrad_trials_executed_total", "cobrad_rounds_total",
@@ -146,6 +147,11 @@ func TestMetricsExpositionCoversAllLayers(t *testing.T) {
 		if s, m := statInt(t, stats, key), int64(metricValue(t, exposition, metric)); s != m {
 			t.Fatalf("%s=%d but %s=%d", key, s, metric, m)
 		}
+	}
+	// Every miss compiled once, and none failed.
+	if c, m := metricValue(t, exposition, "cobrad_graph_compile_seconds_count"),
+		metricValue(t, exposition, "cobrad_graph_cache_misses_total"); c != m || c < 1 {
+		t.Fatalf("cobrad_graph_compile_seconds_count %v, want the %v misses", c, m)
 	}
 	// The cell scheduler ran every sweep cell on a worker.
 	if got := metricValue(t, exposition, "cobrad_cell_wall_seconds_count"); int(got) != len(testSweepSpec().Cells()) {

@@ -12,7 +12,7 @@ import (
 // Complete returns the complete graph K_n. The paper's intro example (i):
 // COBRA covers K_n in O(log n) rounds.
 func Complete(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilder(n, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			b.AddEdge(u, v)
@@ -27,7 +27,7 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic("graph: Cycle requires n >= 3")
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n)
 	for v := 0; v < n; v++ {
 		b.AddEdge(v, (v+1)%n)
 	}
@@ -41,7 +41,7 @@ func Path(n int) *Graph {
 	if n < 2 {
 		panic("graph: Path requires n >= 2")
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n-1)
 	for v := 0; v+1 < n; v++ {
 		b.AddEdge(v, v+1)
 	}
@@ -54,7 +54,7 @@ func Star(n int) *Graph {
 	if n < 2 {
 		panic("graph: Star requires n >= 2")
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n-1)
 	for v := 1; v < n; v++ {
 		b.AddEdge(0, v)
 	}
@@ -68,7 +68,7 @@ func CompleteBipartite(a, bn int) *Graph {
 	if a < 1 || bn < 1 {
 		panic("graph: CompleteBipartite requires both parts non-empty")
 	}
-	b := NewBuilder(a + bn)
+	b := newBuilder(a+bn, a*bn)
 	for u := 0; u < a; u++ {
 		for v := 0; v < bn; v++ {
 			b.AddEdge(u, a+v)
@@ -87,7 +87,7 @@ func Hypercube(d int) *Graph {
 		panic("graph: Hypercube requires 1 <= d <= 30")
 	}
 	n := 1 << uint(d)
-	b := NewBuilder(n)
+	b := newBuilder(n, d*n/2)
 	for v := 0; v < n; v++ {
 		for bit := 0; bit < d; bit++ {
 			u := v ^ (1 << uint(bit))
@@ -116,7 +116,11 @@ func Grid(dims ...int) *Graph {
 		}
 		n *= s
 	}
-	b := NewBuilder(n)
+	edges := 0
+	for _, s := range dims {
+		edges += (s - 1) * (n / s)
+	}
+	b := newBuilder(n, edges)
 	// Mixed-radix encoding: index = sum coord[k] * stride[k].
 	stride := make([]int, len(dims))
 	stride[0] = 1
@@ -157,7 +161,7 @@ func Torus(dims ...int) *Graph {
 		}
 		n *= s
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, len(dims)*n)
 	stride := make([]int, len(dims))
 	stride[0] = 1
 	for k := 1; k < len(dims); k++ {
@@ -170,11 +174,10 @@ func Torus(dims ...int) *Graph {
 			coord[k] = rem % dims[k]
 			rem /= dims[k]
 		}
+		// With every side >= 3 the D·n edges {v, v+e_k} are distinct, so
+		// none needs a membership test.
 		for k := range dims {
-			next := v - coord[k]*stride[k] + ((coord[k]+1)%dims[k])*stride[k]
-			if next != v && !b.HasEdge(v, next) {
-				b.AddEdge(v, next)
-			}
+			b.AddEdge(v, v-coord[k]*stride[k]+((coord[k]+1)%dims[k])*stride[k])
 		}
 	}
 	return b.MustBuild(fmt.Sprintf("torus-%dd-%d", len(dims), n))
@@ -187,7 +190,7 @@ func BinaryTree(n int) *Graph {
 	if n < 2 {
 		panic("graph: BinaryTree requires n >= 2")
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n-1)
 	for v := 1; v < n; v++ {
 		b.AddEdge(v, (v-1)/2)
 	}
@@ -203,7 +206,7 @@ func Lollipop(cliqueSize, pathLen int) *Graph {
 		panic("graph: Lollipop requires cliqueSize >= 2 and pathLen >= 1")
 	}
 	n := cliqueSize + pathLen
-	b := NewBuilder(n)
+	b := newBuilder(n, cliqueSize*(cliqueSize-1)/2+pathLen)
 	for u := 0; u < cliqueSize; u++ {
 		for v := u + 1; v < cliqueSize; v++ {
 			b.AddEdge(u, v)
@@ -223,7 +226,7 @@ func Barbell(cliqueSize, bridgeLen int) *Graph {
 		panic("graph: Barbell requires cliqueSize >= 2 and bridgeLen >= 0")
 	}
 	n := 2*cliqueSize + bridgeLen
-	b := NewBuilder(n)
+	b := newBuilder(n, cliqueSize*(cliqueSize-1)+bridgeLen+1)
 	addClique := func(lo int) {
 		for u := lo; u < lo+cliqueSize; u++ {
 			for v := u + 1; v < lo+cliqueSize; v++ {
@@ -254,7 +257,7 @@ func DoubleCycle(n int) *Graph {
 	if n < 5 {
 		panic("graph: DoubleCycle requires n >= 5")
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, 2*n)
 	for v := 0; v < n; v++ {
 		b.AddEdge(v, (v+1)%n)
 		b.AddEdge(v, (v+2)%n)
@@ -270,10 +273,11 @@ func Chord(n, k int) *Graph {
 	}
 	// The circulant's adjacency is known in closed form — neighbours of v
 	// are v±1..v±k mod n, all distinct for n >= 2k+1 — so the CSR arrays
-	// are built directly in sorted order. The Builder's dedup map costs
-	// minutes and gigabytes at the 2·10^7-vertex scale of the engine
-	// scaling benchmarks; this path is linear and matches the Builder's
-	// output byte for byte (TestChordMatchesBuilder).
+	// are built directly in sorted order. The Builder would add a hash
+	// probe per edge and an edge table beside the CSR (over 10 bytes an
+	// edge) at the 2·10^7-vertex scale of the engine benchmarks; this path
+	// needs only the CSR and matches the Builder's output byte for byte
+	// (TestChordMatchesBuilder).
 	deg := 2 * k
 	off := make([]int32, n+1)
 	adj := make([]int32, n*deg)
@@ -310,7 +314,7 @@ func Spider(legs, legLen int) *Graph {
 		panic("graph: Spider requires legs >= 1 and legLen >= 1")
 	}
 	n := 1 + legs*legLen
-	b := NewBuilder(n)
+	b := newBuilder(n, n-1)
 	for l := 0; l < legs; l++ {
 		base := 1 + l*legLen
 		b.AddEdge(0, base)
@@ -324,7 +328,7 @@ func Spider(legs, legLen int) *Graph {
 // Petersen returns the Petersen graph: 10 vertices, 3-regular,
 // vertex-transitive, λ = 2/3 known in closed form — a spectral test vector.
 func Petersen() *Graph {
-	b := NewBuilder(10)
+	b := newBuilder(10, 15)
 	// Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5.
 	for i := 0; i < 5; i++ {
 		b.AddEdge(i, (i+1)%5)

@@ -28,7 +28,7 @@ func ErdosRenyi(n int, p float64, rng *xrand.RNG) (*Graph, error) {
 	}
 	const maxAttempts = 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		b := NewBuilder(n)
+		b := newBuilder(n, int(p*float64(n)*float64(n-1)/2))
 		// Geometric skipping (Batagelj–Brandes) samples G(n,p) in O(n+m)
 		// rather than O(n^2) when p is small.
 		sampleGnp(b, n, p, rng)
@@ -94,13 +94,13 @@ func RandomRegular(n, r int, rng *xrand.RNG) (*Graph, error) {
 		return nil, fmt.Errorf("%w: RandomRegular needs n*r even (n=%d, r=%d)", ErrGenerator, n, r)
 	}
 	const maxAttempts = 500
-	stubs := make([]int, 0, n*r)
+	stubs := make([]int32, 0, n*r)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		b := NewBuilder(n)
+		b := newBuilder(n, n*r/2)
 		stubs = stubs[:0]
 		for v := 0; v < n; v++ {
 			for k := 0; k < r; k++ {
-				stubs = append(stubs, v)
+				stubs = append(stubs, int32(v))
 			}
 		}
 		wedged := false
@@ -117,7 +117,7 @@ func RandomRegular(n, r int, rng *xrand.RNG) (*Graph, error) {
 					tries++
 					continue
 				}
-				u, v := stubs[i], stubs[j]
+				u, v := int(stubs[i]), int(stubs[j])
 				if u == v || b.HasEdge(u, v) {
 					tries++
 					continue
@@ -165,7 +165,7 @@ func RingExpander(n int, rng *xrand.RNG) (*Graph, error) {
 	if n < 6 || n%2 != 0 {
 		return nil, fmt.Errorf("%w: RingExpander needs even n >= 6", ErrGenerator)
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n+n/2)
 	for v := 0; v < n; v++ {
 		b.AddEdge(v, (v+1)%n)
 	}
@@ -186,7 +186,7 @@ func RandomTree(n int, rng *xrand.RNG) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: RandomTree needs n >= 2", ErrGenerator)
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, n-1)
 	if n == 2 {
 		b.AddEdge(0, 1)
 		return b.Build("rtree-2")

@@ -26,7 +26,7 @@ func BarabasiAlbert(n, m int, rng *xrand.RNG) (*Graph, error) {
 	if n <= m {
 		return nil, fmt.Errorf("%w: BarabasiAlbert needs n > m (n=%d, m=%d)", ErrGenerator, n, m)
 	}
-	b := NewBuilder(n)
+	b := newBuilder(n, (n-m)*m)
 	// targets holds each vertex once per incident edge, so a uniform draw
 	// from it is degree-proportional.
 	targets := make([]int32, 0, 2*(n-m)*m)
@@ -75,7 +75,7 @@ func WattsStrogatz(n, k int, beta float64, rng *xrand.RNG) (*Graph, error) {
 	}
 	const maxAttempts = 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		b := NewBuilder(n)
+		b := newBuilder(n, n*k/2)
 		for u := 0; u < n; u++ {
 			for j := 1; j <= k/2; j++ {
 				w := (u + j) % n

@@ -8,12 +8,22 @@
 // Graphs are simple (no self-loops, no parallel edges) and undirected:
 // every edge {u, v} appears in both adjacency lists. Vertices are dense
 // integers in [0, n).
+//
+// Every generator builds through a Builder, and a built Graph depends only
+// on the set of edges added: its neighbour lists are sorted, and
+// Builder.HasEdge, which the seeded generators consult before drawing
+// again, answers exactly. How the Builder stores its edges can therefore
+// change without moving a graph, trajectory or result byte;
+// internal/graphspec/testdata/graphs.txt pins the instances every family
+// builds, written by an earlier builder.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -45,19 +55,79 @@ type Graph struct {
 
 // Builder accumulates edges and produces a Graph. It validates simplicity
 // as edges arrive.
+//
+// The edge set is one open-addressing table of packed keys u<<32|v with
+// u < v, probed linearly from a multiplicative hash and kept at most
+// three-quarters full; 0 marks an empty slot, since no edge packs to 0.
+// HasEdge is exact, so a generator that tests an edge before adding it
+// draws the same random numbers whatever the table's layout, and Build
+// sorts every neighbour list, so the Graph depends only on the edge set,
+// never on the order of insertion or of the table.
 type Builder struct {
 	n     int
-	edges map[[2]int32]struct{}
+	keys  []uint64 // power-of-two length; 0 = empty slot
+	shift uint     // 64 - log2(len(keys)): hash bits kept
+	count int
 	err   error
 }
 
+// minTableSlots is the smallest table a builder starts with.
+const minTableSlots = 16
+
 // NewBuilder returns a builder for a graph on n vertices.
-func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, edges: make(map[[2]int32]struct{})}
-	if n <= 0 {
+func NewBuilder(n int) *Builder { return newBuilder(n, 0) }
+
+// newBuilder returns a builder whose table holds edges edges without
+// growing; generators that know their edge count size it once.
+func newBuilder(n, edges int) *Builder {
+	b := &Builder{n: n}
+	switch {
+	case n <= 0:
 		b.err = ErrNoVertices
+		edges = 0
+	case n > math.MaxInt32:
+		// Vertices are int32 in the Graph and in the packed keys.
+		b.err = fmt.Errorf("%w: n=%d exceeds the int32 vertex range", ErrVertexRange, n)
+		edges = 0
 	}
+	slots := minTableSlots
+	for 3*slots < 4*edges {
+		slots *= 2
+	}
+	b.alloc(slots)
 	return b
+}
+
+// alloc replaces the table with an empty one of the given power-of-two size.
+func (b *Builder) alloc(slots int) {
+	b.keys = make([]uint64, slots)
+	b.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// find returns the slot holding key, or the empty slot where its probe
+// ends if the table lacks it.
+func (b *Builder) find(key uint64) (int, bool) {
+	mask := len(b.keys) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> b.shift); ; i = (i + 1) & mask {
+		switch b.keys[i] {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every key.
+func (b *Builder) grow() {
+	old := b.keys
+	b.alloc(2 * len(old))
+	for _, key := range old {
+		if key != 0 {
+			i, _ := b.find(key)
+			b.keys[i] = key
+		}
+	}
 }
 
 // AddEdge records the undirected edge {u, v}. Errors (range, loop,
@@ -77,58 +147,78 @@ func (b *Builder) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	key := [2]int32{int32(u), int32(v)}
-	if _, dup := b.edges[key]; dup {
+	key := uint64(u)<<32 | uint64(v)
+	i, dup := b.find(key)
+	if dup {
 		b.err = fmt.Errorf("%w: {%d,%d}", ErrDuplicate, u, v)
 		return
 	}
-	b.edges[key] = struct{}{}
+	if 4*(b.count+1) > 3*len(b.keys) {
+		b.grow()
+		i, _ = b.find(key)
+	}
+	b.keys[i] = key
+	b.count++
 }
 
 // HasEdge reports whether {u,v} has already been added. Useful for
-// generators that avoid duplicates by construction.
+// generators that avoid duplicates by construction. It is exact for every
+// pair: a loop or a pair with an end outside [0, n) was never added (and
+// the loop {0,0} would pack to the empty-slot key).
 func (b *Builder) HasEdge(u, v int) bool {
+	if u < 0 || u >= b.n || v < 0 || v >= b.n || u == v {
+		return false
+	}
 	if u > v {
 		u, v = v, u
 	}
-	_, ok := b.edges[[2]int32{int32(u), int32(v)}]
+	_, ok := b.find(uint64(u)<<32 | uint64(v))
 	return ok
 }
 
 // EdgeCount returns the number of edges added so far.
-func (b *Builder) EdgeCount() int { return len(b.edges) }
+func (b *Builder) EdgeCount() int { return b.count }
 
 // Build finalises the graph. name is a human-readable label used in tables
 // and error messages.
+//
+// The CSR is filled straight from the table with no other n-sized array:
+// off[v+2] first counts v's degree, so after a prefix sum off[v+1] is
+// where v's list starts; placing the edges advances off[v+1] to where it
+// ends, which is where v+1's starts.
 func (b *Builder) Build(name string) (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	deg := make([]int32, b.n)
-	for e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
+	n := b.n
+	off := make([]int32, n+1)
+	for _, key := range b.keys {
+		if key != 0 {
+			if u := int(key >> 32); u+2 <= n {
+				off[u+2]++
+			}
+			if v := int(key & 0xffffffff); v+2 <= n {
+				off[v+2]++
+			}
+		}
 	}
-	off := make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v]
+	for i := 2; i <= n; i++ {
+		off[i] += off[i-1]
 	}
-	adj := make([]int32, 2*len(b.edges))
-	cursor := make([]int32, b.n)
-	copy(cursor, off[:b.n])
-	for e := range b.edges {
-		u, v := e[0], e[1]
-		adj[cursor[u]] = v
-		cursor[u]++
-		adj[cursor[v]] = u
-		cursor[v]++
+	adj := make([]int32, 2*b.count)
+	for _, key := range b.keys {
+		if key != 0 {
+			u, v := int32(key>>32), int32(key&0xffffffff)
+			adj[off[u+1]] = v
+			off[u+1]++
+			adj[off[v+1]] = u
+			off[v+1]++
+		}
 	}
-	g := &Graph{n: b.n, m: len(b.edges), off: off, adj: adj, name: name}
-	for v := 0; v < b.n; v++ {
-		nb := g.neighborsMut(v)
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	for v := 0; v < n; v++ {
+		slices.Sort(adj[off[v]:off[v+1]])
 	}
-	return g, nil
+	return &Graph{n: n, m: b.count, off: off, adj: adj, name: name}, nil
 }
 
 // MustBuild is Build that panics on error; for generators whose inputs are
@@ -158,10 +248,6 @@ func (g *Graph) Degree(v int) int {
 // Neighbors returns the sorted neighbour list of v. The slice aliases the
 // graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {
-	return g.adj[g.off[v]:g.off[v+1]]
-}
-
-func (g *Graph) neighborsMut(v int) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -56,6 +57,19 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 func TestBuilderRejectsEmptyGraph(t *testing.T) {
 	if _, err := NewBuilder(0).Build("x"); !errors.Is(err, ErrNoVertices) {
 		t.Fatalf("err = %v, want ErrNoVertices", err)
+	}
+}
+
+// Vertices are int32 in the Graph, so a builder refuses more of them
+// before it accepts an edge.
+func TestBuilderRejectsVertexCountBeyondInt32(t *testing.T) {
+	b := NewBuilder(math.MaxInt32 + 1)
+	b.AddEdge(0, 1<<32)
+	if b.HasEdge(0, 1<<32) || b.EdgeCount() != 0 {
+		t.Fatal("edge accepted")
+	}
+	if _, err := b.Build("x"); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("err = %v, want ErrVertexRange", err)
 	}
 }
 
