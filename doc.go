@@ -62,40 +62,59 @@
 // all-zero between rounds; a BIPS round with at least n/64 candidates
 // evaluates them in vertex order. A dense round scans the frontier
 // bitset 64 vertices per word with no member slice at all, and sums its
-// bookkeeping — next-frontier popcount, frontier volume, newly-covered
-// count — in the pass that stores each word. Either way a vertex draws
-// its particles or pulls inline from its (round, vertex) stream, with no
-// call per draw; without ρ or laziness its first three draws come in
-// closed form from the stream's splitmix64 words, so no generator state
-// is built at b ≤ 3 (BenchmarkEngineDraws). Every round runs on the calling
-// goroutine: the paper's bounds are distributions over independent
-// trials, so the batch layer parallelises across trials and sweep cells
-// instead. Steady-state wide rounds are allocation-free under workspace
-// reuse at 2·10^7 vertices (BenchmarkEngineWideDenseRound and
-// BenchmarkEngineWideDenseBipsRound).
+// bookkeeping — next-frontier popcount, newly-covered count and, for
+// BIPS only, the frontier volume its representation rule reads — in the
+// pass that stores each word. Either way the vertices are decided by one
+// word evaluator per kind (internal/engine's cobraWord and bipsWord), a
+// bitset word at a time. Without ρ or laziness a vertex's first three
+// draws come in closed form from its (round, vertex) stream's splitmix64
+// words, read on the raw CSR arrays and frontier words with no call per
+// vertex: COBRA ORs each active vertex's targets into the next frontier,
+// and BIPS takes every candidate's first pull in a pass with no branch on
+// its outcome (the neighbour's frontier bit and, under it, the degree
+// already loaded go straight into the result word and the volume), then
+// pulls 2 and 3 for the word's misses only. Those two evaluators are the
+// one place each kind's closed-form draw order is written; Lemire's
+// rejection tail, draws past the third and the ρ > 0 and lazy kernels
+// take one generic per-vertex loop per kind. Every round runs on the
+// calling goroutine: the paper's bounds are distributions over
+// independent trials, so the batch layer parallelises across trials and
+// sweep cells instead. Steady-state rounds are allocation-free under
+// workspace reuse, wide ones at 2·10^7 vertices
+// (BenchmarkEngineWideDenseRound and BenchmarkEngineWideDenseBipsRound)
+// and every configuration of BenchmarkEngineDraws.
 //
-// Measured on 2·10^5-vertex workloads (BenchmarkEngineCobraWide/-Narrow,
-// BenchmarkEngineBipsWide in bench_test.go; medians of 5, of 10 for the
-// narrow round, on a 2-core host): fully-active COBRA rounds run 1.7×
-// faster dense than sparse on the circulant, 2.5× on the grid and 4–5×
-// on Watts–Strogatz, Barabási–Albert and the random 8-regular graph;
-// fully-infected BIPS rounds run 2.4–2.6× faster dense; a
-// single-particle round runs about 250× faster sparse (56 ns against
-// 14.5 µs). Single rounds at controlled frontier sizes
-// (BenchmarkEngineCrossover, 2^18 vertices, b = 2, medians of 10–15
-// samples) cross over as follows. COBRA: on a random 3-regular graph
-// sparse wins up to |C_t| = n/128, the two tie near n/96 and dense wins
-// from n/64; on the 8-regular circulant they stay within 12% of each
-// other from n/96 to n/8, and dense wins clearly only from n/6. The
-// default, dense when |C_t| > n/64 (engine.DefaultDenseDiv), sits at the
-// first crossover and inside the second tie. BIPS: sparse wins up to
-// vol(A_t) = 0.75n on the random 3-regular graph and 0.67n on the
-// circulant; at vol(A_t) = n a sparse round takes 1.08×, respectively
-// 1.20×, as long as a dense one, and 1.2–1.4× above that. The default,
-// dense when vol(A_t) > n, therefore runs the rounds just below
-// vol(A_t) = n up to about 1.2× slower than dense would. Neither default
-// is a public knob; the forced modes (internal/engine Params.Mode) exist
-// for the repository's own benchmarks and equivalence tests.
+// BenchmarkEngineDraws times one dense round on RandomRegular(2^18, 3)
+// from every other vertex (medians of 6 interleaved samples on a 2-core
+// host, before the word evaluators → with them): COBRA b = 1, 2, 3 in
+// 2.3 → 1.4, 3.4 → 2.6 and 4.6 → 3.3 ms, BIPS b = 1, 2, 3 in 8.1 → 2.8,
+// 10.3 → 6.0 and 11.3 → 7.0 ms; the generic rows, b = 2 with ρ = 0.5 or
+// lazy, stayed within noise (COBRA 6.5 and 6.2 ms, BIPS 17.1 and
+// 13.1 ms). Measured on 2·10^5-vertex workloads
+// (BenchmarkEngineCobraWide/-Narrow, BenchmarkEngineBipsWide in
+// bench_test.go; medians of 5 samples, same host): fully-active COBRA
+// rounds run 3.1× faster dense than sparse on the grid, 3.9× on the
+// circulant and 5.7–8.6× on Watts–Strogatz, Barabási–Albert and the
+// random 8-regular graph (dense 2.9–4.0 ms); fully-infected BIPS rounds
+// run 3.8–5.1× faster dense (2.4–2.8 ms); a single-particle round runs
+// about 230× faster sparse (42 ns against 9.7 µs). Single rounds at
+// controlled frontier sizes (BenchmarkEngineCrossover, 2^18 vertices,
+// b = 2, medians of 5 samples) cross over as follows. COBRA: sparse
+// wins up to |C_t| = n/256 on both the random 3-regular graph and the
+// 8-regular circulant (sparse/dense 0.90, respectively 0.98), and dense
+// wins from n/128 (1.2–1.5× at n/128 to n/64, 1.6–1.9× at n/48). The
+// default, dense when |C_t| > n/64 (engine.DefaultDenseDiv), therefore
+// runs the rounds in (n/128, n/64] sparse at up to 1.5× a dense round.
+// BIPS: sparse wins up to vol(A_t) = n/2 on both graphs (0.72 and 0.82)
+// and loses from 0.75n on the random graph (1.23) and 0.67n on the
+// circulant (1.14); at vol(A_t) = n a sparse round takes 1.22×,
+// respectively 1.33×, as long as a dense one. The default, dense when
+// vol(A_t) > n, runs those rounds up to about 1.3× slower than dense
+// would. Both defaults stay: which rounds run sparse and which dense is
+// part of every trial's result (sparse_rounds, tiled_rounds), so moving
+// one changes result bytes, not only speed. Neither default is a public
+// knob; the forced modes (internal/engine Params.Mode) exist for the
+// repository's own benchmarks and equivalence tests.
 //
 // A cold job first compiles its graph. graph.Builder keeps the edge set
 // in one flat open-addressing table and fills the CSR arrays straight

@@ -3,10 +3,12 @@ package batch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/repro/cobra/internal/bips"
 	"github.com/repro/cobra/internal/core"
@@ -84,6 +86,26 @@ func TestCompileGrammarIgnoresCache(t *testing.T) {
 		}
 		if want := !strings.HasSuffix(graph, ":7"); (errNil == nil) != want {
 			t.Fatalf("%q: Compile = %v, want accepted=%v", graph, errNil, want)
+		}
+	}
+}
+
+// An oversize graph spec fails at compile time, with or without a cache,
+// before any graph is built: graphspec's size rule rejects it in
+// Canonical, so cobrad answers 400 at submission.
+func TestCompileRejectsOversizeGraphs(t *testing.T) {
+	for _, graph := range []string{"hypercube:30", "complete:100000", "er:100000:0.5", "torus:4096:4096"} {
+		spec := Spec{Graph: graph, Process: "cobra", Branch: 2, Trials: 1, Seed: 1}
+		start := time.Now()
+		_, errNil := Compile(spec, nil)
+		_, errCache := Compile(spec, NewCache(1))
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%s: rejecting took %v", graph, el)
+		}
+		for _, err := range []error{errNil, errCache} {
+			if !errors.Is(err, ErrInput) || !strings.Contains(fmt.Sprint(err), "n+m") {
+				t.Errorf("%s: Compile = %v, want an ErrInput naming n+m", graph, err)
+			}
 		}
 	}
 }

@@ -110,6 +110,11 @@ func (s *Set) WordCount() int { return len(s.words) }
 // to scan wide vertex sets without materialising a member slice.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 
+// Words returns the backing words, Word(i) for every i, for loops that
+// read a whole set word by word. The slice aliases the set's storage and
+// must not be modified; write through SetWord.
+func (s *Set) Words() []uint64 { return s.words }
+
 // SetWord overwrites backing word i wholesale, for the dense frontier
 // engine's word-at-a-time writes; the caller is responsible for keeping
 // tail bits beyond n zero.

@@ -19,67 +19,136 @@ import (
 // Θ(vol(A_t)) work, and agrees bit for bit with the dense Θ(n) scan
 // because each vertex's decision is a pure function of its own stream.
 
-// pullsInfected reports whether u pulls a vertex of cur this round. It
-// draws from u's (round, u) stream in push's order — the fractional-branch
-// Bernoulli, then per pull the lazy coin and Lemire's multiply — and
-// stops at the first hit: the rest of the stream is never read anywhere.
-// As in push, a kernel with ρ = 0 and not Lazy takes the first three
-// pulls in closed form, so a pull that hits at once costs one splitmix64
-// finalisation, and builds a generator only for a fourth pull or for
-// Lemire's rejection tail.
-func (k *Kernel) pullsInfected(u int) bool {
-	nbrs := k.g.Neighbors(u)
-	deg, cur := uint64(len(nbrs)), k.cur
-	key := streamKey(k.round, u)
-	b, i := k.par.Branch, 0
-	var rng xrand.RNG
-	switch {
-	case k.closed:
-		c := xrand.StreamCounter(k.seed, key)
-		s1 := xrand.StreamWord(c, 1)
+// bipsWord decides the candidates of bitset word wi, the vertices
+// 64·wi + j for the set bits j of cand, and returns the word of those
+// that join A_{t+1} and the sum of their degrees. The source is always
+// infected and draws nothing.
+//
+// A kernel with ρ = 0 and not Lazy (k.closed) takes each candidate's
+// first three pulls in closed form from its stream's splitmix64 words
+// (xrand.StreamCounter, StreamWord, Draw1–Draw3), reading the raw CSR
+// arrays and cur's words, in two passes over the word. The first takes
+// every candidate's first pull with no branch on its outcome: the
+// neighbour's frontier bit is ORed into the result, and the degree
+// already loaded is added under the same bit. The second takes pulls 2
+// and 3 for the word's misses only. This is the one place the
+// closed-form pull order is written. A pull that falls into Lemire's
+// rejection tail (probability below deg/2^64), and a fourth pull, leave
+// it for pullsFrom; a tail draw in the first pass may read any
+// neighbour, since its high word is below deg, and its bit is discarded.
+// Any other kernel decides each candidate through pullsFrom.
+func (k *Kernel) bipsWord(wi int, cand uint64) (w uint64, vol int) {
+	base := wi * 64
+	off, adj := k.g.CSR()
+	if s := uint(k.source - base); s < 64 && cand&(1<<s) != 0 {
+		cand &^= 1 << s
+		w = 1 << s
+		vol = int(off[k.source+1] - off[k.source])
+	}
+	if !k.closed {
+		for c := cand; c != 0; c &= c - 1 {
+			if u := base + bits.TrailingZeros64(c); k.pullsFrom(u, 0) {
+				w |= c & -c
+				vol += int(off[u+1] - off[u])
+			}
+		}
+		return w, vol
+	}
+	curw := k.cur.Words()
+	seed, key := k.seed, streamKey(k.round, base)
+	var hits, tail uint64
+	for c := cand; c != 0; c &= c - 1 {
+		j := uint(bits.TrailingZeros64(c))
+		u := base + int(j)
+		o := int(off[u])
+		deg := uint64(int(off[u+1]) - o)
+		s1 := xrand.StreamWord(xrand.StreamCounter(seed, key+uint64(j)), 1)
 		hi, lo := bits.Mul64(xrand.Draw1(s1), deg)
-		if lo < deg { // Lemire's tail: the loop redraws from here
-			rng = xrand.StreamAt(k.seed, key, 0)
-			break
+		_, borrow := bits.Sub64(lo, deg, 0) // 1 iff lo < deg: Lemire's tail
+		tail |= borrow << j
+		t := uint32(adj[o+int(hi)])
+		hit := curw[t>>6] >> (t & 63) & 1
+		hits |= hit << j
+		vol += int(deg & -hit)
+	}
+	for c := tail; c != 0; c &= c - 1 {
+		u := base + bits.TrailingZeros64(c)
+		deg := int(off[u+1] - off[u])
+		if hits&c&-c != 0 {
+			hits &^= c & -c
+			vol -= deg
 		}
-		if cur.Contains(int(nbrs[hi])) {
-			return true
+		if k.pullsFrom(u, 0) {
+			hits |= c & -c
+			vol += deg
 		}
-		if b == 1 {
-			return false
+	}
+	b := k.par.Branch
+	if b == 1 {
+		return w | hits, vol
+	}
+	for c := cand &^ hits &^ tail; c != 0; c &= c - 1 {
+		j := uint(bits.TrailingZeros64(c))
+		u := base + int(j)
+		o := int(off[u])
+		deg := uint64(int(off[u+1]) - o)
+		sc := xrand.StreamCounter(seed, key+uint64(j))
+		s0, s1, s2 := xrand.StreamWord(sc, 0), xrand.StreamWord(sc, 1), xrand.StreamWord(sc, 2)
+		var in bool
+		hi, lo := bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
+		switch {
+		case lo < deg:
+			in = k.pullsFrom(u, 1)
+		case has(curw, adj[o+int(hi)]):
+			in = true
+		case b > 2:
+			s3 := xrand.StreamWord(sc, 3)
+			hi, lo = bits.Mul64(xrand.Draw3(s0, s1, s3), deg)
+			switch {
+			case lo < deg:
+				in = k.pullsFrom(u, 2)
+			case has(curw, adj[o+int(hi)]):
+				in = true
+			case b > 3:
+				in = k.pullsFrom(u, 3)
+			}
 		}
-		s0, s2 := xrand.StreamWord(c, 0), xrand.StreamWord(c, 2)
-		hi, lo = bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
-		if lo < deg {
-			rng, i = xrand.StreamAt(k.seed, key, 1), 1
-			break
+		if in {
+			hits |= 1 << j
+			vol += int(deg)
 		}
-		if cur.Contains(int(nbrs[hi])) {
-			return true
-		}
-		if b == 2 {
-			return false
-		}
-		s3 := xrand.StreamWord(c, 3)
-		hi, lo = bits.Mul64(xrand.Draw3(s0, s1, s3), deg)
-		if lo < deg {
-			rng, i = xrand.StreamAt(k.seed, key, 2), 2
-			break
-		}
-		if cur.Contains(int(nbrs[hi])) {
-			return true
-		}
-		if b == 3 {
-			return false
-		}
-		rng, i = xrand.Advanced(s0, s1, s2, s3, 3), 3
-	default:
+	}
+	return w | hits, vol
+}
+
+// has reports whether vertex t is a member of the set with words words.
+func has(words []uint64, t int32) bool {
+	return words[uint32(t)>>6]>>(uint32(t)&63)&1 != 0
+}
+
+// pullsFrom decides u from its pull i on, after i pulls that missed, and
+// reports whether one of the remaining pulls lies in A_t. It reads u's
+// (round, u) stream positioned after i draws (xrand.StreamAt) and stops
+// at the first hit: the rest of the stream is never read anywhere. A
+// closed kernel's bipsWord calls it for a pull that fell into Lemire's
+// rejection tail, and for the pulls after the third; its rejection loop
+// is xrand.(*RNG).Uint64nTail. Any other kernel decides every candidate
+// here from i = 0, in the one fixed order: the fractional-branch
+// Bernoulli, then per pull the lazy coin and Lemire's multiply.
+func (k *Kernel) pullsFrom(u, i int) bool {
+	key := streamKey(k.round, u)
+	b := k.par.Branch
+	var rng xrand.RNG
+	if k.closed {
+		rng = xrand.StreamAt(k.seed, key, i)
+	} else {
 		rng.Reseed(xrand.StreamCounter(k.seed, key)) // StreamValue, built in place
 		if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
 			b++
 		}
 	}
-	lazy := k.par.Lazy
+	nbrs := k.g.Neighbors(u)
+	deg, cur, lazy := uint64(len(nbrs)), k.cur, k.par.Lazy
 	for ; i < b; i++ {
 		t := u
 		if !lazy || rng.Uint64()&1 == 0 {
@@ -137,24 +206,18 @@ func (k *Kernel) bipsSparse() {
 			if c == 0 {
 				continue
 			}
-			base := wi * 64
-			w := c
-			for ; c != 0; c &= c - 1 {
-				u := base + bits.TrailingZeros64(c)
-				if u == k.source || k.pullsInfected(u) {
-					list = append(list, int32(u))
-					vol += g.Degree(u)
-				} else {
-					w &^= c & -c
-				}
-			}
+			w, v := k.bipsWord(wi, c)
 			next.SetWord(wi, w)
+			vol += v
+			for base := wi * 64; w != 0; w &= w - 1 {
+				list = append(list, int32(base+bits.TrailingZeros64(w)))
+			}
 		}
 	} else {
 		for _, u := range cand {
-			if int(u) == k.source || k.pullsInfected(int(u)) {
+			if w, v := k.bipsWord(int(u)>>6, 1<<(uint32(u)&63)); w != 0 {
 				list = append(list, u)
-				vol += g.Degree(int(u))
+				vol += v
 			} else {
 				next.Clear(int(u))
 			}
@@ -172,29 +235,22 @@ func (k *Kernel) bipsSparse() {
 	k.curListOK = true
 }
 
-// bipsDense re-decides every vertex in one scan. Each next word is built
-// in a register and stored once, and the frontier count and volume are
-// summed on the way. The sets then swap, and the old frontier is cleared
-// out of what is now next (zero-after-fold).
+// bipsDense re-decides every vertex in one scan, a word at a time: each
+// next word is built by bipsWord and stored once, and the frontier count
+// and volume are summed on the way. The sets then swap, and the old
+// frontier is cleared out of what is now next (zero-after-fold).
 func (k *Kernel) bipsDense() {
-	next, g := k.next, k.g
-	n := g.N()
+	next, n := k.next, k.g.N()
 	frontierN, vol := 0, 0
 	for wi := 0; wi < next.WordCount(); wi++ {
-		base := wi * 64
-		hi := base + 64
-		if hi > n {
-			hi = n
+		cand := ^uint64(0)
+		if rem := n - wi*64; rem < 64 {
+			cand = 1<<uint(rem) - 1 // the last partial word
 		}
-		var w uint64
-		for u := base; u < hi; u++ {
-			if u == k.source || k.pullsInfected(u) {
-				w |= 1 << uint(u-base)
-				frontierN++
-				vol += g.Degree(u)
-			}
-		}
+		w, v := k.bipsWord(wi, cand)
 		next.SetWord(wi, w)
+		frontierN += bits.OnesCount64(w)
+		vol += v
 	}
 	k.cur, k.next = next, k.cur
 	k.next.Reset()

@@ -12,91 +12,119 @@ import (
 // with probability 1/2 per particle under Lazy — and the targets form
 // C_{t+1}. Multiple arrivals coalesce via set semantics.
 //
-// Both paths draw through push, so every representation consumes the
+// Both paths push through cobraWord, so every representation consumes the
 // (round, vertex) stream identically and the trajectories agree bit for
 // bit.
 
-// push sends v's particles for this round and marks every target in next.
-// It draws from v's (round, v) stream in one fixed order: the
-// fractional-branch Bernoulli, then per particle the lazy coin and
-// Lemire's multiply onto v's neighbour list. A kernel with ρ = 0 and not
-// Lazy (k.closed) takes the first three draws in closed form from the
-// stream's splitmix64 words (xrand.StreamCounter) and builds a generator
-// only for a fourth particle, or for Lemire's rejection tail, which a
-// draw reaches with probability below deg/2^64: the loop then redraws
-// from the stream positioned before the draw that fell in it. No draw
-// makes a call outside that tail. A sparse round
-// passes its new-frontier list, and push appends each target next did
-// not hold yet: next deduplicates the new frontier. A dense round passes
-// nil. It returns the particle count.
-func (k *Kernel) push(v int, list *[]int32) int {
-	nbrs := k.g.Neighbors(v)
-	deg, next := uint64(len(nbrs)), k.next
-	key := streamKey(k.round, v)
-	b, i := k.par.Branch, 0
-	var rng xrand.RNG
-	switch {
-	case k.closed:
-		c := xrand.StreamCounter(k.seed, key)
-		s1 := xrand.StreamWord(c, 1)
+// cobraWord pushes the particles of the active vertices of bitset word
+// wi, the vertices 64·wi + j for the set bits j of act, and marks every
+// target in next. A sparse round passes its new-frontier list, one
+// vertex at a time, and each target next did not hold yet is appended to
+// it: next deduplicates the new frontier. A dense round passes whole
+// words of cur and nil. It returns the particle count.
+//
+// A kernel with ρ = 0 and not Lazy (k.closed) computes each vertex's
+// first three targets in closed form from its stream's splitmix64 words
+// (xrand.StreamCounter, StreamWord, Draw1–Draw3), reading the raw CSR
+// arrays, with no call per vertex: this is the one place the closed-form
+// push order is written. A draw that falls into Lemire's rejection tail
+// (probability below deg/2^64), and a fourth particle, leave it for
+// pushFrom. Any other kernel pushes each vertex through pushFrom.
+func (k *Kernel) cobraWord(wi int, act uint64, list *[]int32) (sent int) {
+	base := wi * 64
+	if !k.closed {
+		for ; act != 0; act &= act - 1 {
+			sent += k.pushFrom(base+bits.TrailingZeros64(act), 0, list)
+		}
+		return sent
+	}
+	off, adj := k.g.CSR()
+	next, b := k.next, k.par.Branch
+	seed, key := k.seed, streamKey(k.round, base)
+	sent = b * bits.OnesCount64(act)
+	for ; act != 0; act &= act - 1 {
+		j := bits.TrailingZeros64(act)
+		v := base + j
+		o := int(off[v])
+		deg := uint64(int(off[v+1]) - o) // a degree-0 vertex panics below
+		sc := xrand.StreamCounter(seed, key+uint64(j))
+		s1 := xrand.StreamWord(sc, 1)
 		hi, lo := bits.Mul64(xrand.Draw1(s1), deg)
-		if lo < deg { // Lemire's tail: the loop redraws from here
-			rng = xrand.StreamAt(k.seed, key, 0)
-			break
+		if lo < deg {
+			k.pushFrom(v, 0, list)
+			continue
 		}
-		land(next, int(nbrs[hi]), list)
+		land(next, adj[o+int(hi)], list)
 		if b == 1 {
-			return 1
+			continue
 		}
-		s0, s2 := xrand.StreamWord(c, 0), xrand.StreamWord(c, 2)
+		s0, s2 := xrand.StreamWord(sc, 0), xrand.StreamWord(sc, 2)
 		hi, lo = bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
 		if lo < deg {
-			rng, i = xrand.StreamAt(k.seed, key, 1), 1
-			break
+			k.pushFrom(v, 1, list)
+			continue
 		}
-		land(next, int(nbrs[hi]), list)
+		land(next, adj[o+int(hi)], list)
 		if b == 2 {
-			return 2
+			continue
 		}
-		s3 := xrand.StreamWord(c, 3)
-		hi, lo = bits.Mul64(xrand.Draw3(s0, s1, s3), deg)
+		hi, lo = bits.Mul64(xrand.Draw3(s0, s1, xrand.StreamWord(sc, 3)), deg)
 		if lo < deg {
-			rng, i = xrand.StreamAt(k.seed, key, 2), 2
-			break
+			k.pushFrom(v, 2, list)
+			continue
 		}
-		land(next, int(nbrs[hi]), list)
-		if b == 3 {
-			return 3
+		land(next, adj[o+int(hi)], list)
+		if b > 3 {
+			k.pushFrom(v, 3, list)
 		}
-		rng, i = xrand.Advanced(s0, s1, s2, s3, 3), 3
-	default:
+	}
+	return sent
+}
+
+// pushFrom sends v's particles from particle i on, after i sent ones,
+// marks every target in next as cobraWord does, and returns how many it
+// sent. It reads v's (round, v) stream positioned after i draws
+// (xrand.StreamAt). A closed kernel's cobraWord calls it for a draw that
+// fell into Lemire's rejection tail, and for the particles after the
+// third; its rejection loop is xrand.(*RNG).Uint64nTail. Any other
+// kernel pushes every vertex here from i = 0, in the one fixed order:
+// the fractional-branch Bernoulli, then per particle the lazy coin and
+// Lemire's multiply.
+func (k *Kernel) pushFrom(v, i int, list *[]int32) int {
+	key := streamKey(k.round, v)
+	b := k.par.Branch
+	var rng xrand.RNG
+	if k.closed {
+		rng = xrand.StreamAt(k.seed, key, i)
+	} else {
 		rng.Reseed(xrand.StreamCounter(k.seed, key)) // StreamValue, built in place
 		if k.par.Rho > 0 && rng.Bernoulli(k.par.Rho) {
 			b++
 		}
 	}
-	lazy := k.par.Lazy
-	for ; i < b; i++ {
-		t := v
+	nbrs := k.g.Neighbors(v)
+	deg, next, lazy := uint64(len(nbrs)), k.next, k.par.Lazy
+	for p := i; p < b; p++ {
+		t := int32(v)
 		if !lazy || rng.Uint64()&1 == 0 {
 			hi, lo := bits.Mul64(rng.Uint64(), deg)
 			if lo < deg {
 				hi = rng.Uint64nTail(deg, hi, lo)
 			}
-			t = int(nbrs[hi]) // a degree-0 vertex panics here
+			t = nbrs[hi] // a degree-0 vertex panics here
 		}
 		land(next, t, list)
 	}
-	return b
+	return b - i
 }
 
 // land marks a particle's target t in next. A sparse round passes its
 // new-frontier list and gets t appended when next did not hold it yet.
-func land(next *bitset.Set, t int, list *[]int32) {
+func land(next *bitset.Set, t int32, list *[]int32) {
 	if list == nil {
-		next.Set(t)
-	} else if !next.TestAndSet(t) {
-		*list = append(*list, int32(t))
+		next.Set(int(t))
+	} else if !next.TestAndSet(int(t)) {
+		*list = append(*list, t)
 	}
 }
 
@@ -111,16 +139,14 @@ func (k *Kernel) cobraSparse() {
 	list := k.newList[:0]
 	var sent int64
 	for _, v := range k.curList {
-		sent += int64(k.push(int(v), &list))
+		sent += int64(k.cobraWord(int(v)>>6, 1<<(uint32(v)&63), &list))
 	}
 	for _, v := range k.curList {
 		k.cur.Clear(int(v))
 	}
 	k.cur, k.next = k.next, k.cur
 	// Fold the new frontier into the covered set: O(|new|), not O(n).
-	vol := 0
 	for _, w := range list {
-		vol += k.g.Degree(int(w))
 		if !k.covered.TestAndSet(int(w)) {
 			k.nCov++
 		}
@@ -128,31 +154,28 @@ func (k *Kernel) cobraSparse() {
 	k.sent += sent
 	k.coalesced += sent - int64(len(list))
 	k.frontierN = len(list)
-	k.frontierVol = vol
 	k.curList, k.newList = list, k.curList
 	k.curListOK = true
 }
 
-// cobraDense runs one round as two word scans. The scan draws every
-// frontier vertex's pushes into next, decoding up to 64 active vertices
-// per fetched word. The fold then moves each next word into cur (zeroing
-// it, which restores the zero-after-fold invariant), ORs it into covered,
-// and sums the frontier count, volume and newly-covered count on the way.
+// cobraDense runs one round as two word scans. The scan pushes every
+// frontier vertex's particles into next through cobraWord, a fetched word
+// of up to 64 active vertices at a time. The fold then moves each next
+// word into cur (zeroing it, which restores the zero-after-fold
+// invariant), ORs it into covered, and sums the frontier count and the
+// newly-covered count on the way. No degree is summed: only BIPS's
+// representation rule reads the frontier volume, and FrontierVolume
+// computes a COBRA kernel's on demand.
 func (k *Kernel) cobraDense() {
-	cur, next, covered, g := k.cur, k.next, k.covered, k.g
-	nw := cur.WordCount()
+	cur, next, covered := k.cur, k.next, k.covered
 	var sent int64
-	for wi := 0; wi < nw; wi++ {
-		word := cur.Word(wi)
-		base := wi * 64
-		for word != 0 {
-			v := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			sent += int64(k.push(v, nil))
+	for wi, word := range cur.Words() {
+		if word != 0 {
+			sent += int64(k.cobraWord(wi, word, nil))
 		}
 	}
-	frontierN, vol, newCov := 0, 0, 0
-	for wi := 0; wi < nw; wi++ {
+	frontierN, newCov := 0, 0
+	for wi := 0; wi < cur.WordCount(); wi++ {
 		w := next.Word(wi)
 		if w != 0 {
 			next.SetWord(wi, 0)
@@ -167,13 +190,8 @@ func (k *Kernel) cobraDense() {
 			newCov += bits.OnesCount64(newBits)
 		}
 		frontierN += bits.OnesCount64(w)
-		base := wi * 64
-		for bw := w; bw != 0; bw &= bw - 1 {
-			vol += g.Degree(base + bits.TrailingZeros64(bw))
-		}
 	}
 	k.frontierN = frontierN
-	k.frontierVol = vol
 	k.nCov += newCov
 	k.sent += sent
 	k.coalesced += sent - int64(frontierN)

@@ -129,21 +129,15 @@ func TestSparseDenseAgreeProperty(t *testing.T) {
 	}
 }
 
-// Fixed word layouts the generator may miss: Hypercube(9) fills exactly 8
-// words, BarabasiAlbert(777, 3) ends in a partial 13th word, and
-// Complete(50) fits inside one word.
+// Fixed word layouts the generator may miss (fixedLayouts).
 func TestSparseDenseAgreeFixedGraphs(t *testing.T) {
-	ba, err := graph.BarabasiAlbert(777, 3, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pars := []Params{
 		{Branch: 2},
 		{Branch: 1, Rho: 0.5},
 		{Branch: 2, Lazy: true},
 		{Branch: 3, Rho: 0.5, Lazy: true},
 	}
-	for _, g := range []*graph.Graph{graph.Hypercube(9), ba, graph.Complete(50)} {
+	for _, g := range fixedLayouts(t) {
 		for _, kind := range []Kind{Cobra, Bips} {
 			for _, par := range pars {
 				if err := reprsAgree(reprCase{g, kind, par, 0, 77}, 2000); err != nil {

@@ -22,13 +22,18 @@
 //     small fraction of the graph (early rounds, b = 1 walks, long sparse
 //     tails).
 //   - Dense: the frontier lives in its bitset and rounds are word-level
-//     scans: 64 vertices per fetched word, with the per-word fetch hoisted
-//     out of the per-vertex draw loop, the frontier count, volume and
-//     covered-set fold summed in the pass that stores each word, and no
-//     member slice ever materialised. This wins once the frontier spans a
-//     constant fraction of the graph (wide mid-phase rounds on expanders
-//     and the scale-free families), where the member slices cost more
-//     than scanning n/64 words.
+//     scans: 64 vertices per fetched word, the frontier count (and for
+//     BIPS the volume) and the covered-set fold summed in the pass that
+//     stores each word, and no member slice ever materialised. This wins
+//     once the frontier spans a constant fraction of the graph (wide
+//     mid-phase rounds on expanders and the scale-free families), where
+//     the member slices cost more than scanning n/64 words.
+//
+// Each kind has one word evaluator, cobraWord and bipsWord, through which
+// every round of every representation decides its vertices, a bitset
+// word of them at a time: a dense round passes whole words, BIPS's
+// vertex-order sparse round passes next's candidate words, and the other
+// sparse rounds pass one vertex as a one-bit word.
 //
 // Determinism contract: the randomness of every (round, vertex) pair is
 // drawn from a stateless stream keyed by the master seed,
@@ -36,23 +41,28 @@
 // are therefore a pure function of (seed, round, vertex, frontier), so the
 // trajectory — every per-round frontier set and derived statistic — is
 // identical across representations (sparse, dense, adaptive). It depends
-// only on the seed. Each vertex draws from its stream in one fixed order,
-// inline (push for COBRA, pullsInfected for BIPS): the fractional-branch
-// Bernoulli, then per particle or pull the lazy coin and Lemire's
-// multiply onto its neighbour list. A kernel with ρ = 0 and not Lazy, the
-// paper's plain b-branching process, takes a vertex's first three draws
-// in closed form from the stream's splitmix64 words
-// (xrand.StreamCounter, StreamWord, Draw1–Draw3), so at b ≤ 3 it builds
-// no generator: a BIPS pull that hits at once costs one finalisation, a
-// COBRA b = 2 push three. A fourth draw continues on a generator built
-// from those words. A draw that falls into Lemire's rejection tail
-// (probability below deg/2^64) is redrawn from the stream positioned
-// before it (xrand.StreamAt) through the rejection loop
-// xrand.(*RNG).Uint64nTail; no draw makes a call outside that tail.
-// ρ > 0 or Lazy kernels build each vertex's generator once per round and
-// draw from it. The choice is made once, at construction, from Params.
-// testdata/fingerprints.txt pins the trajectories of every path to bytes
-// an earlier kernel wrote.
+// only on the seed. Each vertex reads its stream in one fixed order: the
+// fractional-branch Bernoulli, then per particle or pull the lazy coin
+// and Lemire's multiply onto its neighbour list. A kernel with ρ = 0 and
+// not Lazy, the paper's plain b-branching process, takes a vertex's first
+// three draws in closed form from the stream's splitmix64 words
+// (xrand.StreamCounter, StreamWord, Draw1–Draw3), inside the word
+// evaluators, on the raw CSR arrays (graph.Graph.CSR) and frontier words
+// (bitset.Set.Words), with no call per vertex: COBRA computes each active
+// vertex's targets inline and marks them in next, and BIPS takes every
+// candidate's first pull in a pass with no branch on its outcome, then
+// pulls 2 and 3 for that word's misses only. Those two evaluators are the
+// one place each kind's closed-form draw order is written. A draw that
+// falls into Lemire's rejection tail (probability below deg/2^64), and a
+// fourth draw, leave the evaluator for the kind's one fallback, pushFrom
+// or pullsFrom: it reads the stream positioned after the draws already
+// taken (xrand.StreamAt) and continues in the generic loop, whose
+// rejection loop is xrand.(*RNG).Uint64nTail. ρ > 0 or Lazy kernels
+// decide every vertex in that generic loop from a generator built once
+// per vertex and round. The choice is made once, at construction, from
+// Params. testdata/fingerprints.txt pins the trajectories of every path
+// to bytes an earlier kernel wrote, and definition_test.go checks every
+// round against a reference built vertex by vertex from the definition.
 //
 // Every round runs on the calling goroutine. The paper's bounds describe
 // distributions over independent trials, so callers parallelise across
@@ -60,9 +70,10 @@
 // round.
 //
 // The crossover defaults (|C_t| > n/64 for COBRA, vol(A_t) > n for BIPS)
-// sit inside the single-round crossovers BenchmarkEngineCrossover
+// sit above the single-round crossovers BenchmarkEngineCrossover
 // (dense_test.go) measures on two 2^18-vertex graphs; doc.go ("Performance
-// notes") gives the measured ranges.
+// notes") gives the measured ranges. Both are result bytes: a trial
+// reports how many rounds ran in each representation.
 package engine
 
 import (
@@ -110,12 +121,14 @@ const (
 // DefaultDenseDiv is the COBRA crossover divisor: a round goes dense when
 // |frontier| > n/DefaultDenseDiv. Both representations pay the same
 // |C_t|·b draws; they differ in the member slices a sparse round keeps
-// against the n/64-word scan and fold of a dense one. Where they cross
-// depends on the graph (BenchmarkEngineCrossover, 2^18 vertices, medians
-// of 10 on a 2-core host): near n/96 on a random 3-regular graph, whose
-// scattered members cost the sparse round cache misses, while on the
-// 8-regular circulant the two stay within 12% of each other from n/96 to
-// n/8. 64 sits at the first crossover and inside the second tie.
+// against the n/64-word scan and fold of a dense one. Since the dense
+// scan runs the word evaluator, the two cross between n/256 and n/128 on
+// both of BenchmarkEngineCrossover's 2^18-vertex graphs (doc.go,
+// "Performance notes"), so rounds in (n/128, n/64] run sparse at up to
+// 1.5× a dense round. The divisor stays 64: which representation a round
+// runs is part of every trial's result (sparse_rounds, tiled_rounds,
+// pinned by testdata/fingerprints.txt), so moving it changes result
+// bytes.
 const DefaultDenseDiv = 64
 
 // DefaultMaxRounds is the shared default cap on a single run over an
@@ -179,19 +192,19 @@ type Kernel struct {
 	par    Params
 	seed   uint64
 	source int // Bips only
-	// closed selects the closed-form first draws of push and
-	// pullsInfected: ρ = 0 and not Lazy, so a vertex's first draws are
-	// its neighbour picks.
+	// closed selects the word evaluators' closed-form first draws
+	// (cobraWord, bipsWord): ρ = 0 and not Lazy, so a vertex's first
+	// draws are its neighbour picks.
 	closed bool
 
 	// Frontier state. cur is always authoritative; curList mirrors it
 	// when curListOK (maintained by sparse rounds, rebuilt on demand).
-	// Both representations maintain frontierN and frontierVol.
+	// Both representations maintain frontierN, and for BIPS frontierVol.
 	cur         *bitset.Set
 	curList     []int32
 	curListOK   bool
 	frontierN   int
-	frontierVol int // Σ deg(v) over the frontier; see FrontierVolume
+	frontierVol int // BIPS only: Σ deg(v) over A_t; see FrontierVolume
 
 	// Cobra-only cumulative state.
 	covered   *bitset.Set
@@ -238,7 +251,6 @@ func newCobra(g *graph.Graph, par Params, start []int, seed uint64, ws *Workspac
 		if !k.cur.Contains(v) {
 			k.cur.Set(v)
 			k.curList = append(k.curList, int32(v))
-			k.frontierVol += g.Degree(v)
 			k.covered.Set(v)
 			k.nCov++
 		}
@@ -313,8 +325,23 @@ func (k *Kernel) Frontier() *bitset.Set { return k.cur }
 func (k *Kernel) FrontierCount() int { return k.frontierN }
 
 // FrontierVolume returns Σ_{v ∈ frontier} deg(v) — d(A_t) in the paper's
-// Section 3 notation, maintained by every round without a rescan.
-func (k *Kernel) FrontierVolume() int { return k.frontierVol }
+// Section 3 notation. Every BIPS round maintains it without a rescan,
+// since the BIPS representation rule reads it. COBRA rounds do not sum
+// it, so for a COBRA kernel it is computed on demand, in O(|C_t|) after a
+// sparse round and O(n/64 + |C_t|) after a dense one.
+func (k *Kernel) FrontierVolume() int {
+	if k.kind == Bips {
+		return k.frontierVol
+	}
+	if !k.curListOK {
+		k.ensureList()
+	}
+	vol := 0
+	for _, v := range k.curList {
+		vol += k.g.Degree(int(v))
+	}
+	return vol
+}
 
 // Covered returns the cumulative visited set of a COBRA kernel (nil for
 // BIPS). Read-only.
@@ -371,9 +398,9 @@ func (k *Kernel) InstallFrontier(members []int) {
 		}
 		k.cur.Set(v)
 		k.curList = append(k.curList, int32(v))
-		vol += k.g.Degree(v)
-		if k.kind == Cobra && !k.covered.Contains(v) {
-			k.covered.Set(v)
+		if k.kind == Bips {
+			vol += k.g.Degree(v)
+		} else if !k.covered.TestAndSet(v) {
 			k.nCov++
 		}
 	}

@@ -411,6 +411,11 @@ func TestGeneratorPanics(t *testing.T) {
 		func() { DoubleCycle(4) },
 		func() { Chord(5, 3) },
 		func() { CompleteBipartite(0, 3) },
+		// The size guards, which graphspec's own size rule now
+		// shadows: each must refuse before allocating.
+		func() { Hypercube(40) },
+		func() { Torus(1000000, 1000000) },
+		func() { Grid(99999, 99999) },
 	}
 	for i, fn := range cases {
 		func() {

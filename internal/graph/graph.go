@@ -251,6 +251,12 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 
+// CSR returns the graph's compressed sparse rows: the neighbours of v
+// are adj[off[v]:off[v+1]], sorted, and len(off) = n+1. Both slices alias
+// the graph's storage and must not be modified. The frontier engine's
+// word loops read them directly instead of slicing a list per vertex.
+func (g *Graph) CSR() (off, adj []int32) { return g.off, g.adj }
+
 // Neighbor returns the i-th neighbour of v (0-based). This is the hot call
 // of every simulation round: selecting a uniform neighbour is
 // Neighbor(v, rng.Intn(Degree(v))).

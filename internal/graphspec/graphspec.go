@@ -28,11 +28,19 @@
 // is case-insensitive, the name and every argument are trimmed of
 // surrounding space ("BA :500: 3" is "ba:500:3"), and a spec with too few
 // or too many arguments fails for every reader.
+//
+// Every row also gives the size of the graph its arguments ask for, n + m
+// (exact for the deterministic families, the generator's edge target for
+// the seeded ones), and a spec that asks for more than 2^24 fails for
+// every reader before anything is built: one short spec such as
+// "hypercube:30" would otherwise make a server build for minutes and
+// exhaust its memory.
 package graphspec
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -42,6 +50,11 @@ import (
 
 // ErrSpec flags an unparseable specification.
 var ErrSpec = errors.New("graphspec: invalid specification")
+
+// maxSize bounds n + m, the vertices plus edges a spec may ask for:
+// about 4× ba:1048576:3 (n + m ≈ 4.2·10^6), the largest graph the
+// experiments plan for.
+const maxSize = 1 << 24
 
 // argKind is one expected argument of a family.
 type argKind int
@@ -58,12 +71,15 @@ type args struct {
 	floats []float64
 }
 
-// family is one row of the grammar: the arguments a family takes and the
-// constructor that builds it from them. A dims family takes one or more
-// integer dimensions instead of a fixed list.
+// family is one row of the grammar: the arguments a family takes, the
+// size n + m of the graph they ask for, and the constructor that builds
+// it from them. A dims family takes one or more integer dimensions
+// instead of a fixed list. size works in float64, so no argument can
+// overflow it; a NaN size leaves the arguments to the generator's checks.
 type family struct {
 	kinds []argKind
 	dims  bool
+	size  func(a args) float64
 	build func(a args, seed uint64) (*graph.Graph, error)
 }
 
@@ -80,57 +96,89 @@ func recovered(fn func() *graph.Graph) (g *graph.Graph, err error) {
 	return fn(), nil
 }
 
-func int1(fn func(int) *graph.Graph) family {
-	return family{kinds: []argKind{argInt}, build: func(a args, _ uint64) (*graph.Graph, error) {
-		return recovered(func() *graph.Graph { return fn(a.ints[0]) })
-	}}
+func int1(fn func(int) *graph.Graph, size func(n float64) float64) family {
+	return family{kinds: []argKind{argInt},
+		size: func(a args) float64 { return size(float64(a.ints[0])) },
+		build: func(a args, _ uint64) (*graph.Graph, error) {
+			return recovered(func() *graph.Graph { return fn(a.ints[0]) })
+		}}
 }
 
-func int2(fn func(int, int) *graph.Graph) family {
-	return family{kinds: []argKind{argInt, argInt}, build: func(a args, _ uint64) (*graph.Graph, error) {
-		return recovered(func() *graph.Graph { return fn(a.ints[0], a.ints[1]) })
-	}}
+func int2(fn func(int, int) *graph.Graph, size func(x, y float64) float64) family {
+	return family{kinds: []argKind{argInt, argInt},
+		size: func(a args) float64 { return size(float64(a.ints[0]), float64(a.ints[1])) },
+		build: func(a args, _ uint64) (*graph.Graph, error) {
+			return recovered(func() *graph.Graph { return fn(a.ints[0], a.ints[1]) })
+		}}
 }
 
-func dims(fn func(...int) *graph.Graph) family {
-	return family{dims: true, build: func(a args, _ uint64) (*graph.Graph, error) {
-		return recovered(func() *graph.Graph { return fn(a.ints...) })
-	}}
+// dims' size receives the vertex count, the product of the sides.
+func dims(fn func(...int) *graph.Graph, size func(n float64, sides []int) float64) family {
+	return family{dims: true,
+		size: func(a args) float64 {
+			n := 1.0
+			for _, s := range a.ints {
+				n *= float64(s)
+			}
+			return size(n, a.ints)
+		},
+		build: func(a args, _ uint64) (*graph.Graph, error) {
+			return recovered(func() *graph.Graph { return fn(a.ints...) })
+		}}
 }
 
 // families is the grammar. Seeded families draw from xrand.New(seed).
 var families = map[string]family{
-	"complete":    int1(graph.Complete),
-	"cycle":       int1(graph.Cycle),
-	"path":        int1(graph.Path),
-	"star":        int1(graph.Star),
-	"hypercube":   int1(graph.Hypercube),
-	"bintree":     int1(graph.BinaryTree),
-	"doublecycle": int1(graph.DoubleCycle),
-	"grid":        dims(graph.Grid),
-	"torus":       dims(graph.Torus),
-	"lollipop":    int2(graph.Lollipop),
-	"barbell":     int2(graph.Barbell),
-	"bipartite":   int2(graph.CompleteBipartite),
-	"chord":       int2(graph.Chord),
-	"petersen": {build: func(args, uint64) (*graph.Graph, error) {
+	"complete":    int1(graph.Complete, func(n float64) float64 { return n + n*(n-1)/2 }),
+	"cycle":       int1(graph.Cycle, func(n float64) float64 { return 2 * n }),
+	"path":        int1(graph.Path, func(n float64) float64 { return 2*n - 1 }),
+	"star":        int1(graph.Star, func(n float64) float64 { return 2*n - 1 }),
+	"hypercube":   int1(graph.Hypercube, func(d float64) float64 { return math.Exp2(d) * (1 + d/2) }),
+	"bintree":     int1(graph.BinaryTree, func(n float64) float64 { return 2*n - 1 }),
+	"doublecycle": int1(graph.DoubleCycle, func(n float64) float64 { return 3 * n }),
+	"grid": dims(graph.Grid, func(n float64, sides []int) float64 {
+		m := 0.0
+		for _, s := range sides {
+			m += float64(s-1) * n / float64(s)
+		}
+		return n + m
+	}),
+	"torus":     dims(graph.Torus, func(n float64, sides []int) float64 { return n * float64(1+len(sides)) }),
+	"lollipop":  int2(graph.Lollipop, func(k, l float64) float64 { return k + l + k*(k-1)/2 + l }),
+	"barbell":   int2(graph.Barbell, func(k, l float64) float64 { return 2*k + l + k*(k-1) + l + 1 }),
+	"bipartite": int2(graph.CompleteBipartite, func(a, b float64) float64 { return a + b + a*b }),
+	"chord":     int2(graph.Chord, func(n, k float64) float64 { return n + n*k }),
+	"petersen": {size: func(args) float64 { return 10 + 15 }, build: func(args, uint64) (*graph.Graph, error) {
 		return graph.Petersen(), nil
 	}},
-	"er": {kinds: []argKind{argInt, argFloat}, build: func(a args, seed uint64) (*graph.Graph, error) {
-		return graph.ErdosRenyi(a.ints[0], a.floats[0], xrand.New(seed))
-	}},
-	"rreg": {kinds: []argKind{argInt, argInt}, build: func(a args, seed uint64) (*graph.Graph, error) {
-		return graph.RandomRegular(a.ints[0], a.ints[1], xrand.New(seed))
-	}},
-	"rtree": {kinds: []argKind{argInt}, build: func(a args, seed uint64) (*graph.Graph, error) {
-		return graph.RandomTree(a.ints[0], xrand.New(seed))
-	}},
-	"ba": {kinds: []argKind{argInt, argInt}, build: func(a args, seed uint64) (*graph.Graph, error) {
-		return graph.BarabasiAlbert(a.ints[0], a.ints[1], xrand.New(seed))
-	}},
-	"ws": {kinds: []argKind{argInt, argInt, argFloat}, build: func(a args, seed uint64) (*graph.Graph, error) {
-		return graph.WattsStrogatz(a.ints[0], a.ints[1], a.floats[0], xrand.New(seed))
-	}},
+	"er": {kinds: []argKind{argInt, argFloat},
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + a.floats[0]*n*(n-1)/2 },
+		build: func(a args, seed uint64) (*graph.Graph, error) {
+			return graph.ErdosRenyi(a.ints[0], a.floats[0], xrand.New(seed))
+		}},
+	"rreg": {kinds: []argKind{argInt, argInt},
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + n*float64(a.ints[1])/2 },
+		build: func(a args, seed uint64) (*graph.Graph, error) {
+			return graph.RandomRegular(a.ints[0], a.ints[1], xrand.New(seed))
+		}},
+	"rtree": {kinds: []argKind{argInt},
+		size: func(a args) float64 { return 2*float64(a.ints[0]) - 1 },
+		build: func(a args, seed uint64) (*graph.Graph, error) {
+			return graph.RandomTree(a.ints[0], xrand.New(seed))
+		}},
+	"ba": {kinds: []argKind{argInt, argInt},
+		size: func(a args) float64 {
+			n, m := float64(a.ints[0]), float64(a.ints[1])
+			return n + (n-m)*m
+		},
+		build: func(a args, seed uint64) (*graph.Graph, error) {
+			return graph.BarabasiAlbert(a.ints[0], a.ints[1], xrand.New(seed))
+		}},
+	"ws": {kinds: []argKind{argInt, argInt, argFloat},
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + n*float64(a.ints[1])/2 },
+		build: func(a args, seed uint64) (*graph.Graph, error) {
+			return graph.WattsStrogatz(a.ints[0], a.ints[1], a.floats[0], xrand.New(seed))
+		}},
 }
 
 // Canonical returns the canonical form of spec: lower-cased family name
@@ -140,7 +188,8 @@ var families = map[string]family{
 // cheap syntax check the job service runs at submission time and the
 // graph cache's key: two specs describe the same family instance iff
 // their canonical forms are equal. Canonical(Canonical(s)) ==
-// Canonical(s).
+// Canonical(s). A spec whose graph would exceed maxSize vertices plus
+// edges fails here too, with an ErrSpec error that names its size.
 func Canonical(spec string) (string, error) {
 	canon, _, err := parse(spec)
 	return canon, err
@@ -157,8 +206,9 @@ func Parse(spec string, seed uint64) (*graph.Graph, error) {
 	return build(seed)
 }
 
-// parse checks spec against the family table, returning its canonical
-// form and its family's constructor bound to its arguments.
+// parse checks spec against the family table, and its size against
+// maxSize, returning its canonical form and its family's constructor
+// bound to its arguments.
 func parse(spec string) (string, func(seed uint64) (*graph.Graph, error), error) {
 	parts := strings.Split(strings.TrimSpace(spec), ":")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
@@ -203,5 +253,10 @@ func parse(spec string) (string, func(seed uint64) (*graph.Graph, error), error)
 			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 		}
 	}
-	return sb.String(), func(seed uint64) (*graph.Graph, error) { return fam.build(a, seed) }, nil
+	canon := sb.String()
+	if size := fam.size(a); size > maxSize {
+		return "", nil, fmt.Errorf("%w: %s asks for n+m = %.4g vertices and edges, above the limit of %d",
+			ErrSpec, canon, size, maxSize)
+	}
+	return canon, func(seed uint64) (*graph.Graph, error) { return fam.build(a, seed) }, nil
 }

@@ -2,7 +2,11 @@ package graphspec
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/repro/cobra/internal/graph"
 )
@@ -64,11 +68,75 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("spec %q accepted", spec)
 		}
 	}
-	// Oversize specs pass Canonical; the generators' size guards must
-	// refuse them before allocating anything.
+	// Oversize specs fail in Canonical, on the family table's size rule,
+	// before the generators' own guards (Hypercube's d <= 30, Grid's and
+	// Torus's 2^31 vertices) are reached; TestGeneratorPanics in
+	// internal/graph keeps those guards tested.
 	for _, spec := range []string{"torus:1000000:1000000", "hypercube:40", "grid:99999:99999"} {
+		if _, err := Canonical(spec); !errors.Is(err, ErrSpec) {
+			t.Errorf("Canonical(%q) = %v, want ErrSpec", spec, err)
+		}
 		if _, err := Parse(spec, 1); !errors.Is(err, ErrSpec) {
 			t.Errorf("Parse(%q) = %v, want ErrSpec", spec, err)
+		}
+	}
+}
+
+// A spec that asks for more than 2^24 vertices plus edges fails in
+// Canonical and Parse at once, with an error naming its size, while the
+// largest graphs the experiments plan for still pass. (Every spec in
+// testdata/graphs.txt is built through Parse by TestGraphFingerprints.)
+func TestSizeBound(t *testing.T) {
+	for _, spec := range []string{"hypercube:30", "complete:100000", "er:100000:0.5", "torus:4096:4096"} {
+		start := time.Now()
+		_, cerr := Canonical(spec)
+		_, perr := Parse(spec, 1)
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%s: rejecting took %v", spec, el)
+		}
+		for _, err := range []error{cerr, perr} {
+			if !errors.Is(err, ErrSpec) || !strings.Contains(fmt.Sprint(err), "n+m") {
+				t.Errorf("%s: got %v, want an ErrSpec naming n+m", spec, err)
+			}
+		}
+	}
+	for _, spec := range []string{"rreg:1048576:3", "ba:1048576:3", "torus:1024:1024", "hypercube:20"} {
+		if _, err := Canonical(spec); err != nil {
+			t.Errorf("Canonical(%q): %v", spec, err)
+		}
+	}
+	// torus:2048:2730 asks for n + m = 3n = 16773120 <= 2^24.
+	if _, err := Canonical("torus:2048:2730"); err != nil {
+		t.Errorf("Canonical(torus:2048:2730): %v", err)
+	}
+	if _, err := Canonical("torus:2048:2731"); !errors.Is(err, ErrSpec) {
+		t.Errorf("torus:2048:2731 (n+m = %d) accepted", 3*2048*2731)
+	}
+}
+
+// The size rule is exact for every deterministic family: it equals the
+// built graph's n + m.
+func TestSizeRuleExact(t *testing.T) {
+	for _, spec := range []string{
+		"complete:10", "cycle:12", "path:9", "star:7", "hypercube:4", "bintree:15",
+		"doublecycle:20", "grid:3:4", "grid:2:3:5", "torus:3:5", "torus:3:4:5",
+		"lollipop:5:4", "barbell:4:3", "barbell:4:0", "bipartite:3:5", "chord:20:3", "petersen",
+	} {
+		g, err := Parse(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := strings.Split(spec, ":")
+		var a args
+		for _, p := range parts[1:] {
+			v, err := strconv.Atoi(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.ints = append(a.ints, v)
+		}
+		if got, want := families[parts[0]].size(a), float64(g.N()+g.M()); got != want {
+			t.Errorf("%s: size rule %v, built n+m %v", spec, got, want)
 		}
 	}
 }
