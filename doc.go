@@ -64,17 +64,25 @@
 // bitset 64 vertices per word with no member slice at all, and sums its
 // bookkeeping — next-frontier popcount, newly-covered count and, for
 // BIPS only, the frontier volume its representation rule reads — in the
-// pass that stores each word. Either way the vertices are decided by one
-// word evaluator per kind (internal/engine's cobraWord and bipsWord), a
-// bitset word at a time. Without ρ or laziness a vertex's first three
-// draws come in closed form from its (round, vertex) stream's splitmix64
-// words, read on the raw CSR arrays and frontier words with no call per
-// vertex: COBRA ORs each active vertex's targets into the next frontier,
-// and BIPS takes every candidate's first pull in a pass with no branch on
-// its outcome (the neighbour's frontier bit and, under it, the degree
-// already loaded go straight into the result word and the volume), then
-// pulls 2 and 3 for the word's misses only. Those two evaluators are the
-// one place each kind's closed-form draw order is written; Lemire's
+// pass that stores each word. A dense BIPS round whose uninfected
+// vertices have volume at most 3n/4 runs on that complement instead: a
+// vertex with no uninfected neighbour joins for certain, so the round
+// decides only the neighbours of the uninfected (and, under laziness,
+// the uninfected themselves) and writes the next frontier as every
+// vertex minus the failures, in Θ(n/64 + vol(V∖A_t)). Either way the
+// vertices are decided by one word evaluator per kind (internal/engine's
+// cobraWord and bipsWord), a bitset word at a time. Without ρ or
+// laziness a vertex's first three draws come in closed form from its
+// (round, vertex) stream's splitmix64 words, read on the raw CSR arrays
+// and frontier words with no call per vertex: COBRA marks each active
+// vertex's targets in the next frontier as it draws them (a dense round
+// at b = 2 takes both draws first, tests Lemire's tail once and ORs the
+// targets into the next frontier's words), and BIPS takes every
+// candidate's first pull in a pass with no branch on its outcome (the
+// neighbour's frontier bit and, under it, the degree already loaded go
+// straight into the result word and the volume), then pulls 2 and 3 for
+// the word's misses only. Those two evaluators are the one place each
+// kind's closed-form draw order is written; Lemire's
 // rejection tail, draws past the third and the ρ > 0 and lazy kernels
 // take one generic per-vertex loop per kind. Every round runs on the
 // calling goroutine: the paper's bounds are distributions over
@@ -85,12 +93,19 @@
 // and every configuration of BenchmarkEngineDraws.
 //
 // BenchmarkEngineDraws times one dense round on RandomRegular(2^18, 3)
-// from every other vertex (medians of 6 interleaved samples on a 2-core
-// host, before the word evaluators → with them): COBRA b = 1, 2, 3 in
-// 2.3 → 1.4, 3.4 → 2.6 and 4.6 → 3.3 ms, BIPS b = 1, 2, 3 in 8.1 → 2.8,
-// 10.3 → 6.0 and 11.3 → 7.0 ms; the generic rows, b = 2 with ρ = 0.5 or
-// lazy, stayed within noise (COBRA 6.5 and 6.2 ms, BIPS 17.1 and
-// 13.1 ms). Measured on 2·10^5-vertex workloads
+// from every other vertex. On a 2-core host, medians of 11 samples
+// interleaved row by row, before → with the b = 2 dense COBRA arm:
+// COBRA b = 1, 2, 3 in 1.57 → 1.66, 2.84 → 2.30 and 3.29 → 3.51 ms,
+// BIPS b = 1, 2, 3 in 3.35 → 3.39, 7.00 → 6.38 and 7.84 → 7.78 ms, and
+// the generic rows, b = 2 with ρ = 0.5 or lazy, COBRA 7.21 → 7.08 and
+// 6.85 → 6.85, BIPS 17.5 → 17.5 and 14.5 → 14.1 ms. Only the COBRA
+// b = 2 row runs new code (faster in 11 of 11 pairs): cobraWord,
+// bipsWord, pushFrom and pullsFrom compile to the same instructions as
+// before, and the other rows moved by up to 7% either way, the spread
+// of single samples on that host. In one binary, alternating over 20
+// paired samples, the arm took 0.82 of the per-draw loop's time on this
+// frontier (faster in 19 pairs) and 0.85 on a fully active one (16).
+// Measured on 2·10^5-vertex workloads
 // (BenchmarkEngineCobraWide/-Narrow, BenchmarkEngineBipsWide in
 // bench_test.go; medians of 5 samples, same host): fully-active COBRA
 // rounds run 3.1× faster dense than sparse on the grid, 3.9× on the
@@ -112,7 +127,21 @@
 // vol(A_t) > n, runs those rounds up to about 1.3× slower than dense
 // would. Both defaults stay: which rounds run sparse and which dense is
 // part of every trial's result (sparse_rounds, tiled_rounds), so moving
-// one changes result bytes, not only speed. Neither default is a public
+// one changes result bytes, not only speed. The complement round
+// against the dense scan, from near-full frontiers whose uninfected
+// vertices have volume n/4, n/2, 3n/4, n and 3n/2 (medians of 10
+// samples; of 5 in an earlier run): 0.48, 0.68, 1.13, 0.98 and 1.08 of
+// the scan's time on the random 3-regular graph (0.46, 0.89, 0.83, 1.16
+// and 1.43), and 0.78, 0.75, 0.81, 1.03 and 1.15 on the circulant (0.62,
+// 0.66, 1.05, 0.99 and 1.11); at n/4 it takes 1.85 against 3.84 ms on
+// the random graph. Those runs time each row's samples back to back and
+// disagree at 3n/4 and n, so that band was timed again in one binary
+// with the two rounds alternating (20 pairs, twice): the complement
+// round took 0.97 and 0.92 of the scan's time at 3n/4 on the random
+// graph (faster in 17 and 19 pairs) and 0.81 and 0.73 on the circulant
+// (20 and 20), and at n 1.02 and 0.99 on the random graph (8 and 5) and
+// 0.90 and 0.91 on the circulant (18 and 15). Adaptive therefore runs
+// it up to 3n/4; that choice moves no result byte. Neither default is a public
 // knob; the forced modes (internal/engine Params.Mode) exist for the
 // repository's own benchmarks and equivalence tests.
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -510,7 +511,7 @@ func TestServiceSweepValidation(t *testing.T) {
 
 	// The MaxTrials cap applies to the sweep total (cells x trials), and a
 	// trial count huge enough to overflow the product must not slip past it.
-	for _, trials := range []int{200_000 /* 8 cells x 200k = 1.6M > 1M */, 1 << 61 /* 8 x 2^61 wraps to 0 */} {
+	for _, trials := range []int{200_000 /* 8 cells x 200k = 1.6M > 1M */, 1 << (strconv.IntSize - 3) /* 8 x 2^61 (2^29 on 32 bits) wraps to 0 */} {
 		huge := testSweepSpec()
 		huge.Trials = trials
 		body, _ := json.Marshal(huge)

@@ -38,7 +38,7 @@ func genCampaignSpec(rng *xrand.RNG) Spec {
 		spec.Rho = float64(rng.Intn(5)) * 0.25
 	}
 	if rng.Bool() {
-		spec.Deadline = time.Unix(int64(rng.Intn(1<<31)), 0).UTC().Format(time.RFC3339)
+		spec.Deadline = time.Unix(int64(rng.Uint64n(1<<31)), 0).UTC().Format(time.RFC3339)
 	}
 	return spec
 }

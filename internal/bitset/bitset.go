@@ -111,8 +111,9 @@ func (s *Set) WordCount() int { return len(s.words) }
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 
 // Words returns the backing words, Word(i) for every i, for loops that
-// read a whole set word by word. The slice aliases the set's storage and
-// must not be modified; write through SetWord.
+// read or write a whole set word by word. The slice aliases the set's
+// storage: writing an element is a SetWord, and the caller keeps the tail
+// bits beyond n zero.
 func (s *Set) Words() []uint64 { return s.words }
 
 // SetWord overwrites backing word i wholesale, for the dense frontier

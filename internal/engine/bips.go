@@ -18,6 +18,9 @@ import (
 // sparse path therefore evaluates exactly that candidate superset, in
 // Θ(vol(A_t)) work, and agrees bit for bit with the dense Θ(n) scan
 // because each vertex's decision is a pure function of its own stream.
+// The complement round is the same argument the other way round: only
+// N(V∖A_t) — plus V∖A_t itself under Lazy — can fail to join, so once
+// A_t is nearly everything it evaluates those, in Θ(n/64 + vol(V∖A_t)).
 
 // bipsWord decides the candidates of bitset word wi, the vertices
 // 64·wi + j for the set bits j of cand, and returns the word of those
@@ -243,11 +246,7 @@ func (k *Kernel) bipsDense() {
 	next, n := k.next, k.g.N()
 	frontierN, vol := 0, 0
 	for wi := 0; wi < next.WordCount(); wi++ {
-		cand := ^uint64(0)
-		if rem := n - wi*64; rem < 64 {
-			cand = 1<<uint(rem) - 1 // the last partial word
-		}
-		w, v := k.bipsWord(wi, cand)
+		w, v := k.bipsWord(wi, wordMask(wi, n))
 		next.SetWord(wi, w)
 		frontierN += bits.OnesCount64(w)
 		vol += v
@@ -257,4 +256,59 @@ func (k *Kernel) bipsDense() {
 	k.frontierN = frontierN
 	k.frontierVol = vol
 	k.curListOK = false
+}
+
+// bipsComplement runs a wide round on the complement U = V∖A_t, the
+// uninfected. A vertex with no neighbour in U pulls only members of A_t
+// and joins A_{t+1} for certain; under Lazy a self-pull of a member of U
+// misses too. So only N(U), plus U itself under Lazy, can fail. The round
+// marks those candidates in next, decides them through bipsWord a word at
+// a time, and stores each next word as all of the word's vertices minus
+// its failures. The frontier count and the exact volume are n and 2m
+// minus the failures' count and degrees. The round costs
+// Θ(n/64 + vol(U)) and decides every vertex as bipsDense does; like it,
+// it swaps the sets and resets the old frontier (zero-after-fold).
+func (k *Kernel) bipsComplement() {
+	off, adj := k.g.CSR()
+	n, lazy := k.g.N(), k.par.Lazy
+	curw, nextw := k.cur.Words(), k.next.Words()
+	for wi, w := range curw {
+		for u := ^w & wordMask(wi, n); u != 0; u &= u - 1 {
+			v := wi*64 + bits.TrailingZeros64(u)
+			if lazy {
+				nextw[wi] |= u & -u
+			}
+			for _, t := range adj[off[v]:off[v+1]] {
+				nextw[uint32(t)>>6] |= 1 << (uint32(t) & 63)
+			}
+		}
+	}
+	failN, failVol := 0, 0
+	for wi, c := range nextw {
+		var fail uint64
+		if c != 0 {
+			w, _ := k.bipsWord(wi, c)
+			fail = c &^ w
+			failN += bits.OnesCount64(fail)
+			for f := fail; f != 0; f &= f - 1 {
+				v := wi*64 + bits.TrailingZeros64(f)
+				failVol += int(off[v+1] - off[v])
+			}
+		}
+		nextw[wi] = wordMask(wi, n) &^ fail
+	}
+	k.cur, k.next = k.next, k.cur
+	k.next.Reset()
+	k.frontierN = n - failN
+	k.frontierVol = len(adj) - failVol
+	k.curListOK = false
+}
+
+// wordMask is the mask of the vertices below n in bitset word wi: all
+// ones but in the last partial word.
+func wordMask(wi, n int) uint64 {
+	if rem := n - wi*64; rem < 64 {
+		return 1<<uint(rem) - 1
+	}
+	return ^uint64(0)
 }

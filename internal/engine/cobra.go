@@ -26,10 +26,13 @@ import (
 // A kernel with ρ = 0 and not Lazy (k.closed) computes each vertex's
 // first three targets in closed form from its stream's splitmix64 words
 // (xrand.StreamCounter, StreamWord, Draw1–Draw3), reading the raw CSR
-// arrays, with no call per vertex: this is the one place the closed-form
-// push order is written. A draw that falls into Lemire's rejection tail
-// (probability below deg/2^64), and a fourth particle, leave it for
-// pushFrom. Any other kernel pushes each vertex through pushFrom.
+// arrays, with no call per vertex. A dense round at b = 2, the
+// paper-sweep configuration, runs cobraWord's arm cobraPairWord instead,
+// chosen once per round from Params.Branch; the two are the one place
+// the closed-form push order is written. A draw that falls into Lemire's
+// rejection tail (probability below deg/2^64), and a fourth particle,
+// leave the vertex to pushFrom. Any other kernel pushes each vertex
+// through pushFrom.
 func (k *Kernel) cobraWord(wi int, act uint64, list *[]int32) (sent int) {
 	base := wi * 64
 	if !k.closed {
@@ -79,6 +82,56 @@ func (k *Kernel) cobraWord(wi int, act uint64, list *[]int32) (sent int) {
 		}
 	}
 	return sent
+}
+
+// cobraPairWord is cobraWord's b = 2 dense arm: cobraDense calls it for
+// every word of a closed kernel at b = 2, and it returns what cobraWord
+// would. It takes both of a vertex's closed-form draws, and loads both
+// targets, before it branches on either outcome, tests Lemire's tail
+// once, and ORs the targets into next's words; a vertex with a tail draw
+// goes to pushTail. Its own function keeps cobraWord's per-draw loop,
+// which every other round runs, compiled as it was without the arm.
+func (k *Kernel) cobraPairWord(wi int, act uint64) (sent int) {
+	base := wi * 64
+	off, adj := k.g.CSR()
+	seed, key := k.seed, streamKey(k.round, base)
+	sent = 2 * bits.OnesCount64(act)
+	nextw := k.next.Words()
+	for ; act != 0; act &= act - 1 {
+		j := bits.TrailingZeros64(act)
+		v := base + j
+		o := int(off[v])
+		deg := uint64(int(off[v+1]) - o) // a degree-0 vertex panics below
+		sc := xrand.StreamCounter(seed, key+uint64(j))
+		s0, s1, s2 := xrand.StreamWord(sc, 0), xrand.StreamWord(sc, 1), xrand.StreamWord(sc, 2)
+		hi1, lo1 := bits.Mul64(xrand.Draw1(s1), deg)
+		hi2, lo2 := bits.Mul64(xrand.Draw2(s0, s1, s2), deg)
+		t1, t2 := uint32(adj[o+int(hi1)]), uint32(adj[o+int(hi2)])
+		_, tail1 := bits.Sub64(lo1, deg, 0) // 1 iff lo1 < deg: Lemire's tail
+		_, tail2 := bits.Sub64(lo2, deg, 0)
+		if tail1|tail2 != 0 {
+			k.pushTail(v, tail1|tail2<<1, int32(t1))
+			continue
+		}
+		nextw[t1>>6] |= 1 << (t1 & 63)
+		nextw[t2>>6] |= 1 << (t2 & 63)
+	}
+	return sent
+}
+
+// pushTail finishes cobraPairWord's pushes from v after one of its two
+// closed-form draws fell into Lemire's tail. Bit i of tail is set iff
+// draw i did: pushTail marks draw 0's target t1 if only draw 1 did, and
+// sends the rest, from the first tail draw on, through pushFrom. A tail
+// draw's target is discarded: its high word is below deg, so loading it
+// read a neighbour, but not necessarily the one the rejection loop
+// accepts.
+func (k *Kernel) pushTail(v int, tail uint64, t1 int32) {
+	i := bits.TrailingZeros64(tail)
+	if i == 1 {
+		k.next.Set(int(t1))
+	}
+	k.pushFrom(v, i, nil)
 }
 
 // pushFrom sends v's particles from particle i on, after i sent ones,
@@ -159,8 +212,9 @@ func (k *Kernel) cobraSparse() {
 }
 
 // cobraDense runs one round as two word scans. The scan pushes every
-// frontier vertex's particles into next through cobraWord, a fetched word
-// of up to 64 active vertices at a time. The fold then moves each next
+// frontier vertex's particles into next through cobraWord (its b = 2 arm,
+// cobraPairWord, for a closed kernel at b = 2), a fetched word of up to
+// 64 active vertices at a time. The fold then moves each next
 // word into cur (zeroing it, which restores the zero-after-fold
 // invariant), ORs it into covered, and sums the frontier count and the
 // newly-covered count on the way. No degree is summed: only BIPS's
@@ -168,9 +222,14 @@ func (k *Kernel) cobraSparse() {
 // computes a COBRA kernel's on demand.
 func (k *Kernel) cobraDense() {
 	cur, next, covered := k.cur, k.next, k.covered
+	pairs := k.closed && k.par.Branch == 2
 	var sent int64
 	for wi, word := range cur.Words() {
-		if word != 0 {
+		switch {
+		case word == 0:
+		case pairs:
+			sent += int64(k.cobraPairWord(wi, word))
+		default:
 			sent += int64(k.cobraWord(wi, word, nil))
 		}
 	}

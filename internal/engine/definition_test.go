@@ -22,7 +22,8 @@ import (
 // so closed kernels reach their continuation after three draws), the
 // BIPS source (a quarter of the time in the last bitset word) and, before
 // some rounds, a frontier installed at a drawn density, so dense rounds
-// run at every hit rate.
+// run at every hit rate, or a near-full one, every vertex but a few
+// (nearFull), so Adaptive BIPS rounds run on the complement.
 
 // defCase is one generated comparison.
 type defCase struct {
@@ -33,6 +34,7 @@ type defCase struct {
 	seed   uint64
 	rounds int
 	script uint64 // seeds the installed frontiers
+	shape  int    // if nonzero, round 1 installs nearFull of this shape
 }
 
 // genDefCase draws a case on g from rng.
@@ -164,6 +166,8 @@ func (s *defState) matches(k *Kernel) error {
 	switch {
 	case k.FrontierCount() != count:
 		return fmt.Errorf("FrontierCount %d, definition %d", k.FrontierCount(), count)
+	case k.Frontier().Count() != count: // no stray bit past n in the last word
+		return fmt.Errorf("frontier popcount %d, definition %d", k.Frontier().Count(), count)
 	case k.FrontierVolume() != vol:
 		return fmt.Errorf("FrontierVolume %d, definition %d", k.FrontierVolume(), vol)
 	case k.Sent() != s.sent || k.Coalesced() != s.coalesced:
@@ -172,9 +176,62 @@ func (s *defState) matches(k *Kernel) error {
 	return nil
 }
 
+// The complement shapes nearFull draws: no vertex, one, two, the BIPS
+// source (with one more vertex half the time), vertices of the last
+// bitset word only, and a few drawn at random.
+const (
+	shapeNone = 1 + iota
+	shapeOne
+	shapeTwo
+	shapeSource
+	shapeLastWord
+	shapeFew
+	numShapes = shapeFew
+)
+
+// nearFull returns every vertex of c's graph but a small complement of
+// the given shape, drawn from script.
+func nearFull(c defCase, shape int, script *xrand.RNG) []int {
+	n := c.g.N()
+	out := make(map[int]bool)
+	switch shape {
+	case shapeOne:
+		out[script.Intn(n)] = true
+	case shapeTwo:
+		u := script.Intn(n)
+		out[u] = true
+		out[(u+1+script.Intn(n-1))%n] = true
+	case shapeSource:
+		out[c.start] = true
+		if script.Bool() {
+			out[script.Intn(n)] = true
+		}
+	case shapeLastWord:
+		last := (n - 1) &^ 63 // first vertex of the last word
+		for v := last; v < n; v++ {
+			if script.Intn(4) == 0 {
+				out[v] = true
+			}
+		}
+		out[last+script.Intn(n-last)] = true
+	case shapeFew:
+		for i := script.Intn(1 + n/16); i >= 0; i-- {
+			out[script.Intn(n)] = true
+		}
+	}
+	members := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if !out[v] {
+			members = append(members, v)
+		}
+	}
+	return members
+}
+
 // roundsMatchDefinition runs one kernel per mode beside the reference and
-// reports the first round on which one of them differs.
-func roundsMatchDefinition(c defCase) error {
+// reports the first round on which one of them differs, and how many
+// rounds the Adaptive kernel ran on the complement (bipsComplement).
+func roundsMatchDefinition(c defCase) (complementRounds int, err error) {
 	var ks [len(reprModes)]*Kernel
 	for i, mode := range reprModes {
 		par := c.par
@@ -186,21 +243,29 @@ func roundsMatchDefinition(c defCase) error {
 			ks[i], err = NewBips(c.g, par, c.start, c.seed)
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	ref := newDefState(c)
 	script := xrand.New(c.script)
 	n := c.g.N()
 	for r := 1; r <= c.rounds; r++ {
-		if script.Intn(4) == 0 {
+		var members []int
+		switch {
+		case r == 1 && c.shape != 0:
+			members = nearFull(c, c.shape, script)
+		case script.Intn(4) == 0:
 			density := script.Float64()
-			members := []int{script.Intn(n)}
+			members = []int{script.Intn(n)}
 			for v := 0; v < n; v++ {
 				if script.Float64() < density {
 					members = append(members, v)
 				}
 			}
+		case script.Intn(6) == 0:
+			members = nearFull(c, 1+script.Intn(numShapes), script)
+		}
+		if members != nil {
 			ref.install(members)
 			for _, k := range ks {
 				k.InstallFrontier(members)
@@ -208,20 +273,23 @@ func roundsMatchDefinition(c defCase) error {
 		}
 		ref.step()
 		for i, k := range ks {
+			if k.kind == Bips && k.useDense() && k.useComplement() {
+				complementRounds++
+			}
 			k.Step()
 			if err := ref.matches(k); err != nil {
-				return fmt.Errorf("round %d, mode %s: %w", ref.round, modeNames[reprModes[i]], err)
+				return complementRounds, fmt.Errorf("round %d, mode %s: %w", ref.round, modeNames[reprModes[i]], err)
 			}
 		}
 	}
-	return nil
+	return complementRounds, nil
 }
 
 // checkDefinition runs both kinds on g with cases drawn from rng.
 func checkDefinition(g *graph.Graph, rng *xrand.RNG) error {
 	for _, kind := range []Kind{Cobra, Bips} {
 		c := genDefCase(rng, g, kind)
-		if err := roundsMatchDefinition(c); err != nil {
+		if _, err := roundsMatchDefinition(c); err != nil {
 			return fmt.Errorf("%s kind %d %+v start %d seed %d: %w", g.Name(), kind, c.par, c.start, c.seed, err)
 		}
 	}
@@ -244,6 +312,42 @@ func TestRoundMatchesDefinition(t *testing.T) {
 		for caseSeed := uint64(1); caseSeed <= 8; caseSeed++ {
 			if err := checkDefinition(g, xrand.New(caseSeed)); err != nil {
 				t.Fatalf("caseSeed %d: %v", caseSeed, err)
+			}
+		}
+	}
+}
+
+// Every BIPS setting of b ∈ {1..4}, ρ ∈ {0, 0.5} and laziness, from
+// every complement shape, on the fixed layouts: round 1 installs the
+// near-full frontier, so Adaptive runs its first rounds on the complement
+// (a complement of the source or of the last partial word included), and
+// ForceDense scans the same rounds. Each setting and shape must reach the
+// complement path on some layout.
+func TestComplementRoundsMatchDefinition(t *testing.T) {
+	rng := xrand.New(26)
+	for b := 1; b <= 4; b++ {
+		for _, rho := range []float64{0, 0.5} {
+			for _, lazy := range []bool{false, true} {
+				par := Params{Branch: b, Rho: rho, Lazy: lazy}
+				for shape := 1; shape <= numShapes; shape++ {
+					reached := 0
+					for _, g := range fixedLayouts(t) {
+						c := defCase{g: g, kind: Bips, par: par, start: rng.Intn(g.N()), seed: rng.Uint64(),
+							rounds: 6, script: rng.Uint64(), shape: shape}
+						if shape == shapeSource || rng.Bool() {
+							last := (g.N() - 1) &^ 63
+							c.start = last + rng.Intn(g.N()-last) // the source in the last word
+						}
+						comp, err := roundsMatchDefinition(c)
+						if err != nil {
+							t.Fatalf("%s %+v shape %d start %d seed %d: %v", g.Name(), par, shape, c.start, c.seed, err)
+						}
+						reached += comp
+					}
+					if reached == 0 {
+						t.Errorf("%+v shape %d: no round ran on the complement", par, shape)
+					}
+				}
 			}
 		}
 	}
@@ -357,6 +461,118 @@ func cobraFallbackMatches(g *graph.Graph, b, i int, seed uint64, round, u int, t
 		}
 	}
 	return nil
+}
+
+// A closed dense COBRA round at b = 2 takes both draws before it tests
+// Lemire's tail, once per vertex, and routes a vertex with a tail draw to
+// pushTail: it marks draw 0's target if only draw 1 fell in the tail and
+// sends the rest through pushFrom. pushTail is driven directly here, for
+// the first tail at draw 0 (draw 1's tail bit set at random) and at draw
+// 1, with draw 0's target garbage when it is a tail draw: it must mark
+// exactly the definition's targets.
+func TestPushTailMatchesDefinition(t *testing.T) {
+	gs := append(fixedLayouts(t), randomConnectedGraph(xrand.New(6)))
+	rng := xrand.New(12)
+	for _, g := range gs {
+		n := g.N()
+		for i := 0; i < 2; i++ {
+			for trial := 0; trial < 80; trial++ {
+				seed, u := rng.Uint64(), rng.Intn(n)
+				ref := &defState{g: g, par: Params{Branch: 2}, seed: seed}
+				ref.round = 1 + rng.Intn(100)
+				stream, _ := ref.draws(u)
+				targets := []int{ref.target(&stream, u), ref.target(&stream, u)}
+				tail, t1 := uint64(2), int32(targets[0])
+				if i == 0 {
+					tail = 1 | uint64(rng.Intn(2))<<1
+					t1 = int32(rng.Intn(n)) // a tail draw's target is discarded
+				}
+				if err := pushTailMatches(g, seed, ref.round, u, tail, t1, targets); err != nil {
+					t.Fatalf("%s first tail %d (mask %b) vertex %d seed %d round %d: %v",
+						g.Name(), i, tail, u, seed, ref.round, err)
+				}
+			}
+		}
+	}
+}
+
+// pushTailMatches checks that pushTail(u, tail, t1) at the given round
+// marks exactly the set of targets in next.
+func pushTailMatches(g *graph.Graph, seed uint64, round, u int, tail uint64, t1 int32, targets []int) error {
+	k, err := NewCobra(g, Params{Branch: 2}, []int{u}, seed)
+	if err != nil {
+		return err
+	}
+	for k.Round() < round {
+		k.InstallFrontier([]int{u})
+	}
+	k.pushTail(u, tail, t1)
+	want := make(map[int]bool)
+	for _, t := range targets {
+		want[t] = true
+	}
+	if got := k.next.Count(); got != len(want) {
+		return fmt.Errorf("pushTail marked %d vertices, definition %v", got, targets)
+	}
+	for t := range want {
+		if !k.next.Contains(t) {
+			return fmt.Errorf("pushTail left %d unmarked, definition %v", t, targets)
+		}
+	}
+	return nil
+}
+
+// Lemire's tail inside the evaluators. The splitmix64 finalizer behind
+// StreamWord and the scrambler behind Draw1 both map 0 to 0, so a seed
+// that puts v's stream counter at -2·golden (golden is the splitmix64
+// increment) makes v's first closed-form draw 0: hi = lo = 0 < deg, a
+// tail at draw 0. Round 0 from C_0 = {v} (COBRA), or from a source beside
+// v (BIPS), then runs each evaluator's own tail routing — the b = 2 dense
+// arm, the per-draw loop dense and sparse, and bipsWord's first pass —
+// and every mode must match the definition, for b = 1 to 4, over a few
+// more rounds as well.
+func TestEvaluatorTailMatchesDefinition(t *testing.T) {
+	golden := uint64(0x9e3779b97f4a7c15)
+	for _, g := range fixedLayouts(t) {
+		for _, v := range []int{0, g.N() / 3, g.N() - 1} {
+			key := streamKey(0, v)
+			seed := -(2 * golden) ^ xrand.StreamCounter(0, key)
+			if xrand.Draw1(xrand.StreamWord(xrand.StreamCounter(seed, key), 1)) != 0 {
+				t.Fatalf("seed %#x: vertex %d's first draw is not 0", seed, v)
+			}
+			for b := 1; b <= 4; b++ {
+				for _, kind := range []Kind{Cobra, Bips} {
+					c := defCase{g: g, kind: kind, par: Params{Branch: b}, start: v, seed: seed}
+					if kind == Bips {
+						c.start = g.Neighbor(v, 0) // the source, so v is a candidate
+					}
+					for _, mode := range reprModes {
+						par := c.par
+						par.Mode = mode
+						var k *Kernel
+						var err error
+						if kind == Cobra {
+							k, err = NewCobra(g, par, []int{c.start}, seed)
+						} else {
+							k, err = NewBips(g, par, c.start, seed)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref := newDefState(c)
+						for r := 0; r < 4; r++ {
+							ref.step()
+							k.Step()
+							if err := ref.matches(k); err != nil {
+								t.Fatalf("%s kind %d b=%d vertex %d mode %s round %d: %v",
+									g.Name(), kind, b, v, modeNames[mode], r, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // fixedLayouts are the word layouts TestSparseDenseAgreeFixedGraphs

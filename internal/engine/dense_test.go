@@ -261,14 +261,19 @@ func TestTiledWorkspaceReuse(t *testing.T) {
 }
 
 // Steady-state rounds must be allocation-free under workspace reuse:
-// wide dense rounds of both kinds, wide sparse COBRA rounds, and sparse
-// BIPS rounds in both candidate orders (vertex order from n/64
-// candidates, list order below).
+// wide dense rounds of both kinds, wide sparse COBRA rounds, sparse BIPS
+// rounds in both candidate orders (vertex order from n/64 candidates,
+// list order below), and Adaptive BIPS rounds on the complement of a
+// near-full frontier.
 func TestTiledRoundsZeroAlloc(t *testing.T) {
 	g := graph.Hypercube(14) // n = 16384, 256 bitset words
 	all := make([]int, g.N())
+	var nearFull []int // all but every 32nd vertex: vol(V∖A) = 7168 ≤ 3n/4
 	for i := range all {
 		all[i] = i
+		if i%32 != 0 {
+			nearFull = append(nearFull, i)
+		}
 	}
 	narrow := []int{0, 1, 2} // at most 43 candidates: list order
 	cases := []struct {
@@ -283,6 +288,7 @@ func TestTiledRoundsZeroAlloc(t *testing.T) {
 		{"sparse cobra", Cobra, ForceSparse, nil, false},
 		{"sparse bips vertex order", Bips, ForceSparse, nil, true},
 		{"sparse bips list order", Bips, ForceSparse, narrow, false},
+		{"adaptive bips complement", Bips, Adaptive, nearFull, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -316,6 +322,12 @@ func TestTiledRoundsZeroAlloc(t *testing.T) {
 				}
 				k.Step()
 			}
+			if c.mode == Adaptive {
+				k.InstallFrontier(c.install)
+				if !k.useDense() || !k.useComplement() {
+					t.Fatalf("frontier of volume %d: not a complement round", k.FrontierVolume())
+				}
+			}
 			round()
 			if c.kind == Bips && c.mode == ForceSparse {
 				if scan := len(k.candList) == k.next.WordCount(); scan != c.vertexScan {
@@ -340,6 +352,13 @@ func TestTiledRoundsZeroAlloc(t *testing.T) {
 // 8n/frac on the circulant and 3n/frac on the random graph. The frontier
 // is reinstalled outside the timer every iteration so each measured round
 // sees exactly the fraction under test.
+//
+// The bips/complement and bips/scan rows time a wide BIPS round from a
+// near-full frontier whose complement V∖A has volume n/4, n/2, 3n/4, n
+// and 3n/2 (the vertices i with i mod 4d < q, on a d-regular graph, for
+// q = 1, 2, 3, 4 and 6): the complement round (bipsComplement, which
+// Adaptive runs up to vol(V∖A) = 3n/4; here at every volume) against the
+// ForceDense scan. complementQuarters cites these rows.
 func BenchmarkEngineCrossover(b *testing.B) {
 	const n = 1 << 18
 	rreg, err := graph.RandomRegular(n, 3, xrand.New(1))
@@ -391,6 +410,38 @@ func BenchmarkEngineCrossover(b *testing.B) {
 						}
 					})
 				}
+			}
+		}
+		d := gc.g.Degree(0) // both graphs are regular
+		for _, u := range []struct {
+			name string
+			q    int // vol(V∖A) = q·n/4
+		}{{"n_4", 1}, {"n_2", 2}, {"3n_4", 3}, {"n", 4}, {"3n_2", 6}} {
+			var mem []int
+			for i := 0; i < n; i++ {
+				if i%(4*d) >= u.q {
+					mem = append(mem, i)
+				}
+			}
+			for _, repr := range []string{"complement", "scan"} {
+				b.Run(fmt.Sprintf("%s/bips/%s/uninfected_vol=%s", gc.name, repr, u.name), func(b *testing.B) {
+					k, err := NewBipsWith(NewWorkspace(), gc.g, Params{Branch: 2, Mode: ForceDense}, 0, 5)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						k.InstallFrontier(mem)
+						b.StartTimer()
+						if repr == "scan" {
+							k.Step()
+						} else { // the complement round at every volume, past 3n/4 too
+							k.bipsComplement()
+							k.round++
+						}
+					}
+				})
 			}
 		}
 	}

@@ -29,11 +29,24 @@
 //     mid-phase rounds on expanders and the scale-free families), where
 //     the member slices cost more than scanning n/64 words.
 //
+// A dense BIPS round has two strategies, so BIPS has three in all. The
+// scan decides all n vertices. The complement round, which Adaptive runs
+// once vol(V∖A_t) ≤ 3n/4 (complementQuarters; late rounds, as A_t fills
+// up), decides only N(V∖A_t) (∪ V∖A_t under Lazy): every other vertex
+// pulls only infected vertices and joins A_{t+1} for certain. It writes
+// A_{t+1} as every vertex minus the candidates that failed, in
+// Θ(n/64 + vol(V∖A_t)) — the direction-optimizing idea applied to the
+// complement. ForceDense always scans. The sparse/dense split that a
+// trial reports (sparse_rounds, tiled_rounds) counts the representation
+// rule alone: a complement round is a tiled round.
+//
 // Each kind has one word evaluator, cobraWord and bipsWord, through which
 // every round of every representation decides its vertices, a bitset
 // word of them at a time: a dense round passes whole words, BIPS's
-// vertex-order sparse round passes next's candidate words, and the other
-// sparse rounds pass one vertex as a one-bit word.
+// vertex-order sparse round and its complement round pass next's
+// candidate words, and the other sparse rounds pass one vertex as a
+// one-bit word. A dense round of a closed COBRA kernel (below) at b = 2
+// passes its words to cobraWord's b = 2 arm, cobraPairWord, instead.
 //
 // Determinism contract: the randomness of every (round, vertex) pair is
 // drawn from a stateless stream keyed by the master seed,
@@ -49,15 +62,19 @@
 // (xrand.StreamCounter, StreamWord, Draw1–Draw3), inside the word
 // evaluators, on the raw CSR arrays (graph.Graph.CSR) and frontier words
 // (bitset.Set.Words), with no call per vertex: COBRA computes each active
-// vertex's targets inline and marks them in next, and BIPS takes every
-// candidate's first pull in a pass with no branch on its outcome, then
-// pulls 2 and 3 for that word's misses only. Those two evaluators are the
-// one place each kind's closed-form draw order is written. A draw that
-// falls into Lemire's rejection tail (probability below deg/2^64), and a
-// fourth draw, leave the evaluator for the kind's one fallback, pushFrom
-// or pullsFrom: it reads the stream positioned after the draws already
-// taken (xrand.StreamAt) and continues in the generic loop, whose
-// rejection loop is xrand.(*RNG).Uint64nTail. ρ > 0 or Lazy kernels
+// vertex's targets inline and marks them in next — a dense round at
+// b = 2 runs the arm cobraPairWord, which takes both draws before it
+// tests Lemire's tail once and ORs the targets into next's words — and BIPS
+// takes every candidate's first pull in a pass with no branch on its
+// outcome, then pulls 2 and 3 for that word's misses only. Those two
+// evaluators are the one place each kind's closed-form draw order is
+// written. A draw that falls into Lemire's rejection tail (probability
+// below deg/2^64), and a fourth draw, leave the evaluator for the kind's
+// one fallback, pushFrom or pullsFrom (the b = 2 arm's tail through
+// pushTail, which lands draw 0's target first if only draw 1 fell in the
+// tail): it reads the stream positioned after the draws already taken
+// (xrand.StreamAt) and continues in the generic loop, whose rejection
+// loop is xrand.(*RNG).Uint64nTail. ρ > 0 or Lazy kernels
 // decide every vertex in that generic loop from a generator built once
 // per vertex and round. The choice is made once, at construction, from
 // Params. testdata/fingerprints.txt pins the trajectories of every path
@@ -73,7 +90,9 @@
 // sit above the single-round crossovers BenchmarkEngineCrossover
 // (dense_test.go) measures on two 2^18-vertex graphs; doc.go ("Performance
 // notes") gives the measured ranges. Both are result bytes: a trial
-// reports how many rounds ran in each representation.
+// reports how many rounds ran in each representation. complementQuarters,
+// the choice between the two dense BIPS strategies, is read off the same
+// benchmark's complement rows and moves no byte.
 package engine
 
 import (
@@ -119,9 +138,11 @@ const (
 )
 
 // DefaultDenseDiv is the COBRA crossover divisor: a round goes dense when
-// |frontier| > n/DefaultDenseDiv. Both representations pay the same
-// |C_t|·b draws; they differ in the member slices a sparse round keeps
-// against the n/64-word scan and fold of a dense one. Since the dense
+// |frontier| > n/DefaultDenseDiv. (BIPS goes dense when vol(A_t) > n,
+// by the scan or, late, on the complement; see useDense.) Both
+// representations pay the same |C_t|·b draws; they differ in the member
+// slices a sparse round keeps against the n/64-word scan and fold of a
+// dense one. Since the dense
 // scan runs the word evaluator, the two cross between n/256 and n/128 on
 // both of BenchmarkEngineCrossover's 2^18-vertex graphs (doc.go,
 // "Performance notes"), so rounds in (n/128, n/64] run sparse at up to
@@ -415,9 +436,12 @@ func (k *Kernel) InstallFrontier(members []int) {
 func (k *Kernel) Step() {
 	if k.useDense() {
 		k.denseRounds++
-		if k.kind == Cobra {
+		switch {
+		case k.kind == Cobra:
 			k.cobraDense()
-		} else {
+		case k.useComplement():
+			k.bipsComplement()
+		default:
 			k.bipsDense()
 		}
 	} else {
@@ -436,7 +460,10 @@ func (k *Kernel) Step() {
 // dense scan only saves the member-slice traffic), so it crosses over on
 // the frontier fraction. A BIPS sparse round costs Θ(vol(A)) candidate
 // construction versus Θ(n) for the dense scan, so it crosses over when
-// the frontier volume reaches the vertex count.
+// the frontier volume reaches the vertex count. This rule alone decides
+// what the trial counts as sparse and tiled rounds; a dense BIPS round
+// then runs the scan or the complement round (useComplement), which
+// decide the same vertices.
 func (k *Kernel) useDense() bool {
 	switch k.par.Mode {
 	case ForceSparse:
@@ -448,6 +475,24 @@ func (k *Kernel) useDense() bool {
 		return k.frontierN*DefaultDenseDiv > k.g.N()
 	}
 	return k.frontierVol > k.g.N()
+}
+
+// complementQuarters sets the BIPS complement threshold c = 3/4: in
+// Adaptive mode a dense BIPS round runs on the complement
+// (bipsComplement) when vol(V∖A_t) ≤ c·n. On the frontiers of
+// BenchmarkEngineCrossover's complement rows, timed in one binary with
+// the two rounds alternating, the complement round was faster than the
+// scan at n/2 and 3n/4 on both 2^18-vertex graphs, in at least 17 of 20
+// pairs, and at n it lost on the random 3-regular one (doc.go,
+// "Performance notes"). It moves no result byte: the round decides what
+// the scan decides, and it counts as a tiled round.
+const complementQuarters = 3
+
+// useComplement reports whether a dense BIPS round runs on the
+// complement. ForceDense keeps the full scan, so the mode-agreement
+// tests compare the two.
+func (k *Kernel) useComplement() bool {
+	return k.par.Mode == Adaptive && 4*(k.g.DegreeSum()-k.frontierVol) <= complementQuarters*k.g.N()
 }
 
 // ensureList rebuilds the member mirror from the authoritative bitset

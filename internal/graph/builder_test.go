@@ -37,8 +37,21 @@ type builderSession struct {
 	ops []builderOp
 }
 
-// farVertices are ends far outside any test graph, beyond int32 included.
-var farVertices = []int{-1 << 40, math.MinInt32 - 1, 1<<32 + 1, 1 << 33, math.MaxInt32 + 1, math.MaxInt}
+// farVertices are ends far outside any test graph, beyond int32 included
+// where int is 64 bits wide.
+var farVertices = []int{farInt(-1 << 40), farInt(math.MinInt32 - 1), farInt(1<<32 + 1), farInt(1 << 33), farInt(math.MaxInt32 + 1), math.MaxInt}
+
+// farInt returns x, clamped to the int range on a target whose int is
+// 32 bits wide.
+func farInt(x int64) int {
+	switch {
+	case x > math.MaxInt:
+		return math.MaxInt
+	case x < math.MinInt:
+		return math.MinInt
+	}
+	return int(x)
+}
 
 // Generate implements quick.Generator. Half the sessions make no invalid
 // AddEdge call, so they build graphs of up to a few hundred edges; the
@@ -266,9 +279,9 @@ func FuzzBuilder(f *testing.F) {
 		end := func(c byte) int {
 			switch c {
 			case 0xff:
-				return 1<<32 + 1
+				return farInt(1<<32 + 1)
 			case 0xfe:
-				return math.MinInt32 - 1
+				return farInt(math.MinInt32 - 1)
 			}
 			return int(c)%span - 2
 		}

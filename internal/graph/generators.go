@@ -111,7 +111,7 @@ func Grid(dims ...int) *Graph {
 		if s < 2 {
 			panic("graph: Grid sides must be >= 2")
 		}
-		if n > (1<<31)/s {
+		if int64(n) > (1<<31)/int64(s) { // in int64, so a 32-bit int compiles
 			panic("graph: Grid too large")
 		}
 		n *= s
@@ -156,7 +156,7 @@ func Torus(dims ...int) *Graph {
 		if s < 3 {
 			panic("graph: Torus sides must be >= 3")
 		}
-		if n > (1<<31)/s {
+		if int64(n) > (1<<31)/int64(s) { // in int64, so a 32-bit int compiles
 			panic("graph: Torus too large")
 		}
 		n *= s
