@@ -19,16 +19,12 @@ import (
 // accepts (state spaces are 2^n).
 const ExactMaxN = exact.MaxN
 
-func (c Config) exact() exact.Config {
-	return exact.Config{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
-}
-
 // ExactHitProbability computes P(Hit(target) > T | C₀ = starts) for
 // COBRA exactly (no sampling error) by evolving the distribution of the
 // active set over all 2^n subsets. Requires g.N() <= ExactMaxN and
 // Branch ∈ {1, 2}.
 func ExactHitProbability(g *Graph, cfg Config, starts []int, target, T int) (float64, error) {
-	return exact.CobraHitProbability(g, cfg.exact(), starts, target, T)
+	return exact.CobraHitProbability(g, cfg, starts, target, T)
 }
 
 // ExactMeetComplementProbability computes P(C ∩ A_T = ∅ | A₀ = {source})
@@ -36,17 +32,17 @@ func ExactHitProbability(g *Graph, cfg Config, starts []int, target, T int) (flo
 // with the roles of C and the source swapped — an identity the test
 // suite verifies to 1e-10.
 func ExactMeetComplementProbability(g *Graph, cfg Config, source int, c []int, T int) (float64, error) {
-	return exact.BipsMeetComplementProbability(g, cfg.exact(), source, c, T)
+	return exact.BipsMeetComplementProbability(g, cfg, source, c, T)
 }
 
 // ExactExpectedInfectionTime computes E[infec(source)] exactly.
 func ExactExpectedInfectionTime(g *Graph, cfg Config, source int) (float64, error) {
-	return exact.ExpectedInfectionTime(g, cfg.exact(), source, 0)
+	return exact.ExpectedInfectionTime(g, cfg, source, 0)
 }
 
 // ExactExpectedHitTime computes E[Hit(target)] for COBRA exactly.
 func ExactExpectedHitTime(g *Graph, cfg Config, starts []int, target int) (float64, error) {
-	return exact.ExpectedHitTime(g, cfg.exact(), starts, target, 0)
+	return exact.ExpectedHitTime(g, cfg, starts, target, 0)
 }
 
 // --- Spectra and mixing ---

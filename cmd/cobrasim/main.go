@@ -32,6 +32,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,38 +53,54 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args as cobrasim's flags and runs them, writing results to
+// stdout and commentary and errors to stderr. It returns the exit code:
+// 0, 1 when the run fails, 2 when the flags do not parse.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cobrasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		graphFlag = flag.String("graph", "rreg:256:3", "graph spec (family:args, see internal/graphspec)")
-		process   = flag.String("process", "cobra", "process: cobra | bips | rw | multirw | push")
-		branch    = flag.Int("b", 2, "integer branching factor b")
-		rho       = flag.Float64("rho", 0, "fractional extra branch probability (b = branch+rho)")
-		lazy      = flag.Bool("lazy", false, "lazy selections (needed on bipartite graphs)")
-		start     = flag.Int("start", 0, "start vertex (COBRA/walks) or source (BIPS)")
-		walkers   = flag.Int("k", 16, "walker count for -process multirw")
-		trials    = flag.Int("trials", 25, "number of independent trials")
-		seed      = flag.Uint64("seed", 1, "master seed (full run is deterministic in it)")
-		workers   = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
-		trace     = flag.Bool("trace", false, "plot one run's per-round set sizes (cobra/bips only)")
-		csvPath   = flag.String("csv", "", "with -trace: also write the per-round series to this CSV file")
-		format    = flag.String("format", "table", "output format: table (human summary) | csv (per-trial rows + summary to stderr) | ndjson (cobra/bips only: per-trial records byte-identical to cobrad's results stream and journals, summary to stderr)")
-		sweep     = flag.Bool("sweep", false, "sweep mode: run the graphs x processes x branches x rhos grid")
-		graphs    = flag.String("graphs", "", "with -sweep: comma-separated graph specs (default: the -graph value)")
-		processes = flag.String("processes", "", "with -sweep: comma-separated processes from cobra,bips (default: the -process value)")
-		branches  = flag.String("branches", "", "with -sweep: comma-separated integer branch factors (default: the -b value)")
-		rhos      = flag.String("rhos", "", "with -sweep: comma-separated rho values (default: the -rho value)")
-		cellWs    = flag.Int("cell-workers", 1, "with -sweep: open cells, each adding -workers trial goroutines (1 = one cell at a time; never affects results)")
+		graphFlag = fs.String("graph", "rreg:256:3", "graph spec (family:args, see internal/graphspec)")
+		process   = fs.String("process", "cobra", "process: cobra | bips | rw | multirw | push")
+		branch    = fs.Int("b", 2, "integer branching factor b")
+		rho       = fs.Float64("rho", 0, "fractional extra branch probability (b = branch+rho)")
+		lazy      = fs.Bool("lazy", false, "lazy selections (needed on bipartite graphs)")
+		start     = fs.Int("start", 0, "start vertex (COBRA/walks) or source (BIPS)")
+		walkers   = fs.Int("k", 16, "walker count for -process multirw")
+		trials    = fs.Int("trials", 25, "number of independent trials")
+		seed      = fs.Uint64("seed", 1, "master seed (full run is deterministic in it)")
+		workers   = fs.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
+		trace     = fs.Bool("trace", false, "plot one run's per-round set sizes (cobra/bips only)")
+		csvPath   = fs.String("csv", "", "with -trace: also write the per-round series to this CSV file")
+		format    = fs.String("format", "table", "output format: table (human summary) | csv (per-trial rows + summary to stderr) | ndjson (cobra/bips only: per-trial records byte-identical to cobrad's results stream and journals, summary to stderr)")
+		sweep     = fs.Bool("sweep", false, "sweep mode: run the graphs x processes x branches x rhos grid")
+		graphs    = fs.String("graphs", "", "with -sweep: comma-separated graph specs (default: the -graph value)")
+		processes = fs.String("processes", "", "with -sweep: comma-separated processes from cobra,bips (default: the -process value)")
+		branches  = fs.String("branches", "", "with -sweep: comma-separated integer branch factors (default: the -b value)")
+		rhos      = fs.String("rhos", "", "with -sweep: comma-separated rho values (default: the -rho value)")
+		cellWs    = fs.Int("cell-workers", 1, "with -sweep: open cells, each adding -workers trial goroutines (1 = one cell at a time; never affects results)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cobrasim:", err)
+		return 1
+	}
 	if *format != "table" && *format != "csv" && *format != "ndjson" {
-		fatal(fmt.Errorf("unknown -format %q (table | csv | ndjson)", *format))
+		return fail(fmt.Errorf("unknown -format %q (table | csv | ndjson)", *format))
 	}
 	if *trace && *format != "table" {
-		fatal(fmt.Errorf("-trace renders a chart, not trial rows; use its -csv flag for the per-round series"))
+		return fail(fmt.Errorf("-trace renders a chart, not trial rows; use its -csv flag for the per-round series"))
 	}
 	if *sweep {
 		if *trace {
-			fatal(fmt.Errorf("-trace and -sweep are mutually exclusive"))
+			return fail(fmt.Errorf("-trace and -sweep are mutually exclusive"))
 		}
 		spec, err := sweepSpec(*graphs, *processes, *branches, *rhos, sweepDefaults{
 			graph: *graphFlag, process: *process, branch: *branch, rho: *rho,
@@ -91,12 +108,12 @@ func main() {
 			workers: *workers, cellWorkers: *cellWs,
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		if err := runSweep(spec, *format); err != nil {
-			fatal(err)
+		if err := runSweep(spec, *format, stdout, stderr); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	// COBRA and BIPS trials run through the batch subsystem in every
@@ -116,18 +133,18 @@ func main() {
 	// a recovered journal. Only the batch processes have that wire form.
 	if *format == "ndjson" {
 		if !campaign {
-			fatal(fmt.Errorf("-format ndjson supports cobra and bips, not %q", *process))
+			return fail(fmt.Errorf("-format ndjson supports cobra and bips, not %q", *process))
 		}
-		if err := runNDJSON(spec, os.Stdout); err != nil {
-			fatal(err)
+		if err := runNDJSON(spec, stdout, stderr); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	// In csv mode stdout carries only the CSV; commentary goes to stderr.
-	info := os.Stdout
+	info := stdout
 	if *format == "csv" {
-		info = os.Stderr
+		info = stderr
 	}
 	var (
 		g   *graph.Graph
@@ -139,18 +156,18 @@ func main() {
 			xs = append(xs, float64(r.Rounds))
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		if g, err = graphspec.Parse(*graphFlag, *seed); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		printGraph(info, g)
 		if *trace {
-			if err := runTrace(g, *process, *branch, *rho, *lazy, *start, *seed, *csvPath); err != nil {
-				fatal(err)
+			if err := runTrace(stdout, g, *process, *branch, *rho, *lazy, *start, *seed, *csvPath); err != nil {
+				return fail(err)
 			}
-			return
+			return 0
 		}
 		var fn sim.TrialFunc
 		switch *process {
@@ -170,15 +187,15 @@ func main() {
 				return float64(res.Rounds), err
 			}
 		default:
-			fatal(fmt.Errorf("unknown process %q", *process))
+			return fail(fmt.Errorf("unknown process %q", *process))
 		}
 		if xs, err = (sim.Runner{Seed: *seed, Workers: *workers}).Run(*trials, fn); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	s, err := stats.Summarize(xs)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	unit := "rounds"
 	if *process == "rw" {
@@ -191,8 +208,8 @@ func main() {
 		for i, x := range xs {
 			tb.AddRow(i, fmt.Sprintf("%g", x))
 		}
-		if err := tb.WriteCSV(os.Stdout); err != nil {
-			fatal(err)
+		if err := tb.WriteCSV(stdout); err != nil {
+			return fail(err)
 		}
 	}
 	fmt.Fprintf(info, "%s %s over %d trials:\n", *process, unit, s.N)
@@ -200,6 +217,7 @@ func main() {
 	fmt.Fprintf(info, "  median %.1f  q25 %.1f  q75 %.1f\n", s.Median, s.Q25, s.Q75)
 	fmt.Fprintf(info, "  min    %.0f  max %.0f  std %.2f\n", s.Min, s.Max, s.Std)
 	fmt.Fprintf(info, "  lower bound max{log2 n, Diam} = %d\n", g.CoverTimeLowerBound())
+	return 0
 }
 
 // printGraph writes the one-line description of g that opens a table or
@@ -227,8 +245,8 @@ func runCampaign(spec batch.Spec, info io.Writer, onResult func(batch.TrialResul
 
 // runNDJSON runs one campaign, writing each TrialResult as one NDJSON
 // line on w (the cobrad wire and journal format) and the summary to
-// stderr.
-func runNDJSON(spec batch.Spec, w io.Writer) error {
+// info.
+func runNDJSON(spec batch.Spec, w, info io.Writer) error {
 	enc := json.NewEncoder(w)
 	var encErr error
 	_, agg, err := runCampaign(spec, nil, func(r batch.TrialResult) {
@@ -243,14 +261,14 @@ func runNDJSON(spec batch.Spec, w io.Writer) error {
 		return encErr
 	}
 	s := agg.Rounds
-	fmt.Fprintf(os.Stderr, "%s rounds over %d trials: mean %.2f (95%% CI %.2f..%.2f) median %.1f\n",
+	fmt.Fprintf(info, "%s rounds over %d trials: mean %.2f (95%% CI %.2f..%.2f) median %.1f\n",
 		spec.Process, agg.Completed, s.Mean, s.CI95Lo, s.CI95Hi, s.Median)
 	return nil
 }
 
 // runTrace runs a single traced COBRA or BIPS run and renders the
-// per-round set-size curve as an ASCII chart (plus optional CSV).
-func runTrace(g *graph.Graph, process string, branch int, rho float64, lazy bool, start int, seed uint64, csvPath string) error {
+// per-round set-size curve as an ASCII chart on w (plus optional CSV).
+func runTrace(w io.Writer, g *graph.Graph, process string, branch int, rho float64, lazy bool, start int, seed uint64, csvPath string) error {
 	var series []float64
 	var label string
 	switch process {
@@ -271,10 +289,10 @@ func runTrace(g *graph.Graph, process string, branch int, rho float64, lazy bool
 	default:
 		return fmt.Errorf("-trace supports cobra and bips, not %q", process)
 	}
-	if err := plot.Line(os.Stdout, label, series, 72, 14); err != nil {
+	if err := plot.Line(w, label, series, 72, 14); err != nil {
 		return err
 	}
-	fmt.Printf("sparkline: %s\n", plot.Sparkline(series))
+	fmt.Fprintf(w, "sparkline: %s\n", plot.Sparkline(series))
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
@@ -288,7 +306,7 @@ func runTrace(g *graph.Graph, process string, branch int, rho float64, lazy bool
 		if err := sim.WriteSeriesCSV(f, []string{"round", "size"}, rounds, series); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Fprintf(w, "wrote %s\n", csvPath)
 	}
 	return nil
 }
@@ -375,12 +393,12 @@ func splitAxis(name, list, fallback string) ([]string, error) {
 // runSweep compiles and runs the sweep, then prints the cross-cell
 // summary grid: an aligned table (human) or CSV rows on stdout with the
 // run commentary on stderr.
-func runSweep(spec batch.SweepSpec, format string) error {
+func runSweep(spec batch.SweepSpec, format string, stdout, stderr io.Writer) error {
 	// Machine-readable modes keep stdout for the data; commentary and, in
 	// ndjson mode, the summary grid go to stderr.
-	info := os.Stdout
+	info := stdout
 	if format != "table" {
-		info = os.Stderr
+		info = stderr
 	}
 	sw, err := batch.CompileSweep(spec, nil)
 	if err != nil {
@@ -398,7 +416,7 @@ func runSweep(spec batch.SweepSpec, format string) error {
 	var onResult func(batch.CellResult)
 	var encErr error
 	if format == "ndjson" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		onResult = func(r batch.CellResult) {
 			if encErr == nil {
 				encErr = enc.Encode(r)
@@ -426,13 +444,8 @@ func runSweep(spec batch.SweepSpec, format string) error {
 		tb.AddRow(rowCells...)
 	}
 	if format == "csv" {
-		return tb.WriteCSV(os.Stdout)
+		return tb.WriteCSV(stdout)
 	}
 	tb.Render(info)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cobrasim:", err)
-	os.Exit(1)
 }

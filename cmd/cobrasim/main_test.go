@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -98,10 +99,19 @@ func TestSweepSpecRejectsBadAxes(t *testing.T) {
 func TestRunNDJSONMatchesWireFormat(t *testing.T) {
 	spec := batch.Spec{Graph: "rreg:256:3", Process: "cobra", Branch: 2, Trials: 8, Seed: 5}
 	var got bytes.Buffer
-	if err := runNDJSON(spec, &got); err != nil {
+	if err := runNDJSON(spec, &got, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	if want := wireLines(t, spec); got.String() != want {
+		t.Fatalf("ndjson output diverged from the wire format:\n%s\nvs\n%s", got.String(), want)
+	}
+}
 
+// wireLines returns what batch.Compile followed by Run encodes for spec,
+// one json.Marshal'd TrialResult per line: the bytes cobrad streams and
+// journals.
+func wireLines(t *testing.T, spec batch.Spec) string {
+	t.Helper()
 	c, err := batch.Compile(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +125,39 @@ func TestRunNDJSONMatchesWireFormat(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("ndjson output diverged from the wire format:\n%s\nvs\n%s", got.String(), want.String())
+	return want.String()
+}
+
+// run drives cobrasim from its flags: a bad flag exits non-zero with an
+// error naming it, and an ndjson run writes exactly the lines that
+// batch.Compile followed by Run encode for the same spec.
+func TestRunFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-rho", "nan"}, 1, "rho"},
+		{[]string{"-rho", "nan", "-format", "ndjson"}, 1, "rho"},
+		{[]string{"-format", "xml"}, 1, "-format"},
+		{[]string{"-trials", "x"}, 2, "-trials"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.want) {
+			t.Fatalf("%v: exit %d, stderr %q; want exit %d naming %s", c.args, code, stderr.String(), c.code, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: wrote %q to stdout", c.args, stdout.String())
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-graph", "rreg:64:3", "-trials", "4", "-seed", "1", "-format", "ndjson"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	want := wireLines(t, batch.Spec{Graph: "rreg:64:3", Process: "cobra", Branch: 2, Trials: 4, Seed: 1})
+	if got := stdout.String(); got != want || strings.Count(got, "\n") != 4 {
+		t.Fatalf("ndjson output:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -28,35 +28,15 @@ type RNG = xrand.RNG
 // same simulation results.
 func NewRNG(seed uint64) *RNG { return xrand.New(seed) }
 
-// Config selects the process variant shared by COBRA and BIPS.
-type Config struct {
-	// Branch is the integer branching factor b >= 1 (paper default: 2).
-	Branch int
-	// Rho adds a fractional extra branch with probability Rho, giving the
-	// Section 6 branching factor Branch + Rho. Must be in [0, 1].
-	Rho float64
-	// Lazy makes each selection stay at the current vertex with
-	// probability 1/2; required on bipartite graphs.
-	Lazy bool
-	// MaxRounds caps one run (0 = generous default); ErrRoundLimit-style
-	// errors are returned if exceeded.
-	MaxRounds int
-}
+// Config selects the process variant shared by COBRA and BIPS: Branch
+// (b >= 1, paper default 2), Rho (a fractional extra branch with
+// probability Rho ∈ [0, 1], Section 6), Lazy (each selection stays put
+// with probability 1/2; required on bipartite graphs) and MaxRounds (the
+// cap on one run, 0 = a generous default).
+type Config = core.Config
 
 // DefaultConfig returns the paper's primary setting, b = 2.
-func DefaultConfig() Config { return Config{Branch: 2} }
-
-func (c Config) core() core.Config {
-	return core.Config{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy, MaxRounds: c.MaxRounds}
-}
-
-func (c Config) bips() bips.Config {
-	return bips.Config{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy, MaxRounds: c.MaxRounds}
-}
-
-func (c Config) duality() duality.Config {
-	return duality.Config{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
-}
+func DefaultConfig() Config { return core.DefaultConfig() }
 
 // --- Graph constructors (deterministic families) ---
 
@@ -134,19 +114,19 @@ type Process = core.Process
 
 // NewProcess creates a COBRA process with initial particle set start.
 func NewProcess(g *Graph, cfg Config, start []int, rng *RNG) (*Process, error) {
-	return core.New(g, cfg.core(), start, rng)
+	return core.New(g, cfg, start, rng)
 }
 
 // CoverTime runs one COBRA trial from start and returns the number of
 // rounds until every vertex has been visited.
 func CoverTime(g *Graph, cfg Config, start int, seed uint64) (int, error) {
-	return core.CoverTime(g, cfg.core(), start, xrand.New(seed))
+	return core.CoverTime(g, cfg, start, xrand.New(seed))
 }
 
 // HitTime runs one COBRA trial and returns the first round at which
 // target is visited.
 func HitTime(g *Graph, cfg Config, start, target int, seed uint64) (int, error) {
-	return core.HitTime(g, cfg.core(), start, target, xrand.New(seed))
+	return core.HitTime(g, cfg, start, target, xrand.New(seed))
 }
 
 // CoverTrace is the per-round trajectory of one COBRA run.
@@ -154,7 +134,7 @@ type CoverTrace = core.RoundTrace
 
 // TraceCover runs one COBRA trial recording per-round set sizes.
 func TraceCover(g *Graph, cfg Config, start int, seed uint64) (*CoverTrace, error) {
-	return core.Trace(g, cfg.core(), start, xrand.New(seed))
+	return core.Trace(g, cfg, start, xrand.New(seed))
 }
 
 // --- BIPS ---
@@ -164,13 +144,13 @@ type Epidemic = bips.Process
 
 // NewEpidemic creates a BIPS process with the given persistent source.
 func NewEpidemic(g *Graph, cfg Config, source int, rng *RNG) (*Epidemic, error) {
-	return bips.New(g, cfg.bips(), source, rng)
+	return bips.New(g, cfg, source, rng)
 }
 
 // InfectionTime runs one BIPS trial and returns the first round at which
 // the whole graph is infected.
 func InfectionTime(g *Graph, cfg Config, source int, seed uint64) (int, error) {
-	return bips.InfectionTime(g, cfg.bips(), source, xrand.New(seed))
+	return bips.InfectionTime(g, cfg, source, xrand.New(seed))
 }
 
 // InfectionTrace is the per-round trajectory of one BIPS run.
@@ -179,7 +159,7 @@ type InfectionTrace = bips.RoundTrace
 // TraceInfection runs one BIPS trial recording per-round infected and
 // candidate set sizes.
 func TraceInfection(g *Graph, cfg Config, source int, seed uint64) (*InfectionTrace, error) {
-	return bips.Trace(g, cfg.bips(), source, xrand.New(seed))
+	return bips.Trace(g, cfg, source, xrand.New(seed))
 }
 
 // --- Duality (Theorem 1.3) ---
@@ -189,7 +169,7 @@ func TraceInfection(g *Graph, cfg Config, source int, seed uint64) (*InfectionTr
 // equivalence ("target hit within T" vs "starts ∩ A_T ≠ ∅"); Theorem 1.3
 // asserts they are always equal.
 func CheckDuality(g *Graph, cfg Config, starts []int, target, T int, seed uint64) (cobraHit, bipsMeet bool, err error) {
-	return duality.CheckPathwise(g, cfg.duality(), starts, target, T, xrand.New(seed))
+	return duality.CheckPathwise(g, cfg, starts, target, T, xrand.New(seed))
 }
 
 // --- Spectral properties ---

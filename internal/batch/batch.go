@@ -93,6 +93,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/graphspec"
@@ -229,15 +230,6 @@ func (c *Campaign) Spec() Spec { return c.spec }
 // Graph returns the shared compiled graph.
 func (c *Campaign) Graph() *graph.Graph { return c.g }
 
-// maxRounds applies the library-wide default cap (engine.DefaultMaxRounds,
-// shared with core.Config and bips.Config) unless the spec overrides it.
-func (c *Campaign) maxRounds() int {
-	if c.spec.MaxRounds > 0 {
-		return c.spec.MaxRounds
-	}
-	return engine.DefaultMaxRounds(c.g.N())
-}
-
 // Run executes the campaign on Spec.Workers goroutines, each claiming the
 // next trial as it finishes one (see cellsched.go: a campaign is a
 // one-cell run of the sweep's trial loop). Completed trials are delivered
@@ -290,25 +282,21 @@ func (c *Campaign) RunFrom(ctx context.Context, from int, online *stats.Online, 
 // / bips.New — so the trajectory matches the non-batch library path
 // exactly.
 func (c *Campaign) runTrial(ws *engine.Workspace, k int) (TrialResult, error) {
-	par := engine.Params{Branch: c.spec.Branch, Rho: c.spec.Rho, Lazy: c.spec.Lazy}
+	cfg := core.Config{Branch: c.spec.Branch, Rho: c.spec.Rho, Lazy: c.spec.Lazy, MaxRounds: c.spec.MaxRounds}
 	rng := xrand.StreamValue(c.spec.Seed, uint64(k))
 	seed := rng.Uint64()
 	var kern *engine.Kernel
 	var err error
 	if c.spec.Process == "cobra" {
-		kern, err = engine.NewCobraWith(ws, c.g, par, []int{c.spec.Start}, seed)
+		kern, err = engine.NewCobraWith(ws, c.g, cfg.Params(), []int{c.spec.Start}, seed)
 	} else {
-		kern, err = engine.NewBipsWith(ws, c.g, par, c.spec.Start, seed)
+		kern, err = engine.NewBipsWith(ws, c.g, cfg.Params(), c.spec.Start, seed)
 	}
 	if err != nil {
 		return TrialResult{}, err
 	}
-	limit := c.maxRounds()
-	for !kern.Complete() {
-		if kern.Round() >= limit {
-			return TrialResult{}, fmt.Errorf("%w: %d rounds on %s", ErrRoundLimit, kern.Round(), c.g.Name())
-		}
-		kern.Step()
+	if err := kern.RunCapped(cfg.RoundLimit(c.g.N()), ErrRoundLimit); err != nil {
+		return TrialResult{}, err
 	}
 	return TrialResult{
 		Trial:        k,

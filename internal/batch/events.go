@@ -99,7 +99,9 @@ func (s *Server) snapshotEvents(job *Job) eventSnap {
 }
 
 // meanRounds folds the per-accumulator means into one weighted rolling
-// mean; 0 while nothing has been observed.
+// mean; 0 while nothing has been observed. Each product is rounded
+// explicitly so no target fuses it into a multiply-add (see package
+// stats).
 func meanRounds(folds []*stats.Online) float64 {
 	n := 0
 	sum := 0.0
@@ -112,7 +114,7 @@ func meanRounds(folds []*stats.Online) float64 {
 			continue
 		}
 		n += o.N()
-		sum += float64(o.N()) * summary.Mean
+		sum += float64(float64(o.N()) * summary.Mean)
 	}
 	if n == 0 {
 		return 0

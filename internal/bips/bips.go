@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"github.com/repro/cobra/internal/bitset"
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
@@ -41,46 +42,12 @@ var (
 	ErrSource       = errors.New("bips: invalid source vertex")
 )
 
-// Config selects the BIPS variant; it mirrors core.Config for COBRA, as
-// the duality theorem requires matching parameters.
-type Config struct {
-	// Branch is the integer number of neighbours sampled per vertex per
-	// round (b in the paper; main case 2).
-	Branch int
-	// Rho adds a fractional extra sample with probability Rho, giving the
-	// Section 6 branching factor b = Branch + Rho (the paper's case is
-	// Branch = 1). Must lie in [0, 1].
-	Rho float64
-	// Lazy makes each selection pick the sampling vertex itself with
-	// probability 1/2, restoring a positive eigenvalue gap on bipartite
-	// graphs.
-	Lazy bool
-	// MaxRounds caps a run; 0 selects the driver default 64·n·log2(n)+64.
-	MaxRounds int
-}
+// Config selects the BIPS variant. It is core.Config: the duality
+// theorem requires COBRA and BIPS to run the same variant.
+type Config = core.Config
 
 // DefaultConfig is the paper's primary setting b = 2.
-func DefaultConfig() Config { return Config{Branch: 2} }
-
-// EffectiveBranch returns Branch + Rho.
-func (c Config) EffectiveBranch() float64 { return float64(c.Branch) + c.Rho }
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	return engine.ValidateBranching(ErrConfig, c.Branch, c.Rho)
-}
-
-func (c Config) maxRounds(n int) int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return engine.DefaultMaxRounds(n)
-}
-
-// engineParams maps the configuration onto the shared kernel.
-func (c Config) engineParams() engine.Params {
-	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
-}
+func DefaultConfig() Config { return core.DefaultConfig() }
 
 // translateEngineErr maps kernel errors onto this package's exported
 // error values. Connectivity is checked only inside the kernel (one
@@ -117,13 +84,13 @@ func New(g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (*Process, erro
 // kernel allocations. The previous kernel built through ws becomes
 // invalid.
 func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (*Process, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := engine.ValidateBranching(ErrConfig, cfg.Branch, cfg.Rho); err != nil {
 		return nil, err
 	}
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("%w: %d", ErrSource, source)
 	}
-	k, err := engine.NewBipsWith(ws, g, cfg.engineParams(), source, rng.Uint64())
+	k, err := engine.NewBipsWith(ws, g, cfg.Params(), source, rng.Uint64())
 	if err != nil {
 		return nil, translateEngineErr(err)
 	}
@@ -177,14 +144,8 @@ func (p *Process) sampleInfected(u int) bool {
 // Run advances until full infection and returns infec(source), or
 // ErrRoundLimit at the cap.
 func (p *Process) Run() (int, error) {
-	limit := p.cfg.maxRounds(p.g.N())
-	for !p.Complete() {
-		if p.Round() >= limit {
-			return p.Round(), fmt.Errorf("%w: %d rounds on %s", ErrRoundLimit, p.Round(), p.g.Name())
-		}
-		p.Step()
-	}
-	return p.Round(), nil
+	err := p.k.RunCapped(p.cfg.RoundLimit(p.g.N()), ErrRoundLimit)
+	return p.Round(), err
 }
 
 // InfectionTime runs one BIPS trial and returns infec(source).
@@ -227,7 +188,7 @@ func Trace(g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (*RoundTrace,
 	tr := &RoundTrace{CompleteRound: -1}
 	tr.InfectedSize = append(tr.InfectedSize, 1)
 	tr.CandidateSize = append(tr.CandidateSize, 0)
-	limit := cfg.maxRounds(g.N())
+	limit := cfg.RoundLimit(g.N())
 	for !p.Complete() && p.Round() < limit {
 		tr.CandidateSize = append(tr.CandidateSize, candidateCount(g, p.Infected(), p.source))
 		p.Step()

@@ -10,11 +10,12 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	g := graph.Cycle(5)
+	if _, err := New(g, DefaultConfig(), 0, xrand.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{{Branch: 0}, {Branch: 2, Rho: -1}, {Branch: 2, Rho: 2}} {
-		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+		if _, err := New(g, cfg, 0, xrand.New(1)); !errors.Is(err, ErrConfig) {
 			t.Fatalf("%+v accepted", cfg)
 		}
 	}
@@ -130,8 +131,12 @@ func TestRoundLimitError(t *testing.T) {
 	g := graph.Cycle(32)
 	cfg := DefaultConfig()
 	cfg.MaxRounds = 1
-	if _, err := InfectionTime(g, cfg, 0, xrand.New(17)); !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v", err)
+	rounds, err := InfectionTime(g, cfg, 0, xrand.New(17))
+	if !errors.Is(err, ErrRoundLimit) || rounds != 1 {
+		t.Fatalf("rounds = %d, err = %v", rounds, err)
+	}
+	if want := "bips: round limit exceeded before full infection: 1 rounds on cycle-32"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestCrossEngineEquivalenceBIPS(t *testing.T) {
 				"forced-dense":  engine.ForceDense,
 				"adaptive":      engine.Adaptive,
 			} {
-				par := cfg.engineParams()
+				par := cfg.Params()
 				par.Mode = mode
 				k, err := engine.NewBips(g, par, 0, kseed)
 				if err != nil {

@@ -120,9 +120,9 @@ func (p *Process) expectedY(deg, dA int) float64 {
 }
 
 // MartingaleFloor returns the paper's lower bound on every conditional
-// step expectation for this configuration: 1/2 for b = 2 (eq. 18), ρ/2
-// for b = 1+ρ (Section 6). Source steps satisfy Y >= 1 always.
-func (c Config) MartingaleFloor() float64 {
+// step expectation under c: 1/2 for b = 2 (eq. 18), ρ/2 for b = 1+ρ
+// (Section 6). Source steps satisfy Y >= 1 always.
+func MartingaleFloor(c Config) float64 {
 	if c.Branch == 2 {
 		return 0.5
 	}

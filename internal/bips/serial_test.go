@@ -79,7 +79,7 @@ func TestSerialStepInvariants(t *testing.T) {
 				if math.Abs(st.ExpectedY-wantE) > 1e-12 {
 					t.Fatalf("%s: ExpectedY=%v want %v", g.Name(), st.ExpectedY, wantE)
 				}
-				if st.ExpectedY < DefaultConfig().MartingaleFloor()-1e-12 {
+				if st.ExpectedY < MartingaleFloor(DefaultConfig())-1e-12 {
 					t.Fatalf("%s: ExpectedY=%v below floor 1/2 (eq. 18 violated)", g.Name(), st.ExpectedY)
 				}
 			}
@@ -98,7 +98,7 @@ func TestSerialFractionalExpectedY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := cfg.MartingaleFloor()
+	floor := MartingaleFloor(cfg)
 	if floor != 0.25 {
 		t.Fatalf("floor = %v", floor)
 	}

@@ -86,15 +86,6 @@ func (s *Set) Fill() {
 // Full reports whether every item in [0, n) is present.
 func (s *Set) Full() bool { return s.Count() == s.n }
 
-// CopyFrom overwrites s with the contents of other. Both must have the same
-// capacity.
-func (s *Set) CopyFrom(other *Set) {
-	if s.n != other.n {
-		panic("bitset: CopyFrom capacity mismatch")
-	}
-	copy(s.words, other.words)
-}
-
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
 	c := New(s.n)
@@ -120,29 +111,6 @@ func (s *Set) Words() []uint64 { return s.words }
 // engine's word-at-a-time writes; the caller is responsible for keeping
 // tail bits beyond n zero.
 func (s *Set) SetWord(i int, w uint64) { s.words[i] = w }
-
-// Union adds every member of other to s. Capacities must match.
-func (s *Set) Union(other *Set) {
-	if s.n != other.n {
-		panic("bitset: Union capacity mismatch")
-	}
-	for i, w := range other.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersects reports whether s and other share at least one member.
-func (s *Set) Intersects(other *Set) bool {
-	if s.n != other.n {
-		panic("bitset: Intersects capacity mismatch")
-	}
-	for i, w := range other.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Equal reports whether s and other contain exactly the same members.
 func (s *Set) Equal(other *Set) bool {

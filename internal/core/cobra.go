@@ -34,47 +34,46 @@ var (
 	ErrStart        = errors.New("cobra: invalid start set")
 )
 
-// Config selects the COBRA variant.
+// Config selects the process variant that COBRA, BIPS and the analyses
+// share: Theorem 1.3 makes COBRA and BIPS dual only under one variant, so
+// bips.Config, duality.Config, exact.Config and the root cobra.Config are
+// all this type. It has no Validate method: each package checks it under
+// its own sentinel through engine.ValidateBranching (exact adds b <= 3),
+// so no package's check answers for another's.
 type Config struct {
 	// Branch is the integer branching factor b >= 1. Branch == 1 with
 	// Rho == 0 is the simple random walk; the paper's main case is 2.
 	Branch int
-	// Rho adds fractional branching: each particle sends to one extra
-	// neighbour with probability Rho, so the expected branching factor is
-	// Branch + Rho. Section 6 studies Branch = 1, Rho = ρ ∈ (0, 1].
-	// Must lie in [0, 1].
+	// Rho adds fractional branching: with probability Rho a vertex makes
+	// one extra selection (an extra particle in COBRA, an extra pull in
+	// BIPS), so the expected branching factor is Branch + Rho. Section 6
+	// studies Branch = 1, Rho = ρ ∈ (0, 1]. Must lie in [0, 1].
 	Rho float64
 	// Lazy makes every neighbour selection pick the current vertex itself
 	// with probability 1/2 (the paper's lazy variant, which restores a
 	// positive eigenvalue gap on bipartite graphs).
 	Lazy bool
-	// MaxRounds caps a single run; 0 means the driver default of
-	// 64·n·log2(n)+64 rounds, far above every bound proven in the paper,
-	// so hitting the cap signals a stuck process (e.g. non-lazy COBRA on a
-	// bipartite graph with an unlucky parity) rather than slow covering.
+	// MaxRounds caps a single run; 0 means engine.DefaultMaxRounds, far
+	// above every bound proven in the paper, so hitting the cap signals a
+	// stuck process (e.g. non-lazy COBRA on a bipartite graph) rather than
+	// slow covering. duality and exact ignore it.
 	MaxRounds int
 }
 
 // DefaultConfig is the paper's primary setting: b = 2, non-lazy.
 func DefaultConfig() Config { return Config{Branch: 2} }
 
-// EffectiveBranch returns the expected branching factor Branch + Rho.
-func (c Config) EffectiveBranch() float64 { return float64(c.Branch) + c.Rho }
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	return engine.ValidateBranching(ErrConfig, c.Branch, c.Rho)
-}
-
-func (c Config) maxRounds(n int) int {
+// RoundLimit returns the cap on one run over an n-vertex graph:
+// MaxRounds, or engine.DefaultMaxRounds(n) when MaxRounds is 0.
+func (c Config) RoundLimit(n int) int {
 	if c.MaxRounds > 0 {
 		return c.MaxRounds
 	}
 	return engine.DefaultMaxRounds(n)
 }
 
-// engineParams maps the configuration onto the shared kernel.
-func (c Config) engineParams() engine.Params {
+// Params maps the variant onto the shared kernel's parameters.
+func (c Config) Params() engine.Params {
 	return engine.Params{Branch: c.Branch, Rho: c.Rho, Lazy: c.Lazy}
 }
 
@@ -113,7 +112,7 @@ func New(g *graph.Graph, cfg Config, start []int, rng *xrand.RNG) (*Process, err
 // kernel allocations. The previous kernel built through ws becomes
 // invalid.
 func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start []int, rng *xrand.RNG) (*Process, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := engine.ValidateBranching(ErrConfig, cfg.Branch, cfg.Rho); err != nil {
 		return nil, err
 	}
 	if len(start) == 0 {
@@ -124,7 +123,7 @@ func NewWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start []int, rng 
 			return nil, fmt.Errorf("%w: vertex %d out of range", ErrStart, v)
 		}
 	}
-	k, err := engine.NewCobraWith(ws, g, cfg.engineParams(), start, rng.Uint64())
+	k, err := engine.NewCobraWith(ws, g, cfg.Params(), start, rng.Uint64())
 	if err != nil {
 		return nil, translateEngineErr(err)
 	}
@@ -165,14 +164,8 @@ func (p *Process) Step() { p.k.Step() }
 // number of rounds to cover. If the cap is hit it returns the cap and
 // ErrRoundLimit.
 func (p *Process) Run() (int, error) {
-	limit := p.cfg.maxRounds(p.g.N())
-	for !p.Complete() {
-		if p.Round() >= limit {
-			return p.Round(), fmt.Errorf("%w: %d rounds on %s", ErrRoundLimit, p.Round(), p.g.Name())
-		}
-		p.Step()
-	}
-	return p.Round(), nil
+	err := p.k.RunCapped(p.cfg.RoundLimit(p.g.N()), ErrRoundLimit)
+	return p.Round(), err
 }
 
 // RunUntilHit advances until target is visited (or the cap) and returns
@@ -181,7 +174,7 @@ func (p *Process) RunUntilHit(target int) (int, error) {
 	if target < 0 || target >= p.g.N() {
 		return 0, fmt.Errorf("%w: target %d out of range", ErrStart, target)
 	}
-	limit := p.cfg.maxRounds(p.g.N())
+	limit := p.cfg.RoundLimit(p.g.N())
 	for !p.Covered().Contains(target) {
 		if p.Round() >= limit {
 			return p.Round(), fmt.Errorf("%w: %d rounds on %s", ErrRoundLimit, p.Round(), p.g.Name())

@@ -11,7 +11,8 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	g := graph.Cycle(6)
+	if _, err := New(g, DefaultConfig(), []int{0}, xrand.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
@@ -21,12 +22,9 @@ func TestConfigValidate(t *testing.T) {
 		{Branch: 1, Rho: 1.5},
 	}
 	for _, cfg := range bad {
-		if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+		if _, err := New(g, cfg, []int{0}, xrand.New(1)); !errors.Is(err, ErrConfig) {
 			t.Fatalf("%+v accepted", cfg)
 		}
-	}
-	if b := (Config{Branch: 1, Rho: 0.5}).EffectiveBranch(); b != 1.5 {
-		t.Fatalf("EffectiveBranch = %v", b)
 	}
 }
 
@@ -102,7 +100,7 @@ func TestParticlesStayOnNeighbors(t *testing.T) {
 		if !ok {
 			t.Fatalf("round %d: particle teleported", r+1)
 		}
-		prev.CopyFrom(p.Current())
+		prev = p.Current().Clone()
 	}
 }
 
@@ -218,9 +216,12 @@ func TestRoundLimit(t *testing.T) {
 	g := graph.Cycle(64)
 	cfg := DefaultConfig()
 	cfg.MaxRounds = 1
-	_, err := CoverTime(g, cfg, 0, xrand.New(29))
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	rounds, err := CoverTime(g, cfg, 0, xrand.New(29))
+	if !errors.Is(err, ErrRoundLimit) || rounds != 1 {
+		t.Fatalf("rounds = %d, err = %v, want 1 and ErrRoundLimit", rounds, err)
+	}
+	if want := "cobra: round limit exceeded before cover: 1 rounds on cycle-64"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 
@@ -304,21 +305,6 @@ func TestTrace(t *testing.T) {
 	}
 	if last := tr.CoveredSize[len(tr.CoveredSize)-1]; last != g.N() {
 		t.Fatalf("final covered %d != n", last)
-	}
-}
-
-func TestWorstStartCover(t *testing.T) {
-	// On a lollipop the worst start is inside the clique (the walk must
-	// find the path tip); mostly we check mechanics: worst >= mean of an
-	// arbitrary start and a valid vertex index is returned.
-	g := graph.Lollipop(6, 6)
-	rng := xrand.New(53)
-	worst, at, err := WorstStartCover(g, DefaultConfig(), []int{0, 5, 11}, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst <= 0 || at < 0 || at >= g.N() {
-		t.Fatalf("worst=%v at=%d", worst, at)
 	}
 }
 

@@ -72,7 +72,7 @@ func Trace(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) (*RoundTrace, 
 	tr := &RoundTrace{CoverRound: -1}
 	tr.ActiveSize = append(tr.ActiveSize, p.Current().Count())
 	tr.CoveredSize = append(tr.CoveredSize, p.CoveredCount())
-	limit := cfg.maxRounds(g.N())
+	limit := cfg.RoundLimit(g.N())
 	for !p.Complete() && p.Round() < limit {
 		p.Step()
 		tr.ActiveSize = append(tr.ActiveSize, p.Current().Count())
@@ -98,7 +98,7 @@ func HitTimes(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) ([]int, err
 		hits[i] = -1
 	}
 	hits[start] = 0
-	limit := cfg.maxRounds(g.N())
+	limit := cfg.RoundLimit(g.N())
 	seen := 1
 	for seen < g.N() {
 		if p.Round() >= limit {
@@ -113,32 +113,4 @@ func HitTimes(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) ([]int, err
 		})
 	}
 	return hits, nil
-}
-
-// WorstStartCover estimates COVER(G) = max_u COVER(u) by running `trials`
-// runs from each vertex of a candidate start set (all vertices when
-// starts is nil) and returning the per-start mean maximised over starts.
-// This mirrors the paper's worst-case-start definition of cover time.
-func WorstStartCover(g *graph.Graph, cfg Config, starts []int, trials int, rng *xrand.RNG) (worstMean float64, worstStart int, err error) {
-	if starts == nil {
-		starts = make([]int, g.N())
-		for i := range starts {
-			starts[i] = i
-		}
-	}
-	worstStart = -1
-	for _, u := range starts {
-		var sum float64
-		for k := 0; k < trials; k++ {
-			t, e := CoverTime(g, cfg, u, rng)
-			if e != nil {
-				return 0, 0, e
-			}
-			sum += float64(t)
-		}
-		if mean := sum / float64(trials); mean > worstMean {
-			worstMean, worstStart = mean, u
-		}
-	}
-	return worstMean, worstStart, nil
 }

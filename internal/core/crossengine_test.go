@@ -44,7 +44,7 @@ func crossEngines(t *testing.T, g *graph.Graph, cfg Config, start []int, masterS
 		"forced-dense":  engine.ForceDense,
 		"adaptive":      engine.Adaptive,
 	} {
-		par := cfg.engineParams()
+		par := cfg.Params()
 		par.Mode = mode
 		k, err := engine.NewCobra(g, par, start, kseed)
 		if err != nil {
@@ -125,7 +125,7 @@ func TestCrossEngineCoverTimesViaRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := cfg.engineParams()
+		par := cfg.Params()
 		par.Mode = engine.ForceDense
 		k, err := engine.NewCobra(g, par, []int{3}, kseed)
 		if err != nil {

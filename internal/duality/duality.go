@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"github.com/repro/cobra/internal/bitset"
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
@@ -31,20 +32,11 @@ import (
 // ErrInput flags invalid arguments to the duality drivers.
 var ErrInput = errors.New("duality: invalid input")
 
-// Config selects the shared process variant. Branch/Rho/Lazy have the
-// same meaning as in the core (COBRA) and bips packages; the duality
-// holds for every such variant (the paper proves it for all b = 1+ρ, and
-// the replay argument extends verbatim to lazy selections).
-type Config struct {
-	Branch int
-	Rho    float64
-	Lazy   bool
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	return engine.ValidateBranching(ErrInput, c.Branch, c.Rho)
-}
+// Config selects the shared process variant: core.Config, the type the
+// core (COBRA) and bips packages run. The duality holds for every such
+// variant (the paper proves it for all b = 1+ρ, and the replay argument
+// extends verbatim to lazy selections). MaxRounds is ignored.
+type Config = core.Config
 
 // Table is a materialised selection table ω(u, t) for rounds 1..T.
 // Entry (t, u) lists the vertices selected by u in round t (neighbours of
@@ -57,7 +49,7 @@ type Table struct {
 
 // SampleTable draws a fresh selection table for T rounds on g under cfg.
 func SampleTable(g *graph.Graph, cfg Config, T int, rng *xrand.RNG) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := engine.ValidateBranching(ErrInput, cfg.Branch, cfg.Rho); err != nil {
 		return nil, err
 	}
 	if T < 0 {

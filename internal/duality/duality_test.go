@@ -11,11 +11,12 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Branch: 2}).Validate(); err != nil {
+	g := graph.Cycle(5)
+	if _, err := SampleTable(g, Config{Branch: 2}, 1, xrand.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{{Branch: 0}, {Branch: 1, Rho: -0.1}, {Branch: 1, Rho: 1.1}} {
-		if err := cfg.Validate(); !errors.Is(err, ErrInput) {
+		if _, err := SampleTable(g, cfg, 1, xrand.New(1)); !errors.Is(err, ErrInput) {
 			t.Fatalf("%+v accepted", cfg)
 		}
 	}

@@ -156,8 +156,8 @@ const DefaultDenseDiv = 64
 // n-vertex graph: 64·n·log2(n)+64 rounds, far above every bound proven in
 // the paper, so hitting it signals a stuck process (e.g. non-lazy COBRA
 // on a bipartite graph with an unlucky parity) rather than slow covering.
-// core.Config, bips.Config and batch campaigns all apply this default;
-// keep them on this one definition.
+// core.Config.RoundLimit, the cap core, bips and batch apply, falls back
+// to it; keep the default on this one definition.
 func DefaultMaxRounds(n int) int {
 	lg := 1
 	for 1<<uint(lg) < n {
@@ -251,19 +251,24 @@ type Kernel struct {
 
 // NewCobra creates a COBRA kernel with initial frontier C_0 = start.
 func NewCobra(g *graph.Graph, par Params, start []int, seed uint64) (*Kernel, error) {
-	return newCobra(g, par, start, seed, nil)
+	return NewCobraWith(NewWorkspace(), g, par, start, seed)
 }
 
-func newCobra(g *graph.Graph, par Params, start []int, seed uint64, ws *Workspace) (*Kernel, error) {
-	k, err := newKernel(g, Cobra, par, seed, ws)
+// NewBips creates a BIPS kernel with the given persistent source,
+// A_0 = {source}.
+func NewBips(g *graph.Graph, par Params, source int, seed uint64) (*Kernel, error) {
+	return NewBipsWith(NewWorkspace(), g, par, source, seed)
+}
+
+// NewCobraWith is NewCobra constructing into ws. The previous kernel built
+// through ws (if any) becomes invalid.
+func NewCobraWith(ws *Workspace, g *graph.Graph, par Params, start []int, seed uint64) (*Kernel, error) {
+	k, err := newKernel(ws, g, Cobra, par, seed)
 	if err != nil {
 		return nil, err
 	}
 	if len(start) == 0 {
 		return nil, fmt.Errorf("%w: empty C_0", ErrStart)
-	}
-	if k.covered == nil { // workspace constructions arrive with a reset set
-		k.covered = bitset.New(g.N())
 	}
 	for _, v := range start {
 		if v < 0 || v >= g.N() {
@@ -281,14 +286,10 @@ func newCobra(g *graph.Graph, par Params, start []int, seed uint64, ws *Workspac
 	return k, nil
 }
 
-// NewBips creates a BIPS kernel with the given persistent source,
-// A_0 = {source}.
-func NewBips(g *graph.Graph, par Params, source int, seed uint64) (*Kernel, error) {
-	return newBips(g, par, source, seed, nil)
-}
-
-func newBips(g *graph.Graph, par Params, source int, seed uint64, ws *Workspace) (*Kernel, error) {
-	k, err := newKernel(g, Bips, par, seed, ws)
+// NewBipsWith is NewBips constructing into ws. The previous kernel built
+// through ws (if any) becomes invalid.
+func NewBipsWith(ws *Workspace, g *graph.Graph, par Params, source int, seed uint64) (*Kernel, error) {
+	k, err := newKernel(ws, g, Bips, par, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +305,7 @@ func newBips(g *graph.Graph, par Params, source int, seed uint64, ws *Workspace)
 	return k, nil
 }
 
-func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace) (*Kernel, error) {
+func newKernel(ws *Workspace, g *graph.Graph, kind Kind, par Params, seed uint64) (*Kernel, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
@@ -313,13 +314,7 @@ func newKernel(g *graph.Graph, kind Kind, par Params, seed uint64, ws *Workspace
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("%w: %s", ErrDisconnected, g.Name())
 	}
-	n := g.N()
-	var k *Kernel
-	if ws != nil {
-		k = ws.acquire(n, kind)
-	} else {
-		k = &Kernel{cur: bitset.New(n), next: bitset.New(n)}
-	}
+	k := ws.acquire(g.N(), kind)
 	k.g = g
 	k.kind = kind
 	k.par = par
@@ -453,6 +448,20 @@ func (k *Kernel) Step() {
 		}
 	}
 	k.round++
+}
+
+// RunCapped steps the kernel until it completes or has run limit rounds.
+// A kernel stopped at the cap returns an error that wraps sentinel and
+// reads "<sentinel>: <rounds> rounds on <graph name>", so each caller
+// (core, bips, batch) reports the cap under its own error value.
+func (k *Kernel) RunCapped(limit int, sentinel error) error {
+	for !k.Complete() {
+		if k.round >= limit {
+			return fmt.Errorf("%w: %d rounds on %s", sentinel, k.round, k.g.Name())
+		}
+		k.Step()
+	}
+	return nil
 }
 
 // useDense applies the representation policy for the upcoming round.

@@ -50,6 +50,57 @@ func TestConstructorsReject(t *testing.T) {
 	}
 }
 
+// RunCapped is the one capped run loop (core, bips and batch call it):
+// a kernel stopped at the cap has run exactly limit rounds and reports
+// the cap under the caller's sentinel in the one message form, and a
+// kernel that completes first stops at its completion round with nil.
+func TestRunCapped(t *testing.T) {
+	sentinel := errors.New("test: round cap")
+	g := graph.Cycle(64)
+	build := map[Kind]func() *Kernel{
+		Cobra: func() *Kernel {
+			k, err := NewCobra(g, Params{Branch: 2}, []int{0}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		},
+		Bips: func() *Kernel {
+			k, err := NewBips(g, Params{Branch: 2}, 0, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		},
+	}
+	for kind, fresh := range build {
+		k := fresh()
+		err := k.RunCapped(3, sentinel)
+		if !errors.Is(err, sentinel) || k.Round() != 3 {
+			t.Fatalf("kind %d: capped at round %d with %v, want round 3 and the sentinel", kind, k.Round(), err)
+		}
+		if want := "test: round cap: 3 rounds on cycle-64"; err.Error() != want {
+			t.Fatalf("kind %d: cap message %q, want %q", kind, err, want)
+		}
+
+		ref := fresh() // the same seed: the same trajectory
+		for !ref.Complete() {
+			ref.Step()
+		}
+		done := ref.Round()
+		for _, limit := range []int{done, done + 1, 1 << 30} {
+			k := fresh()
+			if err := k.RunCapped(limit, sentinel); err != nil || k.Round() != done || !k.Complete() {
+				t.Fatalf("kind %d, limit %d: stopped at round %d (complete %v) with %v, want nil at round %d",
+					kind, limit, k.Round(), k.Complete(), err, done)
+			}
+		}
+		if k := fresh(); k.RunCapped(done-1, sentinel) == nil || k.Round() != done-1 {
+			t.Fatalf("kind %d: a cap one round before completion did not stop the run at round %d", kind, done-1)
+		}
+	}
+}
+
 // The adaptive policy must actually exercise both representations on a
 // run that starts narrow and goes wide.
 func TestAdaptiveUsesBothRepresentations(t *testing.T) {

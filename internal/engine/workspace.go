@@ -1,19 +1,18 @@
 package engine
 
-import (
-	"github.com/repro/cobra/internal/bitset"
-	"github.com/repro/cobra/internal/graph"
-)
+import "github.com/repro/cobra/internal/bitset"
 
 // Workspace is a reusable arena for kernel state, the amortization layer
-// under the batch trial harness (internal/batch). A fresh kernel on an
-// n-vertex graph allocates three Θ(n)-bit sets (frontier, round scratch
-// and, for COBRA, the covered set) and the member slices; across a
-// campaign of thousands of trials on one shared graph those costs
-// dominate the simulation itself. Constructing kernels through a
-// Workspace instead reuses every buffer: the frontier and covered sets
-// are reset, the scratch set arrives all-zero from the previous kernel
-// (zero-after-fold), and slices retain their grown capacity.
+// under the batch trial harness (internal/batch), and the one way a
+// kernel is built: NewCobra and NewBips build through a fresh one. A
+// fresh kernel on an n-vertex graph allocates three Θ(n)-bit sets
+// (frontier, round scratch and, for COBRA, the covered set) and the
+// member slices; across a campaign of thousands of trials on one shared
+// graph those costs dominate the simulation itself. Constructing kernels
+// through one Workspace instead reuses every buffer: the frontier and
+// covered sets are reset, the scratch set arrives all-zero from the
+// previous kernel (zero-after-fold), and slices retain their grown
+// capacity.
 // Connectivity is not the workspace's concern: the graph memoizes its own
 // check (graph.Graph.IsConnected).
 //
@@ -22,10 +21,10 @@ import (
 //   - A Workspace is single-owner: it backs at most one live kernel at a
 //     time, and constructing a new kernel through it invalidates the
 //     previous one. One Workspace per worker goroutine.
-//   - Trajectories are unchanged: a kernel built with NewCobraWith /
-//     NewBipsWith produces bit-for-bit the trajectory of one built with
-//     NewCobra / NewBips from the same (graph, params, start, seed) —
-//     workspace reuse is invisible to the trajectory.
+//   - Trajectories are unchanged: a kernel built through a reused
+//     Workspace produces bit-for-bit the trajectory of one built through
+//     a fresh one from the same (graph, params, start, seed) — workspace
+//     reuse is invisible to the trajectory.
 //   - Graphs of different sizes may share a Workspace; buffers are
 //     reallocated when the vertex count changes and reused otherwise.
 type Workspace struct {
@@ -41,18 +40,6 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers are sized lazily by the
 // first kernel constructed through it.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// NewCobraWith is NewCobra constructing into ws. The previous kernel built
-// through ws (if any) becomes invalid.
-func NewCobraWith(ws *Workspace, g *graph.Graph, par Params, start []int, seed uint64) (*Kernel, error) {
-	return newCobra(g, par, start, seed, ws)
-}
-
-// NewBipsWith is NewBips constructing into ws. The previous kernel built
-// through ws (if any) becomes invalid.
-func NewBipsWith(ws *Workspace, g *graph.Graph, par Params, source int, seed uint64) (*Kernel, error) {
-	return newBips(g, par, source, seed, ws)
-}
 
 // reclaim pulls the buffers back from the previous kernel: appends may
 // have reallocated the slices it was handed, and its rounds swap cur and

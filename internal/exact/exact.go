@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 )
@@ -29,17 +30,15 @@ const MaxN = 14
 // ErrInput flags invalid arguments.
 var ErrInput = errors.New("exact: invalid input")
 
-// Config mirrors the simulators' variant selection: integer Branch
-// (1, 2 or 3 supported here), fractional Rho, Lazy selections.
-type Config struct {
-	Branch int
-	Rho    float64
-	Lazy   bool
-}
+// Config is the simulators' variant selection, core.Config: integer
+// Branch (1, 2 or 3 supported here), fractional Rho, Lazy selections.
+// MaxRounds is ignored.
+type Config = core.Config
 
-// Validate checks the configuration: the simulators' branching check,
-// narrowed to the factors exact supports (b = 1, 1+ρ, 2, 3).
-func (c Config) Validate() error {
+// validate is exact's check of the variant: the simulators' branching
+// check under ErrInput, narrowed to the factors exact supports (b = 1,
+// 1+ρ, 2, 3).
+func validate(c Config) error {
 	if err := engine.ValidateBranching(ErrInput, c.Branch, c.Rho); err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func outcomeDist(g *graph.Graph, cfg Config, u int) map[uint32]float64 {
 //
 // Cost: O(T · 2ⁿ · Σ_v d(v)²) in the worst case.
 func CobraHitProbability(g *graph.Graph, cfg Config, starts []int, target, T int) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return 0, err
 	}
 	if err := checkGraph(g); err != nil {
@@ -305,7 +304,7 @@ func infectProb(g *graph.Graph, cfg Config, a uint32, u, source int) float64 {
 //
 // Cost: O(T · n · 4ⁿ) in the worst case (practical for n <= ~12).
 func BipsMeetComplementProbability(g *graph.Graph, cfg Config, source int, c []int, T int) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return 0, err
 	}
 	if err := checkGraph(g); err != nil {
@@ -352,7 +351,7 @@ func BipsMeetComplementProbability(g *graph.Graph, cfg Config, source int, c []i
 // below tol (default 1e-12 when tol <= 0). Returns an error if the
 // expectation has not converged within maxRounds (default 10⁶/n).
 func ExpectedInfectionTime(g *graph.Graph, cfg Config, source int, tol float64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return 0, err
 	}
 	if err := checkGraph(g); err != nil {
@@ -392,7 +391,7 @@ func ExpectedInfectionTime(g *graph.Graph, cfg Config, source int, tol float64) 
 // ExpectedHitTime computes E[Hit(target)] for COBRA from starts exactly
 // as Σ_{T≥0} P(Hit > T), truncating at tol.
 func ExpectedHitTime(g *graph.Graph, cfg Config, starts []int, target int, tol float64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return 0, err
 	}
 	if err := checkGraph(g); err != nil {

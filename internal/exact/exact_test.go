@@ -10,17 +10,27 @@ import (
 	"github.com/repro/cobra/internal/xrand"
 )
 
+// exact checks the shared variant type with its own function: the
+// simulators' branching check narrowed to b = 1, 1+ρ, 2 and 3, at every
+// entry point.
 func TestConfigValidate(t *testing.T) {
+	g := graph.Path(3)
 	good := []Config{{Branch: 2}, {Branch: 1}, {Branch: 1, Rho: 0.5}, {Branch: 2, Lazy: true}}
 	for _, c := range good {
-		if err := c.Validate(); err != nil {
+		if err := validate(c); err != nil {
 			t.Fatalf("%+v rejected: %v", c, err)
 		}
 	}
 	bad := []Config{{Branch: 0}, {Branch: 4}, {Branch: 1, Rho: -1}, {Branch: 2, Rho: 0.5}}
 	for _, c := range bad {
-		if err := c.Validate(); !errors.Is(err, ErrInput) {
+		if err := validate(c); !errors.Is(err, ErrInput) {
 			t.Fatalf("%+v accepted", c)
+		}
+		if _, err := CobraHitProbability(g, c, []int{0}, 2, 1); !errors.Is(err, ErrInput) {
+			t.Fatalf("CobraHitProbability accepted %+v", c)
+		}
+		if _, err := ExpectedInfectionTime(g, c, 0, 0); !errors.Is(err, ErrInput) {
+			t.Fatalf("ExpectedInfectionTime accepted %+v", c)
 		}
 	}
 }

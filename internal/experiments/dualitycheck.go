@@ -81,7 +81,8 @@ func E4Duality(p Params) (*sim.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		se := math.Sqrt((p1*(1-p1) + p2*(1-p2)) / float64(mcTrials))
+		// float64(·) rounds each product: no multiply-add (see package stats).
+		se := math.Sqrt((float64(p1*(1-p1)) + float64(p2*(1-p2))) / float64(mcTrials))
 		z := 0.0
 		if se > 0 {
 			z = math.Abs(p1-p2) / se

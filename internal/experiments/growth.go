@@ -67,7 +67,10 @@ func E9Growth(p Params) (*sim.Table, error) {
 					bin = bins - 1
 				}
 				sumGrowth[bin] += float64(b)
-				sumBound[bin] += float64(a) * (1 + sp.rho*(1-lam*lam)*(1-float64(a)/float64(n)))
+				// Products are rounded explicitly so no target fuses
+				// them into multiply-adds (see package stats).
+				gain := 1 + float64(sp.rho*(1-float64(lam*lam))*(1-float64(a)/float64(n)))
+				sumBound[bin] += float64(float64(a) * gain)
 				count[bin]++
 			}
 		}
@@ -130,7 +133,7 @@ func E10Martingale(p Params) (*sim.Table, error) {
 	}
 	for si, sp := range specs {
 		rng := xrand.NewStream(p.Seed^0x10a, uint64(si))
-		floor := sp.cfg.MartingaleFloor()
+		floor := bips.MartingaleFloor(sp.cfg)
 		minE := math.Inf(1)
 		var sumY float64
 		steps, violations := 0, 0

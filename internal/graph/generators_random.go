@@ -59,7 +59,9 @@ func sampleGnp(b *Builder, n int, p float64, rng *xrand.RNG) {
 	u, v := 0, 0
 	for u < n-1 {
 		// Draw skip ~ Geometric(p): number of pairs to jump over.
-		skip := int(log(1-rng.Float64())/logq) + 1
+		// float64(·) rounds Float64's multiply by 2^-53 so the
+		// subtraction cannot fuse with it (see package stats).
+		skip := int(log(1-float64(rng.Float64()))/logq) + 1
 		v += skip
 		for v >= n && u < n-1 {
 			u++

@@ -128,12 +128,15 @@ func dims(fn func(...int) *graph.Graph, size func(n float64, sides []int) float6
 }
 
 // families is the grammar. Seeded families draw from xrand.New(seed).
+// The size rules round each product explicitly, float64(x*y) + z, so no
+// target fuses it into a multiply-add and the 2^24 bound decides the same
+// on every target (see package stats).
 var families = map[string]family{
-	"complete":    int1(graph.Complete, func(n float64) float64 { return n + n*(n-1)/2 }),
+	"complete":    int1(graph.Complete, func(n float64) float64 { return n + float64(n*(n-1)/2) }),
 	"cycle":       int1(graph.Cycle, func(n float64) float64 { return 2 * n }),
 	"path":        int1(graph.Path, func(n float64) float64 { return 2*n - 1 }),
 	"star":        int1(graph.Star, func(n float64) float64 { return 2*n - 1 }),
-	"hypercube":   int1(graph.Hypercube, func(d float64) float64 { return math.Exp2(d) * (1 + d/2) }),
+	"hypercube":   int1(graph.Hypercube, func(d float64) float64 { return math.Exp2(d) * (1 + float64(d/2)) }),
 	"bintree":     int1(graph.BinaryTree, func(n float64) float64 { return 2*n - 1 }),
 	"doublecycle": int1(graph.DoubleCycle, func(n float64) float64 { return 3 * n }),
 	"grid": dims(graph.Grid, func(n float64, sides []int) float64 {
@@ -144,20 +147,20 @@ var families = map[string]family{
 		return n + m
 	}),
 	"torus":     dims(graph.Torus, func(n float64, sides []int) float64 { return n * float64(1+len(sides)) }),
-	"lollipop":  int2(graph.Lollipop, func(k, l float64) float64 { return k + l + k*(k-1)/2 + l }),
-	"barbell":   int2(graph.Barbell, func(k, l float64) float64 { return 2*k + l + k*(k-1) + l + 1 }),
-	"bipartite": int2(graph.CompleteBipartite, func(a, b float64) float64 { return a + b + a*b }),
-	"chord":     int2(graph.Chord, func(n, k float64) float64 { return n + n*k }),
+	"lollipop":  int2(graph.Lollipop, func(k, l float64) float64 { return k + l + float64(k*(k-1)/2) + l }),
+	"barbell":   int2(graph.Barbell, func(k, l float64) float64 { return 2*k + l + float64(k*(k-1)) + l + 1 }),
+	"bipartite": int2(graph.CompleteBipartite, func(a, b float64) float64 { return a + b + float64(a*b) }),
+	"chord":     int2(graph.Chord, func(n, k float64) float64 { return n + float64(n*k) }),
 	"petersen": {size: func(args) float64 { return 10 + 15 }, build: func(args, uint64) (*graph.Graph, error) {
 		return graph.Petersen(), nil
 	}},
 	"er": {kinds: []argKind{argInt, argFloat},
-		size: func(a args) float64 { n := float64(a.ints[0]); return n + a.floats[0]*n*(n-1)/2 },
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + float64(a.floats[0]*n*(n-1)/2) },
 		build: func(a args, seed uint64) (*graph.Graph, error) {
 			return graph.ErdosRenyi(a.ints[0], a.floats[0], xrand.New(seed))
 		}},
 	"rreg": {kinds: []argKind{argInt, argInt},
-		size: func(a args) float64 { n := float64(a.ints[0]); return n + n*float64(a.ints[1])/2 },
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + float64(n*float64(a.ints[1])/2) },
 		build: func(a args, seed uint64) (*graph.Graph, error) {
 			return graph.RandomRegular(a.ints[0], a.ints[1], xrand.New(seed))
 		}},
@@ -169,13 +172,13 @@ var families = map[string]family{
 	"ba": {kinds: []argKind{argInt, argInt},
 		size: func(a args) float64 {
 			n, m := float64(a.ints[0]), float64(a.ints[1])
-			return n + (n-m)*m
+			return n + float64((n-m)*m)
 		},
 		build: func(a args, seed uint64) (*graph.Graph, error) {
 			return graph.BarabasiAlbert(a.ints[0], a.ints[1], xrand.New(seed))
 		}},
 	"ws": {kinds: []argKind{argInt, argInt, argFloat},
-		size: func(a args) float64 { n := float64(a.ints[0]); return n + n*float64(a.ints[1])/2 },
+		size: func(a args) float64 { n := float64(a.ints[0]); return n + float64(n*float64(a.ints[1])/2) },
 		build: func(a args, seed uint64) (*graph.Graph, error) {
 			return graph.WattsStrogatz(a.ints[0], a.ints[1], a.floats[0], xrand.New(seed))
 		}},

@@ -161,19 +161,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n bucket bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // kind is the exposition TYPE of a metric family.
 type kind string
 

@@ -252,8 +252,4 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, exp[i], want[i])
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if lin[0] != 0 || lin[1] != 5 || lin[2] != 10 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 }

@@ -1,8 +1,8 @@
 // Package plot renders small ASCII charts for terminal output: line
-// charts of per-round trajectories (infection curves, active-set sizes)
-// and log–log scatter plots of scaling sweeps. The experiments and CLI
-// tools use it to make the reproduction readable without leaving the
-// terminal; it is deliberately tiny and dependency-free.
+// charts and sparklines of per-round trajectories (infection curves,
+// active-set sizes). The experiments and CLI tools use it to make the
+// reproduction readable without leaving the terminal; it is deliberately
+// tiny and dependency-free.
 package plot
 
 import (
@@ -65,64 +65,6 @@ func Line(w io.Writer, title string, ys []float64, width, height int) error {
 	_, err := fmt.Fprintf(w, "%s +%s\n%s  0%s%d\n",
 		strings.Repeat(" ", 10), strings.Repeat("-", width),
 		strings.Repeat(" ", 10), strings.Repeat(" ", max(width-len(fmt.Sprint(len(ys)-1))-1, 1)), len(ys)-1)
-	return err
-}
-
-// Scatter renders (x, y) points on log-log axes, for scaling sweeps.
-func Scatter(w io.Writer, title string, xs, ys []float64, width, height int) error {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return fmt.Errorf("%w: need equal non-empty xs/ys", ErrInput)
-	}
-	if width < 8 || height < 2 {
-		return fmt.Errorf("%w: width >= 8, height >= 2", ErrInput)
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return fmt.Errorf("%w: log-log scatter needs positive data", ErrInput)
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	xlo, xhi := minMax(lx)
-	ylo, yhi := minMax(ly)
-	if xhi == xlo {
-		xhi = xlo + 1
-	}
-	if yhi == ylo {
-		yhi = ylo + 1
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for i := range lx {
-		c := int(math.Round((lx[i] - xlo) / (xhi - xlo) * float64(width-1)))
-		r := int(math.Round((yhi - ly[i]) / (yhi - ylo) * float64(height-1)))
-		grid[r][c] = 'o'
-	}
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	for r, row := range grid {
-		label := strings.Repeat(" ", 10)
-		switch r {
-		case 0:
-			label = fmt.Sprintf("%10.3g", math.Exp(yhi))
-		case height - 1:
-			label = fmt.Sprintf("%10.3g", math.Exp(ylo))
-		}
-		if _, err := fmt.Fprintf(w, "%s |%s\n", label, string(row)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s +%s\n%s  %.3g%s%.3g  (log-log)\n",
-		strings.Repeat(" ", 10), strings.Repeat("-", width),
-		strings.Repeat(" ", 10), math.Exp(xlo),
-		strings.Repeat(" ", max(width-16, 1)), math.Exp(xhi))
 	return err
 }
 

@@ -51,41 +51,6 @@ func TestLineErrors(t *testing.T) {
 	}
 }
 
-func TestScatterBasic(t *testing.T) {
-	var sb strings.Builder
-	xs := []float64{10, 100, 1000}
-	ys := []float64{3, 30, 300}
-	if err := Scatter(&sb, "sweep", xs, ys, 24, 6); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	points := 0
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "|") {
-			points += strings.Count(line, "o")
-		}
-	}
-	if points != 3 {
-		t.Fatalf("expected 3 points, got %d:\n%s", points, out)
-	}
-	if !strings.Contains(out, "log-log") {
-		t.Fatal("axis note missing")
-	}
-}
-
-func TestScatterErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := Scatter(&sb, "", []float64{1}, []float64{1, 2}, 20, 5); !errors.Is(err, ErrInput) {
-		t.Fatal("ragged accepted")
-	}
-	if err := Scatter(&sb, "", []float64{0}, []float64{1}, 20, 5); !errors.Is(err, ErrInput) {
-		t.Fatal("non-positive accepted")
-	}
-	if err := Scatter(&sb, "", nil, nil, 20, 5); !errors.Is(err, ErrInput) {
-		t.Fatal("empty accepted")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
 	if len([]rune(s)) != 8 {

@@ -181,7 +181,3 @@ func sortByKey(ids []int, key []float64) {
 	}
 	rec(0, len(ids))
 }
-
-// CheegerLower returns the paper's cited lower bound 1−λ >= ϕ²/2
-// rearranged as a bound on the gap from a conductance value.
-func CheegerLower(phi float64) float64 { return phi * phi / 2 }

@@ -8,6 +8,8 @@
 // S = D^{1/2} P D^{-1/2} is symmetric with the same spectrum, so all
 // eigenvalue computations run on S via power iteration with deflation of
 // the known Perron vector (which for S is proportional to sqrt(deg)).
+// Products that feed a sum are rounded explicitly, float64(x*y) + z, so
+// no target fuses them into a multiply-add (see package stats).
 package spectral
 
 import (
@@ -80,7 +82,7 @@ func secondEigenvalue(g *graph.Graph, lazy bool, opt Options) (float64, error) {
 	var norm float64
 	for v := 0; v < n; v++ {
 		perron[v] = math.Sqrt(float64(g.Degree(v)))
-		norm += perron[v] * perron[v]
+		norm += float64(perron[v] * perron[v])
 	}
 	norm = math.Sqrt(norm)
 	for v := range perron {
@@ -125,7 +127,7 @@ func applySym(g *graph.Graph, lazy bool, x, y []float64) {
 		}
 		y[v] = acc / dv
 		if lazy {
-			y[v] = 0.5*x[v] + 0.5*y[v]
+			y[v] = float64(0.5*x[v]) + float64(0.5*y[v])
 		}
 	}
 }
@@ -133,10 +135,10 @@ func applySym(g *graph.Graph, lazy bool, x, y []float64) {
 func deflate(x, dir []float64) {
 	var dot float64
 	for i := range x {
-		dot += x[i] * dir[i]
+		dot += float64(x[i] * dir[i])
 	}
 	for i := range x {
-		x[i] -= dot * dir[i]
+		x[i] -= float64(dot * dir[i])
 	}
 }
 
@@ -145,7 +147,7 @@ func deflate(x, dir []float64) {
 func normalize(x []float64) float64 {
 	var norm float64
 	for _, v := range x {
-		norm += v * v
+		norm += float64(v * v)
 	}
 	norm = math.Sqrt(norm)
 	if norm == 0 {
@@ -169,7 +171,7 @@ func pseudoStart(n int, seed uint64) []float64 {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		x[i] = float64(z>>11)/(1<<53) - 0.5
+		x[i] = float64(float64(z>>11)/(1<<53)) - 0.5
 	}
 	return x
 }

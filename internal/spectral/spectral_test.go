@@ -201,10 +201,6 @@ func TestCheegerInequalityHolds(t *testing.T) {
 	}
 }
 
-func TestCheegerLowerHelper(t *testing.T) {
-	almost(t, "CheegerLower", CheegerLower(0.5), 0.125, 1e-15)
-}
-
 func TestDeterministicAcrossCalls(t *testing.T) {
 	g := graph.Petersen()
 	a, _ := SecondEigenvalue(g, Options{})

@@ -52,7 +52,7 @@ func (o *Online) Add(x float64) {
 	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.m2 += float64(d * (x - o.mean))
 	o.q25.add(x)
 	o.med.add(x)
 	o.q75.add(x)
@@ -92,8 +92,8 @@ func (o *Online) Summary() (Summary, error) {
 		s.Std = math.Sqrt(o.m2 / float64(o.n-1))
 	}
 	s.StdErr = s.Std / math.Sqrt(float64(s.N))
-	s.CI95Lo = s.Mean - 1.96*s.StdErr
-	s.CI95Hi = s.Mean + 1.96*s.StdErr
+	s.CI95Lo = s.Mean - float64(1.96*s.StdErr)
+	s.CI95Hi = s.Mean + float64(1.96*s.StdErr)
 	return s, nil
 }
 
@@ -142,9 +142,9 @@ func (p *p2Estimator) add(x float64) {
 
 	// Nudge the interior markers toward their desired positions.
 	want := [5]float64{1, 0, 0, 0, float64(p.cnt)}
-	want[1] = 1 + float64(p.cnt-1)*p.q/2
-	want[2] = 1 + float64(p.cnt-1)*p.q
-	want[3] = 1 + float64(p.cnt-1)*(1+p.q)/2
+	want[1] = 1 + float64(float64(p.cnt-1)*p.q/2)
+	want[2] = 1 + float64(float64(p.cnt-1)*p.q)
+	want[3] = 1 + float64(float64(p.cnt-1)*(1+p.q)/2)
 	for i := 1; i <= 3; i++ {
 		d := want[i] - p.n[i]
 		if (d >= 1 && p.n[i+1]-p.n[i] > 1) || (d <= -1 && p.n[i-1]-p.n[i] < -1) {
@@ -167,7 +167,7 @@ func (p *p2Estimator) add(x float64) {
 func (p *p2Estimator) parabolic(i int, s float64) float64 {
 	num1 := (p.n[i] - p.n[i-1] + s) * (p.h[i+1] - p.h[i]) / (p.n[i+1] - p.n[i])
 	num2 := (p.n[i+1] - p.n[i] - s) * (p.h[i] - p.h[i-1]) / (p.n[i] - p.n[i-1])
-	return p.h[i] + s/(p.n[i+1]-p.n[i-1])*(num1+num2)
+	return p.h[i] + float64(s/(p.n[i+1]-p.n[i-1])*(num1+num2))
 }
 
 // linear is the fallback when the parabolic prediction leaves the bracket.

@@ -1,9 +1,15 @@
 // Package stats provides the statistics used to turn simulation trials
 // into experiment rows: summary statistics with confidence intervals,
-// quantiles, histograms, and least-squares fits on log–log scales for
+// quantiles, and least-squares fits on log–log scales for
 // extracting empirical scaling exponents (the "shape" checks of the
 // reproduction: fitted exponent ≈ 1/D for D-dimensional grids, slope ≈ 0
 // for K_n cover vs log n, and so on).
+//
+// Every product that feeds an addition or subtraction is rounded by an
+// explicit conversion, float64(x*y) + z. The Go spec lets a compiler fuse
+// x*y + z into one multiply-add unless a conversion rounds x*y first;
+// arm64, ppc64le, riscv64, loong64 and s390x fuse, amd64 does not, so the
+// conversions keep every result the same bits on every target.
 package stats
 
 import (
@@ -48,14 +54,14 @@ func Summarize(xs []float64) (Summary, error) {
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	if s.N > 1 {
 		s.Std = math.Sqrt(ss / float64(s.N-1))
 	}
 	s.StdErr = s.Std / math.Sqrt(float64(s.N))
-	s.CI95Lo = s.Mean - 1.96*s.StdErr
-	s.CI95Hi = s.Mean + 1.96*s.StdErr
+	s.CI95Lo = s.Mean - float64(1.96*s.StdErr)
+	s.CI95Hi = s.Mean + float64(1.96*s.StdErr)
 
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
@@ -81,13 +87,13 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Mean returns the arithmetic mean (NaN for empty input).
@@ -125,15 +131,15 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	var sxx, sxy, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return Fit{}, fmt.Errorf("%w: degenerate x values", ErrInput)
 	}
 	f := Fit{Slope: sxy / sxx}
-	f.Intercept = my - f.Slope*mx
+	f.Intercept = my - float64(f.Slope*mx)
 	if syy == 0 {
 		f.R2 = 1
 	} else {
@@ -174,49 +180,4 @@ func SemiLogFit(xs, ys []float64) (Fit, error) {
 		lx[i] = math.Log(xs[i])
 	}
 	return LinearFit(lx, ys)
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram bins xs into `bins` equal-width buckets spanning
-// [min, max]. The max value lands in the last bucket.
-func NewHistogram(xs []float64, bins int) (*Histogram, error) {
-	if len(xs) == 0 || bins < 1 {
-		return nil, fmt.Errorf("%w: empty sample or bins < 1", ErrInput)
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	if hi == lo {
-		h.Counts[0] = len(xs)
-		return h, nil
-	}
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= bins {
-			b = bins - 1
-		}
-		h.Counts[b]++
-	}
-	return h, nil
-}
-
-// Ratio returns a/b guarding against division by zero (returns NaN).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
 }

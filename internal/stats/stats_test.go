@@ -133,46 +133,6 @@ func TestSemiLogFit(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram total %d", total)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bucket %d count %d", i, c)
-		}
-	}
-	// Constant sample: all in bucket 0.
-	h2, err := NewHistogram([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Counts[0] != 3 {
-		t.Fatal("constant sample misbinned")
-	}
-	if _, err := NewHistogram(nil, 3); !errors.Is(err, ErrInput) {
-		t.Fatal("empty accepted")
-	}
-	if _, err := NewHistogram([]float64{1}, 0); !errors.Is(err, ErrInput) {
-		t.Fatal("bins=0 accepted")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	close(t, "ratio", Ratio(6, 3), 2, 0)
-	if !math.IsNaN(Ratio(1, 0)) {
-		t.Fatal("division by zero not NaN")
-	}
-}
-
 // Property: summary invariants Min <= Q25 <= Median <= Q75 <= Max and
 // Min <= Mean <= Max.
 func TestSummaryOrderProperty(t *testing.T) {

@@ -64,50 +64,3 @@ func HitTimes(g *graph.Graph, target int, tol float64) ([]float64, error) {
 	}
 	return nil, fmt.Errorf("%w: Gauss-Seidel did not converge", ErrInput)
 }
-
-// CommuteTime returns the expected round trip u→v→u of the simple walk,
-// h(u→v) + h(v→u). By the electrical identity this equals 2m·R_eff(u,v).
-func CommuteTime(g *graph.Graph, u, v int, tol float64) (float64, error) {
-	hv, err := HitTimes(g, v, tol)
-	if err != nil {
-		return 0, err
-	}
-	hu, err := HitTimes(g, u, tol)
-	if err != nil {
-		return 0, err
-	}
-	return hv[u] + hu[v], nil
-}
-
-// MaxHitTime returns max_{u,v} h(u→v), an upper anchor for the walk's
-// cover time via Matthews' bound: cover <= MaxHit · H_n (harmonic
-// number).
-func MaxHitTime(g *graph.Graph, tol float64) (float64, error) {
-	var worst float64
-	for t := 0; t < g.N(); t++ {
-		h, err := HitTimes(g, t, tol)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range h {
-			if v > worst {
-				worst = v
-			}
-		}
-	}
-	return worst, nil
-}
-
-// MatthewsUpper returns Matthews' upper bound on the expected cover time
-// of the simple walk: MaxHit · H_{n-1}.
-func MatthewsUpper(g *graph.Graph, tol float64) (float64, error) {
-	mh, err := MaxHitTime(g, tol)
-	if err != nil {
-		return 0, err
-	}
-	var harmonic float64
-	for k := 1; k < g.N(); k++ {
-		harmonic += 1 / float64(k)
-	}
-	return mh * harmonic, nil
-}

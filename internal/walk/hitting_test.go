@@ -74,51 +74,6 @@ func TestHitTimesValidation(t *testing.T) {
 	}
 }
 
-func TestCommuteTimeSymmetricAndElectrical(t *testing.T) {
-	// Commute time is symmetric by definition here; on a path of length L
-	// between u,v in a tree, C(u,v) = 2m·dist (R_eff = hop distance).
-	g := graph.Path(6) // m = 5
-	c, err := CommuteTime(g, 1, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2.0 * 5 * 3 // 2m · R_eff(1,4) = 2·5·3
-	if math.Abs(c-want) > 1e-6 {
-		t.Fatalf("commute(1,4) = %v, want %v", c, want)
-	}
-	c2, err := CommuteTime(g, 4, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-c2) > 1e-6 {
-		t.Fatalf("commute asymmetric: %v vs %v", c, c2)
-	}
-}
-
-func TestMatthewsUpperBoundsSimulatedCover(t *testing.T) {
-	// Matthews: E[cover] <= MaxHit·H_{n-1}. Compare with simulation.
-	rng := xrand.New(9)
-	for _, g := range []*graph.Graph{graph.Cycle(16), graph.Complete(12), graph.Lollipop(5, 5)} {
-		bound, err := MatthewsUpper(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const trials = 50
-		var mean float64
-		for k := 0; k < trials; k++ {
-			steps, err := CoverTime(g, 0, false, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mean += float64(steps)
-		}
-		mean /= trials
-		if mean > bound*1.15 { // slack for sampling noise
-			t.Fatalf("%s: simulated cover %.1f exceeds Matthews bound %.1f", g.Name(), mean, bound)
-		}
-	}
-}
-
 func TestHitTimesMatchSimulation(t *testing.T) {
 	g := graph.Lollipop(4, 4)
 	exact, err := HitTimes(g, 7, 0)

@@ -86,17 +86,3 @@ func MixingTime(g *graph.Graph, src int, eps float64, maxSteps int) (int, error)
 	}
 	return 0, fmt.Errorf("%w: no mixing within %d steps", ErrStepLimit, maxSteps)
 }
-
-// SpectralMixingBound returns the standard upper-bound shape for the lazy
-// walk's eps-mixing time from a lazy eigenvalue gap:
-// (1/gap)·ln(1/(eps·π_min)).
-func SpectralMixingBound(g *graph.Graph, lazyGap, eps float64) float64 {
-	piMin := math.Inf(1)
-	pi := Stationary(g)
-	for _, v := range pi {
-		if v < piMin {
-			piMin = v
-		}
-	}
-	return math.Log(1/(eps*piMin)) / lazyGap
-}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"github.com/repro/cobra/internal/graph"
-	"github.com/repro/cobra/internal/spectral"
-	"github.com/repro/cobra/internal/xrand"
 )
 
 func TestStationarySumsToOne(t *testing.T) {
@@ -97,29 +95,5 @@ func TestMixingTimeValidation(t *testing.T) {
 	}
 	if _, err := MixingTime(g, 0, 1e-9, 3); err == nil {
 		t.Fatal("tiny step cap not reported")
-	}
-}
-
-func TestSpectralMixingBoundDominates(t *testing.T) {
-	// The spectral bound must upper-bound the exact mixing time on
-	// assorted graphs (using the lazy gap).
-	rng := xrand.New(3)
-	rr, err := graph.RandomRegular(40, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*graph.Graph{graph.Cycle(20), graph.Complete(20), rr, graph.Hypercube(4)} {
-		lamLazy, err := spectral.SecondEigenvalueLazy(g, spectral.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := MixingTime(g, 0, 0.25, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := SpectralMixingBound(g, 1-lamLazy, 0.25)
-		if float64(exact) > bound+1 {
-			t.Fatalf("%s: exact mixing %d exceeds spectral bound %.1f", g.Name(), exact, bound)
-		}
 	}
 }
