@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -91,6 +92,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "cobrasim:", err)
 		return 1
+	}
+	// A process flag the chosen process does not read is refused, not
+	// dropped. Sweep cells run cobra and bips, which read the same ones.
+	subject, proc := "-process "+*process, *process
+	if *sweep {
+		subject, proc = "-sweep", "cobra"
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(unread[proc], f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fail(fmt.Errorf("%s does not read %s", subject, strings.Join(ignored, ", ")))
 	}
 	if *format != "table" && *format != "csv" && *format != "ndjson" {
 		return fail(fmt.Errorf("unknown -format %q (table | csv | ndjson)", *format))
@@ -218,6 +234,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(info, "  min    %.0f  max %.0f  std %.2f\n", s.Min, s.Max, s.Std)
 	fmt.Fprintf(info, "  lower bound max{log2 n, Diam} = %d\n", g.CoverTimeLowerBound())
 	return 0
+}
+
+// unread lists, per process, the process flags (-b, -rho, -lazy, -k)
+// that it does not read.
+var unread = map[string][]string{
+	"cobra":   {"k"},
+	"bips":    {"k"},
+	"rw":      {"b", "rho", "k"},
+	"multirw": {"b", "rho", "lazy"},
+	"push":    {"b", "rho", "lazy", "k"},
 }
 
 // printGraph writes the one-line description of g that opens a table or

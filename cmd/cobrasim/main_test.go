@@ -141,6 +141,14 @@ func TestRunFlags(t *testing.T) {
 		{[]string{"-rho", "nan", "-format", "ndjson"}, 1, "rho"},
 		{[]string{"-format", "xml"}, 1, "-format"},
 		{[]string{"-trials", "x"}, 2, "-trials"},
+		// A process flag the chosen process does not read is refused.
+		{[]string{"-graph", "cycle:16", "-process", "rw", "-rho", "nan", "-b", "0", "-trials", "2"}, 1, "-process rw does not read -b, -rho"},
+		{[]string{"-graph", "cycle:16", "-process", "cobra", "-k", "4", "-trials", "2"}, 1, "-process cobra does not read -k"},
+		{[]string{"-graph", "cycle:16", "-process", "bips", "-k", "4", "-trials", "2"}, 1, "-process bips does not read -k"},
+		{[]string{"-graph", "cycle:16", "-process", "rw", "-k", "4", "-trials", "2"}, 1, "-process rw does not read -k"},
+		{[]string{"-graph", "cycle:16", "-process", "multirw", "-lazy", "-trials", "2"}, 1, "-process multirw does not read -lazy"},
+		{[]string{"-graph", "cycle:16", "-process", "push", "-lazy", "-trials", "2"}, 1, "-process push does not read -lazy"},
+		{[]string{"-sweep", "-graph", "cycle:16", "-k", "4", "-trials", "2"}, 1, "-sweep does not read -k"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.want) {
@@ -148,6 +156,20 @@ func TestRunFlags(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Fatalf("%v: wrote %q to stdout", c.args, stdout.String())
+		}
+	}
+
+	// Every process accepts the process flags it reads.
+	for _, args := range [][]string{
+		{"-process", "cobra", "-b", "3", "-rho", "0", "-lazy"},
+		{"-process", "bips", "-b", "1", "-rho", "0.5", "-lazy"},
+		{"-process", "rw", "-lazy"},
+		{"-process", "multirw", "-k", "4"},
+		{"-process", "push", "-start", "3"},
+	} {
+		args = append(args, "-graph", "cycle:16", "-trials", "2")
+		if code := run(args, io.Discard, io.Discard); code != 0 {
+			t.Fatalf("%v: exit %d", args, code)
 		}
 	}
 

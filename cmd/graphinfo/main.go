@@ -87,7 +87,7 @@ func main() {
 			fmt.Printf("PODC'16 shape  (1/gap)^3 ln n          = %.0f%s\n", v, note)
 		}
 	}
-	fmt.Printf("lower bound    max{log2 n, Diam}      = %d\n", bounds.Lower(g))
+	fmt.Printf("lower bound    max{log2 n, Diam}      = %d\n", g.CoverTimeLowerBound())
 }
 
 func fatal(err error) {

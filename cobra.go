@@ -188,11 +188,7 @@ func SpectralGap(g *Graph) (float64, error) {
 // LazySpectralGap returns 1 − λ for the lazy walk (I+P)/2, the relevant
 // gap for lazy processes on bipartite graphs.
 func LazySpectralGap(g *Graph) (float64, error) {
-	lam, err := spectral.SecondEigenvalueLazy(g, spectral.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return 1 - lam, nil
+	return spectral.LazyGap(g, spectral.Options{})
 }
 
 // Conductance returns an upper estimate of the graph conductance ϕ via a

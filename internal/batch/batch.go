@@ -89,9 +89,9 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
@@ -100,6 +100,9 @@ import (
 	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/xrand"
 )
+
+// ErrInput flags invalid campaign, sweep, resume or journal input.
+var ErrInput = errors.New("batch: invalid input")
 
 // ErrRoundLimit flags a trial that hit its round cap before completing;
 // it mirrors core.ErrRoundLimit / bips.ErrRoundLimit for the batch path.
@@ -142,22 +145,6 @@ type Spec struct {
 	// running job is never killed by its deadline. The library Run path
 	// ignores it.
 	Deadline string `json:"deadline,omitempty"`
-}
-
-// DeadlineTime parses the spec deadline; the zero time means none.
-func (s Spec) DeadlineTime() (time.Time, error) {
-	return parseDeadline(s.Deadline)
-}
-
-func parseDeadline(deadline string) (time.Time, error) {
-	if deadline == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339, deadline)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("%w: deadline must be RFC3339 (like 2026-01-02T15:04:05Z), got %q", ErrInput, deadline)
-	}
-	return t, nil
 }
 
 // Validate checks everything that can be checked without building the

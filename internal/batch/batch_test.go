@@ -318,20 +318,3 @@ func TestCacheCompileHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// ForEach must join every concurrent failure, not just the first.
-func TestForEachJoinsErrors(t *testing.T) {
-	errA := errors.New("a")
-	err := ForEach(context.Background(), 1, 4, 4, func(k int, _ *xrand.RNG) error {
-		return errA
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("lost error identity: %v", err)
-	}
-	// All four trials started before any failure could propagate is not
-	// guaranteed; what is guaranteed is that every error that did occur is
-	// present, tagged with its trial index.
-	if !strings.Contains(err.Error(), "trial 0: a") {
-		t.Fatalf("missing trial tag: %v", err)
-	}
-}

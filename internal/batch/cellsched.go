@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,6 +165,14 @@ type loopRun struct {
 	// of its units are still computing (for cellWall).
 	started []time.Time
 	left    []atomic.Int64
+}
+
+// trialWorkers resolves a Workers setting: <= 0 selects GOMAXPROCS.
+func trialWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // run executes the tail, invoking onResult (may be nil) for every trial

@@ -100,9 +100,17 @@ type SweepSpec struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
-// DeadlineTime parses the sweep deadline; the zero time means none.
+// DeadlineTime parses the sweep deadline; the zero time means none. A
+// campaign's deadline is checked as its one-cell sweep's.
 func (s SweepSpec) DeadlineTime() (time.Time, error) {
-	return parseDeadline(s.Deadline)
+	if s.Deadline == "" {
+		return time.Time{}, nil
+	}
+	t, err := time.Parse(time.RFC3339, s.Deadline)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("%w: deadline must be RFC3339 (like 2026-01-02T15:04:05Z), got %q", ErrInput, s.Deadline)
+	}
+	return t, nil
 }
 
 // rhos returns the rho axis with the empty default applied.

@@ -46,9 +46,6 @@ var (
 // theorem requires COBRA and BIPS to run the same variant.
 type Config = core.Config
 
-// DefaultConfig is the paper's primary setting b = 2.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
 // translateEngineErr maps kernel errors onto this package's exported
 // error values. Connectivity is checked only inside the kernel (one
 // O(n+m) traversal per graph, which the graph memoizes); config and
@@ -150,11 +147,7 @@ func (p *Process) Run() (int, error) {
 
 // InfectionTime runs one BIPS trial and returns infec(source).
 func InfectionTime(g *graph.Graph, cfg Config, source int, rng *xrand.RNG) (int, error) {
-	p, err := New(g, cfg, source, rng)
-	if err != nil {
-		return 0, err
-	}
-	return p.Run()
+	return InfectionTimeWith(engine.NewWorkspace(), g, cfg, source, rng)
 }
 
 // InfectionTimeWith is InfectionTime with the kernel built through ws:

@@ -5,13 +5,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
 )
 
 func TestConfigValidate(t *testing.T) {
 	g := graph.Cycle(5)
-	if _, err := New(g, DefaultConfig(), 0, xrand.New(1)); err != nil {
+	if _, err := New(g, core.DefaultConfig(), 0, xrand.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{{Branch: 0}, {Branch: 2, Rho: -1}, {Branch: 2, Rho: 2}} {
@@ -27,23 +28,23 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(g, Config{Branch: 0}, 0, rng); !errors.Is(err, ErrConfig) {
 		t.Fatal("bad config accepted")
 	}
-	if _, err := New(g, DefaultConfig(), -1, rng); !errors.Is(err, ErrSource) {
+	if _, err := New(g, core.DefaultConfig(), -1, rng); !errors.Is(err, ErrSource) {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := New(g, DefaultConfig(), 5, rng); !errors.Is(err, ErrSource) {
+	if _, err := New(g, core.DefaultConfig(), 5, rng); !errors.Is(err, ErrSource) {
 		t.Fatal("out-of-range source accepted")
 	}
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if _, err := New(b.MustBuild("disc"), DefaultConfig(), 0, rng); !errors.Is(err, ErrDisconnected) {
+	if _, err := New(b.MustBuild("disc"), core.DefaultConfig(), 0, rng); !errors.Is(err, ErrDisconnected) {
 		t.Fatal("disconnected accepted")
 	}
 }
 
 func TestSourceAlwaysInfected(t *testing.T) {
 	g := graph.Cycle(11)
-	p, err := New(g, DefaultConfig(), 4, xrand.New(3))
+	p, err := New(g, core.DefaultConfig(), 4, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSourceAlwaysInfected(t *testing.T) {
 
 func TestInfectedCountMatchesSet(t *testing.T) {
 	g := graph.Hypercube(4)
-	p, err := New(g, DefaultConfig(), 0, xrand.New(5))
+	p, err := New(g, core.DefaultConfig(), 0, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestInfectionSpreadOnlyFromNeighbors(t *testing.T) {
 	// After one round from a single source, only the source and its
 	// neighbours can be infected.
 	g := graph.Cycle(20)
-	p, err := New(g, DefaultConfig(), 10, xrand.New(7))
+	p, err := New(g, core.DefaultConfig(), 10, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestInfectionTimeCompleteGraph(t *testing.T) {
 	g := graph.Complete(256)
 	rng := xrand.New(11)
 	for k := 0; k < 5; k++ {
-		tm, err := InfectionTime(g, DefaultConfig(), k, rng)
+		tm, err := InfectionTime(g, core.DefaultConfig(), k, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestInfectionCanRecede(t *testing.T) {
 	// Unlike COBRA's cover set, |A_t| is not monotone. On a long cycle
 	// this happens readily; detect at least one shrink across a run.
 	g := graph.Cycle(64)
-	p, err := New(g, DefaultConfig(), 0, xrand.New(13))
+	p, err := New(g, core.DefaultConfig(), 0, xrand.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestInfectionCanRecede(t *testing.T) {
 
 func TestRoundLimitError(t *testing.T) {
 	g := graph.Cycle(32)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxRounds = 1
 	rounds, err := InfectionTime(g, cfg, 0, xrand.New(17))
 	if !errors.Is(err, ErrRoundLimit) || rounds != 1 {
@@ -173,9 +174,22 @@ func TestFractionalBranchingSlower(t *testing.T) {
 	}
 }
 
+// A capped trace stops at MaxRounds with no error: CompleteRound stays
+// -1 and each series holds round 0 and one entry per round run.
+func TestTraceRoundLimit(t *testing.T) {
+	tr, err := Trace(graph.Cycle(64), Config{Branch: 2, MaxRounds: 3}, 0, xrand.New(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.CompleteRound != -1 || len(tr.InfectedSize) != 4 || len(tr.CandidateSize) != 4 {
+		t.Fatalf("complete round %d, %d infected and %d candidate entries; want -1, 4 and 4",
+			tr.CompleteRound, len(tr.InfectedSize), len(tr.CandidateSize))
+	}
+}
+
 func TestTrace(t *testing.T) {
 	g := graph.Complete(64)
-	tr, err := Trace(g, DefaultConfig(), 0, xrand.New(31))
+	tr, err := Trace(g, core.DefaultConfig(), 0, xrand.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +217,8 @@ func TestTrace(t *testing.T) {
 func TestDeterminismProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.Petersen()
-		a, err1 := InfectionTime(g, DefaultConfig(), 0, xrand.New(seed))
-		b, err2 := InfectionTime(g, DefaultConfig(), 0, xrand.New(seed))
+		a, err1 := InfectionTime(g, core.DefaultConfig(), 0, xrand.New(seed))
+		b, err2 := InfectionTime(g, core.DefaultConfig(), 0, xrand.New(seed))
 		return err1 == nil && err2 == nil && a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -221,7 +235,7 @@ func TestCandidateNonEmptyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := New(g, DefaultConfig(), 0, rng)
+		p, err := New(g, core.DefaultConfig(), 0, rng)
 		if err != nil {
 			return false
 		}

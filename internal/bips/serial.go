@@ -2,7 +2,8 @@ package bips
 
 import (
 	"fmt"
-	"math"
+
+	"github.com/repro/cobra/internal/bounds"
 )
 
 // Serialisation of a BIPS round (paper, Section 3). One parallel round is
@@ -143,10 +144,6 @@ func (p *Process) CandidateCount() int {
 }
 
 // TheoremOneBound evaluates the Theorem 1.4 bound shape
-// m + dmax²·log n for the process's graph (the constant-free version used
-// to normalise measured infection times in experiments).
-func (p *Process) TheoremOneBound() float64 {
-	g := p.g
-	d := float64(g.MaxDegree())
-	return float64(g.M()) + d*d*math.Log(float64(g.N()))
-}
+// m + dmax²·ln n for the process's graph: bounds.General, the shape of
+// Theorem 1.1.
+func (p *Process) TheoremOneBound() float64 { return bounds.General(p.g) }

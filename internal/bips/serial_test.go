@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
 )
@@ -40,7 +41,7 @@ func TestSerialStepInvariants(t *testing.T) {
 	}
 	rng := xrand.New(3)
 	for _, g := range graphs {
-		p, err := New(g, DefaultConfig(), 0, rng)
+		p, err := New(g, core.DefaultConfig(), 0, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestSerialStepInvariants(t *testing.T) {
 				if math.Abs(st.ExpectedY-wantE) > 1e-12 {
 					t.Fatalf("%s: ExpectedY=%v want %v", g.Name(), st.ExpectedY, wantE)
 				}
-				if st.ExpectedY < MartingaleFloor(DefaultConfig())-1e-12 {
+				if st.ExpectedY < MartingaleFloor(core.DefaultConfig())-1e-12 {
 					t.Fatalf("%s: ExpectedY=%v below floor 1/2 (eq. 18 violated)", g.Name(), st.ExpectedY)
 				}
 			}
@@ -132,7 +133,7 @@ func TestSerialMatchesPlainDistribution(t *testing.T) {
 		rng := xrand.New(seed)
 		var sum float64
 		for k := 0; k < trials; k++ {
-			p, err := New(g, DefaultConfig(), 0, rng)
+			p, err := New(g, core.DefaultConfig(), 0, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestEmpiricalStepMeanMatchesExpectedY(t *testing.T) {
 	counts := map[int]int{}
 	rng := xrand.New(9)
 	for k := 0; k < trials; k++ {
-		p, err := New(g, DefaultConfig(), 0, rng)
+		p, err := New(g, core.DefaultConfig(), 0, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func TestEmpiricalStepMeanMatchesExpectedY(t *testing.T) {
 
 func TestDegreeOfInfected(t *testing.T) {
 	g := graph.Star(9)
-	p, err := New(g, DefaultConfig(), 0, xrand.New(11))
+	p, err := New(g, core.DefaultConfig(), 0, xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestDegreeOfInfected(t *testing.T) {
 
 func TestTheoremOneBoundPositive(t *testing.T) {
 	g := graph.Cycle(10)
-	p, err := New(g, DefaultConfig(), 0, xrand.New(13))
+	p, err := New(g, core.DefaultConfig(), 0, xrand.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestTheoremOneBoundPositive(t *testing.T) {
 func TestSerialRunCompletesAndSumsTrackDegree(t *testing.T) {
 	// Equation (14): d(A_t) = d(v) + Σ Y_l over all steps so far.
 	g := graph.Lollipop(6, 4)
-	p, err := New(g, DefaultConfig(), 2, xrand.New(15))
+	p, err := New(g, core.DefaultConfig(), 2, xrand.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}

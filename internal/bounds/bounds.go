@@ -5,7 +5,9 @@
 //   - Theorem 1.1 (this paper):   m + dmax² ln n          (general graphs)
 //   - Theorem 1.2 (this paper):   (r/(1−λ) + r²) ln n     (regular graphs)
 //   - Cooper et al. PODC'16 [4]:  (1/(1−λ))³ ln n         (regular graphs)
-//   - Universal lower bound:       max{log₂ n, Diam(G)}
+//
+// The universal lower bound max{log₂ n, Diam(G)} is
+// graph.(*Graph).CoverTimeLowerBound.
 //
 // All formulas are constant-free: the paper states asymptotic orders, so
 // experiments check ratios against these shapes, not absolute values.
@@ -46,10 +48,4 @@ func PODC16(n int, gap float64) (float64, error) {
 		return 0, ErrInput
 	}
 	return math.Pow(1/gap, 3) * math.Log(float64(n)), nil
-}
-
-// Lower returns the universal deterministic lower bound
-// max{log₂ n, Diam(G)} on b = 2 cover time.
-func Lower(g *graph.Graph) int {
-	return g.CoverTimeLowerBound()
 }

@@ -52,10 +52,3 @@ func TestPriorBoundsOrderingOnHypercube(t *testing.T) {
 		}
 	}
 }
-
-func TestLowerMatchesGraphMethod(t *testing.T) {
-	g := graph.Path(50)
-	if Lower(g) != g.CoverTimeLowerBound() {
-		t.Fatal("Lower disagrees with graph method")
-	}
-}

@@ -225,6 +225,36 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
+// RunUntilHit stops at the cap with the round it reached and an error
+// naming the cap, the rounds and the graph.
+func TestRunUntilHitRoundLimit(t *testing.T) {
+	g := graph.Cycle(64)
+	p, err := New(g, Config{Branch: 2, MaxRounds: 3}, []int{0}, xrand.New(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, err := p.RunUntilHit(32) // 32 hops away: unreachable in 3 rounds
+	if !errors.Is(err, ErrRoundLimit) || rounds != 3 {
+		t.Fatalf("rounds = %d, err = %v, want 3 and ErrRoundLimit", rounds, err)
+	}
+	if want := "cobra: round limit exceeded before cover: 3 rounds on cycle-64"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+}
+
+// A capped trace stops at MaxRounds with no error: CoverRound stays -1
+// and each series holds C_0 and one entry per round run.
+func TestTraceRoundLimit(t *testing.T) {
+	tr, err := Trace(graph.Cycle(64), Config{Branch: 2, MaxRounds: 3}, 0, xrand.New(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.CoverRound != -1 || len(tr.ActiveSize) != 4 || len(tr.CoveredSize) != 4 {
+		t.Fatalf("cover round %d, %d active and %d covered entries; want -1, 4 and 4",
+			tr.CoverRound, len(tr.ActiveSize), len(tr.CoveredSize))
+	}
+}
+
 func TestLazyCOBRACoversBipartite(t *testing.T) {
 	// Lazy variant must cover bipartite graphs without parity issues.
 	g := graph.CompleteBipartite(8, 8)
@@ -377,51 +407,6 @@ func TestCoverTimeExpanderVsCycleShape(t *testing.T) {
 	}
 	if ce > 12*math.Log2(128) {
 		t.Fatalf("expander cover %.1f far above O(log n)", ce)
-	}
-}
-
-func TestHitTimes(t *testing.T) {
-	g := graph.Path(12)
-	hits, err := HitTimes(g, DefaultConfig(), 0, xrand.New(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits[0] != 0 {
-		t.Fatalf("Hit(start) = %d", hits[0])
-	}
-	for v, h := range hits {
-		if h < 0 {
-			t.Fatalf("vertex %d never hit", v)
-		}
-		// Information travels one hop per round: Hit(v) >= dist(start, v).
-		if h < v {
-			t.Fatalf("Hit(%d) = %d below hop distance %d", v, h, v)
-		}
-	}
-	// On a path from 0, hit times must be non-decreasing along the path.
-	for v := 1; v < len(hits); v++ {
-		if hits[v] < hits[v-1] {
-			t.Fatalf("hit times not monotone along path: %v", hits)
-		}
-	}
-}
-
-func TestHitTimesMaxEqualsCoverDistribution(t *testing.T) {
-	// max_v Hit(v) is a sample of cover(u); check it sits in a plausible
-	// bracket on K_64.
-	g := graph.Complete(64)
-	hits, err := HitTimes(g, DefaultConfig(), 0, xrand.New(73))
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := 0
-	for _, h := range hits {
-		if h > max {
-			max = h
-		}
-	}
-	if max < 4 || max > 60 {
-		t.Fatalf("K64 max hit %d implausible", max)
 	}
 }
 

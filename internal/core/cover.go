@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
@@ -13,11 +11,7 @@ import (
 // CoverTime runs one COBRA trial from the single start vertex and returns
 // cover(start): the number of rounds until all vertices have been visited.
 func CoverTime(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) (int, error) {
-	p, err := New(g, cfg, []int{start}, rng)
-	if err != nil {
-		return 0, err
-	}
-	return p.Run()
+	return CoverTimeWith(engine.NewWorkspace(), g, cfg, start, rng)
 }
 
 // CoverTimeWith is CoverTime with the kernel built through ws: the same
@@ -34,11 +28,7 @@ func CoverTimeWith(ws *engine.Workspace, g *graph.Graph, cfg Config, start int, 
 // HitTime runs one COBRA trial from start and returns Hit_start(target),
 // the first round at which target holds a particle.
 func HitTime(g *graph.Graph, cfg Config, start, target int, rng *xrand.RNG) (int, error) {
-	p, err := New(g, cfg, []int{start}, rng)
-	if err != nil {
-		return 0, err
-	}
-	return p.RunUntilHit(target)
+	return HitTimeFromSet(g, cfg, []int{start}, target, rng)
 }
 
 // HitTimeFromSet runs one trial with C_0 = starts and returns the round at
@@ -82,35 +72,4 @@ func Trace(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) (*RoundTrace, 
 		tr.CoverRound = p.Round()
 	}
 	return tr, nil
-}
-
-// HitTimes runs one COBRA trial from start and returns, for every vertex
-// v, the round Hit(v) at which v was first visited (Hit(start) = 0).
-// The last entries to fill reveal where the cover time concentrates —
-// e.g. the path tip of a lollipop, or the antipode of a torus.
-func HitTimes(g *graph.Graph, cfg Config, start int, rng *xrand.RNG) ([]int, error) {
-	p, err := New(g, cfg, []int{start}, rng)
-	if err != nil {
-		return nil, err
-	}
-	hits := make([]int, g.N())
-	for i := range hits {
-		hits[i] = -1
-	}
-	hits[start] = 0
-	limit := cfg.RoundLimit(g.N())
-	seen := 1
-	for seen < g.N() {
-		if p.Round() >= limit {
-			return hits, fmt.Errorf("%w: %d rounds on %s", ErrRoundLimit, p.Round(), g.Name())
-		}
-		p.Step()
-		p.Current().ForEach(func(v int) {
-			if hits[v] < 0 {
-				hits[v] = p.Round()
-				seen++
-			}
-		})
-	}
-	return hits, nil
 }

@@ -167,25 +167,18 @@ func CheckPathwise(g *graph.Graph, cfg Config, starts []int, target, T int, rng 
 // HitProbability Monte-Carlo estimates the COBRA side,
 // P̂(Hit(target) > T | C₀ = starts), with `trials` independent runs.
 func HitProbability(g *graph.Graph, cfg Config, starts []int, target, T, trials int, rng *xrand.RNG) (float64, error) {
-	if trials < 1 {
-		return 0, fmt.Errorf("%w: trials < 1", ErrInput)
-	}
-	miss := 0
-	for k := 0; k < trials; k++ {
-		tab, err := SampleTable(g, cfg, T, rng)
-		if err != nil {
-			return 0, err
-		}
-		if !tab.ReplayCOBRA(g, starts, target) {
-			miss++
-		}
-	}
-	return float64(miss) / float64(trials), nil
+	return missRate(g, cfg, T, trials, rng, func(tab *Table) bool { return tab.ReplayCOBRA(g, starts, target) })
 }
 
 // EscapeProbability Monte-Carlo estimates the BIPS side,
 // P(starts ∩ A_T = ∅ | A₀ = {source}), with `trials` independent runs.
 func EscapeProbability(g *graph.Graph, cfg Config, source int, starts []int, T, trials int, rng *xrand.RNG) (float64, error) {
+	return missRate(g, cfg, T, trials, rng, func(tab *Table) bool { return tab.ReplayBIPS(g, source, starts) })
+}
+
+// missRate samples `trials` tables and returns the share on which met
+// reports false.
+func missRate(g *graph.Graph, cfg Config, T, trials int, rng *xrand.RNG, met func(*Table) bool) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("%w: trials < 1", ErrInput)
 	}
@@ -195,7 +188,7 @@ func EscapeProbability(g *graph.Graph, cfg Config, source int, starts []int, T, 
 		if err != nil {
 			return 0, err
 		}
-		if !tab.ReplayBIPS(g, source, starts) {
+		if !met(tab) {
 			miss++
 		}
 	}

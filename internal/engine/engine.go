@@ -98,6 +98,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/repro/cobra/internal/bitset"
 	"github.com/repro/cobra/internal/graph"
@@ -153,17 +154,14 @@ const (
 const DefaultDenseDiv = 64
 
 // DefaultMaxRounds is the shared default cap on a single run over an
-// n-vertex graph: 64·n·log2(n)+64 rounds, far above every bound proven in
-// the paper, so hitting it signals a stuck process (e.g. non-lazy COBRA
-// on a bipartite graph with an unlucky parity) rather than slow covering.
-// core.Config.RoundLimit, the cap core, bips and batch apply, falls back
-// to it; keep the default on this one definition.
+// n-vertex graph: 64·n·max(1, ⌈log₂ n⌉)+64 rounds, far above every bound
+// proven in the paper, so hitting it signals a stuck process (e.g.
+// non-lazy COBRA on a bipartite graph with an unlucky parity) rather than
+// slow covering. core.Config.RoundLimit, the cap core, bips and batch
+// apply, falls back to it, and gossip.Push caps itself with it; keep the
+// default on this one definition.
 func DefaultMaxRounds(n int) int {
-	lg := 1
-	for 1<<uint(lg) < n {
-		lg++
-	}
-	return 64*n*lg + 64
+	return 64*n*max(1, bits.Len(uint(n-1))) + 64
 }
 
 // Params configures a kernel. Branch/Rho/Lazy have the meaning shared by

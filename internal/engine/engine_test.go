@@ -249,3 +249,16 @@ func TestDrawAtIsolatedVertexPanics(t *testing.T) {
 		}()
 	}
 }
+
+// DefaultMaxRounds is 64·n·max(1, ⌈log₂ n⌉)+64, pinned where ⌈log₂ n⌉
+// steps and at the small n where max(1, ·) decides.
+func TestDefaultMaxRounds(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{1, 128}, {2, 192}, {3, 448}, {4, 576}, {5, 1024},
+		{1023, 654784}, {1024, 655424}, {1025, 721664}, {1 << 20, 1342177344},
+	} {
+		if got := DefaultMaxRounds(c.n); got != c.want {
+			t.Fatalf("DefaultMaxRounds(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}

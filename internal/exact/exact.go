@@ -10,6 +10,13 @@
 // for every graph, variant and horizon — an equality of two numbers
 // computed through entirely different recursions.
 //
+// Each process has one chain: cobraChain and bipsChain hold a subset
+// distribution and advance it one round per step, and the two entry
+// points of each kind run the same setup and step. Every sum is taken in
+// a fixed order (no map is ranged over), so a call returns the same bits
+// on every run, and products that feed a sum are rounded explicitly,
+// float64(x*y) + z, so no target fuses them (see package stats).
+//
 // Complexity is O(poly · 2ⁿ) per round (see the per-function notes), so
 // the package enforces n <= MaxN.
 package exact
@@ -17,7 +24,9 @@ package exact
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 
 	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/engine"
@@ -26,6 +35,9 @@ import (
 
 // MaxN caps the subset state space at 2^MaxN.
 const MaxN = 14
+
+// maxRounds caps the rounds an expectation sums before it gives up.
+const maxRounds = 1 << 20
 
 // ErrInput flags invalid arguments.
 var ErrInput = errors.New("exact: invalid input")
@@ -51,204 +63,269 @@ func validate(c Config) error {
 	return nil
 }
 
-func checkGraph(g *graph.Graph) error {
+// check is every entry point's argument check: the variant, the graph
+// size and the one named vertex v.
+func check(g *graph.Graph, cfg Config, what string, v int) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
 	if g.N() > MaxN {
 		return fmt.Errorf("%w: n = %d exceeds MaxN = %d", ErrInput, g.N(), MaxN)
+	}
+	if v < 0 || v >= g.N() {
+		return fmt.Errorf("%w: %s %d", ErrInput, what, v)
 	}
 	return nil
 }
 
-// pickDist returns vertex u's single-selection distribution as parallel
-// slices (targets, probs): uniform over neighbours, or lazy (self with
-// probability 1/2, neighbours with 1/(2d) each).
-func pickDist(g *graph.Graph, cfg Config, u int) ([]int, []float64) {
-	deg := g.Degree(u)
-	if cfg.Lazy {
-		targets := make([]int, deg+1)
-		probs := make([]float64, deg+1)
-		targets[0] = u
-		probs[0] = 0.5
-		for i := 0; i < deg; i++ {
-			targets[i+1] = g.Neighbor(u, i)
-			probs[i+1] = 0.5 / float64(deg)
+// vertexMask returns the bitmask of the non-empty vertex set vs.
+func vertexMask(g *graph.Graph, what string, vs []int) (uint32, error) {
+	if len(vs) == 0 {
+		return 0, fmt.Errorf("%w: empty %s", ErrInput, what)
+	}
+	var m uint32
+	for _, v := range vs {
+		if v < 0 || v >= g.N() {
+			return 0, fmt.Errorf("%w: %s member %d", ErrInput, what, v)
 		}
-		return targets, probs
+		m |= 1 << uint(v)
 	}
-	targets := make([]int, deg)
-	probs := make([]float64, deg)
-	for i := 0; i < deg; i++ {
-		targets[i] = g.Neighbor(u, i)
-		probs[i] = 1 / float64(deg)
-	}
-	return targets, probs
+	return m, nil
+}
+
+// outcome is one set of vertices a vertex's selections can cover in a
+// round, with its probability.
+type outcome struct {
+	mask uint32
+	p    float64
 }
 
 // outcomeDist returns the distribution of the SET of vertices that u's
-// selections cover in one round, as a map from bitmask to probability.
-// For Branch=2: two independent picks. For Branch=1 with Rho: one pick,
-// plus a second with probability Rho.
-func outcomeDist(g *graph.Graph, cfg Config, u int) map[uint32]float64 {
-	targets, probs := pickDist(g, cfg, u)
-	out := make(map[uint32]float64)
-	single := func(w float64) {
-		for i, t := range targets {
-			out[uint32(1)<<uint(t)] += w * probs[i]
+// selections cover in one round, ascending by mask. Each selection is
+// uniform over u's neighbours, or under Lazy u itself with probability
+// 1/2 and each neighbour with 1/(2d). Branch b makes b independent
+// selections; Branch 1 with Rho makes one, plus a second with
+// probability Rho.
+func outcomeDist(g *graph.Graph, cfg Config, u int) []outcome {
+	targets := g.Neighbors(u)
+	pick := 1 / float64(len(targets))
+	self := 0.0
+	if cfg.Lazy {
+		pick, self = pick/2, 0.5
+	}
+	dist := make(map[uint32]float64)
+	// add adds w times the distribution of `picks` more selections on
+	// top of the covered set acc.
+	var add func(picks int, acc uint32, w float64)
+	add = func(picks int, acc uint32, w float64) {
+		if picks == 0 {
+			dist[acc] += w
+			return
+		}
+		if self > 0 {
+			add(picks-1, acc|1<<uint(u), float64(w*self))
+		}
+		for _, t := range targets {
+			add(picks-1, acc|1<<uint(t), float64(w*pick))
 		}
 	}
-	double := func(w float64) {
-		for i, t1 := range targets {
-			for j, t2 := range targets {
-				mask := uint32(1)<<uint(t1) | uint32(1)<<uint(t2)
-				out[mask] += w * probs[i] * probs[j]
-			}
-		}
+	if cfg.Rho == 0 {
+		add(cfg.Branch, 0, 1)
+	} else {
+		add(1, 0, 1-cfg.Rho)
+		add(2, 0, cfg.Rho)
 	}
-	triple := func(w float64) {
-		for i, t1 := range targets {
-			for j, t2 := range targets {
-				for k, t3 := range targets {
-					mask := uint32(1)<<uint(t1) | uint32(1)<<uint(t2) | uint32(1)<<uint(t3)
-					out[mask] += w * probs[i] * probs[j] * probs[k]
-				}
-			}
-		}
-	}
-	switch {
-	case cfg.Branch == 3:
-		triple(1)
-	case cfg.Branch == 2:
-		double(1)
-	case cfg.Rho == 0:
-		single(1)
-	default:
-		single(1 - cfg.Rho)
-		double(cfg.Rho)
+	out := make([]outcome, 0, len(dist))
+	for _, m := range slices.Sorted(maps.Keys(dist)) {
+		out = append(out, outcome{m, dist[m]})
 	}
 	return out
 }
 
+// cobraChain evolves the distribution of COBRA's active set C_t over
+// the subsets of V, dropping the mass of every set that contains the
+// target (absorbed into "hit"), so its total mass is P(Hit(target) > t).
+type cobraChain struct {
+	dist, next []float64 // over active sets that have not hit target
+	target     uint32
+	outcomes   [][]outcome // per vertex, ascending by mask
+	// acc and conv are dense convolution accumulators, all zero between
+	// uses; keys and touched list the masks they hold in first-touch
+	// order. A product that underflows to 0 can list a mask twice; the
+	// second entry then carries no mass.
+	acc, conv     []float64
+	keys, touched []uint32
+}
+
+// newCobra checks COBRA's arguments and returns the chain at C₀ =
+// starts. A target in starts is hit at round 0, so the chain holds no
+// mass.
+func newCobra(g *graph.Graph, cfg Config, starts []int, target int) (*cobraChain, error) {
+	if err := check(g, cfg, "target", target); err != nil {
+		return nil, err
+	}
+	start, err := vertexMask(g, "start set", starts)
+	if err != nil {
+		return nil, err
+	}
+	n := g.N()
+	size := 1 << uint(n)
+	c := &cobraChain{
+		dist: make([]float64, size), next: make([]float64, size),
+		acc: make([]float64, size), conv: make([]float64, size),
+		target: 1 << uint(target), outcomes: make([][]outcome, n),
+	}
+	if start&c.target == 0 {
+		c.dist[start] = 1
+	}
+	for v := range c.outcomes {
+		c.outcomes[v] = outcomeDist(g, cfg, v)
+	}
+	return c, nil
+}
+
+// step advances the chain one round: each active set's mass moves to
+// the union of its members' independent outcome sets, convolved member
+// by member in ascending vertex order. Every sum runs in a fixed order.
+func (c *cobraChain) step() {
+	clear(c.next)
+	for set, p := range c.dist {
+		if p == 0 {
+			continue
+		}
+		c.keys = append(c.keys[:0], 0)
+		c.acc[0] = p
+		for m := uint32(set); m != 0; m &= m - 1 {
+			out := c.outcomes[bits.TrailingZeros32(m)]
+			for _, k := range c.keys {
+				pk := c.acc[k]
+				c.acc[k] = 0
+				for _, o := range out {
+					u := k | o.mask
+					if u&c.target != 0 {
+						continue // hit: every later union holds target too
+					}
+					if c.conv[u] == 0 {
+						c.touched = append(c.touched, u)
+					}
+					c.conv[u] += float64(pk * o.p)
+				}
+			}
+			c.acc, c.conv = c.conv, c.acc
+			c.keys, c.touched = c.touched, c.keys[:0]
+		}
+		for _, k := range c.keys {
+			c.next[k] += c.acc[k]
+			c.acc[k] = 0
+		}
+	}
+	c.dist, c.next = c.next, c.dist
+}
+
+// survival returns the chain's mass, P(Hit(target) > t).
+func (c *cobraChain) survival() float64 {
+	var s float64
+	for _, p := range c.dist {
+		s += p
+	}
+	return s
+}
+
 // CobraHitProbability computes P̂(Hit(target) > T | C₀ = starts) exactly:
 // the probability that COBRA started from the set `starts` has not
-// visited target within T rounds. It evolves the distribution of the
-// active set C_t over subsets, collapsing all states whose history
-// touched target into an absorbing "hit" mass.
+// visited target within T rounds.
 //
 // Cost: O(T · 2ⁿ · Σ_v d(v)²) in the worst case.
 func CobraHitProbability(g *graph.Graph, cfg Config, starts []int, target, T int) (float64, error) {
-	if err := validate(cfg); err != nil {
+	c, err := newCobra(g, cfg, starts, target)
+	if err != nil {
 		return 0, err
-	}
-	if err := checkGraph(g); err != nil {
-		return 0, err
-	}
-	if target < 0 || target >= g.N() {
-		return 0, fmt.Errorf("%w: target %d", ErrInput, target)
-	}
-	if len(starts) == 0 {
-		return 0, fmt.Errorf("%w: empty start set", ErrInput)
 	}
 	if T < 0 {
 		return 0, fmt.Errorf("%w: negative T", ErrInput)
 	}
-	n := g.N()
-	var startMask uint32
-	for _, v := range starts {
-		if v < 0 || v >= n {
-			return 0, fmt.Errorf("%w: start %d", ErrInput, v)
-		}
-		startMask |= 1 << uint(v)
-	}
-	targetBit := uint32(1) << uint(target)
-	if startMask&targetBit != 0 {
-		return 0, nil
-	}
-	size := 1 << uint(n)
-	dist := make([]float64, size) // over active sets that have NOT hit target
-	dist[startMask] = 1
-	outcomes := make([]map[uint32]float64, n)
-	for v := 0; v < n; v++ {
-		outcomes[v] = outcomeDist(g, cfg, v)
-	}
-	next := make([]float64, size)
-	scratch := make(map[uint32]float64, size)
 	for t := 0; t < T; t++ {
-		for i := range next {
-			next[i] = 0
-		}
-		for mask := 1; mask < size; mask++ {
-			p := dist[mask]
-			if p == 0 {
-				continue
-			}
-			// Convolve the outcome distributions of the active vertices.
-			for k := range scratch {
-				delete(scratch, k)
-			}
-			scratch[0] = p
-			m := uint32(mask)
-			for m != 0 {
-				v := trailingZeros(m)
-				m &^= 1 << uint(v)
-				conv := make(map[uint32]float64, len(scratch)*2)
-				for acc, pw := range scratch {
-					for om, op := range outcomes[v] {
-						conv[acc|om] += pw * op
-					}
-				}
-				// Reuse scratch's identity by replacing contents.
-				for k := range scratch {
-					delete(scratch, k)
-				}
-				for k, v2 := range conv {
-					scratch[k] = v2
-				}
-			}
-			for nm, np := range scratch {
-				if nm&targetBit != 0 {
-					continue // absorbed into "hit"; drop from survival mass
-				}
-				next[nm] += np
-			}
-		}
-		dist, next = next, dist
+		c.step()
 	}
-	var surv float64
-	for _, p := range dist {
-		surv += p
-	}
-	return surv, nil
+	return c.survival(), nil
 }
 
-func trailingZeros(m uint32) int { return bits.TrailingZeros32(m) }
-
-// bipsStep evolves a BIPS subset distribution one round. For each current
-// infected set A, every vertex u independently belongs to the next set
-// with probability p_u(A) (source with probability 1). The per-state
-// expansion is a DP over vertices: O(n · 2ⁿ) per source state.
-func bipsStep(g *graph.Graph, cfg Config, source int, dist, next []float64, buf0, buf1 []float64) {
-	n := g.N()
-	size := 1 << uint(n)
-	for i := range next {
-		next[i] = 0
+// ExpectedHitTime computes E[Hit(target)] for COBRA from starts exactly
+// as Σ_{T≥0} P(Hit > T), truncating when the term falls below tol
+// (default 1e-12 when tol <= 0).
+func ExpectedHitTime(g *graph.Graph, cfg Config, starts []int, target int, tol float64) (float64, error) {
+	c, err := newCobra(g, cfg, starts, target)
+	if err != nil {
+		return 0, err
 	}
-	probs := make([]float64, n)
-	for mask := 0; mask < size; mask++ {
-		p := dist[mask]
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	var expect float64
+	for t := 0; t < maxRounds; t++ {
+		surv := c.survival()
+		if surv < tol {
+			return expect, nil
+		}
+		expect += surv
+		c.step()
+	}
+	if expect > float64(maxRounds)/2 {
+		return expect, fmt.Errorf("%w: hit-time expectation did not converge", ErrInput)
+	}
+	return expect, nil
+}
+
+// bipsChain evolves the distribution of BIPS's infected set A_t over the
+// subsets of V, from A₀ = {source}.
+type bipsChain struct {
+	g                      *graph.Graph
+	cfg                    Config
+	source                 int
+	dist, next, buf0, buf1 []float64
+	probs                  []float64 // per vertex, P(in A_{t+1} | A_t)
+}
+
+// newBips checks BIPS's arguments and returns the chain at A₀ = {source}.
+func newBips(g *graph.Graph, cfg Config, source int) (*bipsChain, error) {
+	if err := check(g, cfg, "source", source); err != nil {
+		return nil, err
+	}
+	size := 1 << uint(g.N())
+	b := &bipsChain{
+		g: g, cfg: cfg, source: source,
+		dist: make([]float64, size), next: make([]float64, size),
+		buf0: make([]float64, size), buf1: make([]float64, size),
+		probs: make([]float64, g.N()),
+	}
+	b.dist[1<<uint(source)] = 1
+	return b, nil
+}
+
+// step evolves the distribution one round. For each current infected
+// set A, every vertex u independently belongs to the next set with
+// probability p_u(A) (the source with probability 1). The per-state
+// expansion is a DP over vertices: O(n · 2ⁿ) per source state.
+func (b *bipsChain) step() {
+	n := b.g.N()
+	buf0, buf1 := b.buf0, b.buf1
+	clear(b.next)
+	for mask, p := range b.dist {
 		if p == 0 {
 			continue
 		}
-		for u := 0; u < n; u++ {
-			probs[u] = infectProb(g, cfg, uint32(mask), u, source)
+		for u := range b.probs {
+			b.probs[u] = infectProb(b.g, b.cfg, uint32(mask), u, b.source)
 		}
-		// DP over vertices: buf holds distribution over subsets of the
-		// first k vertices.
+		// DP over vertices: cur holds the distribution over subsets of
+		// the first u vertices.
 		cur := buf0[:1]
 		cur[0] = p
 		width := 1
 		for u := 0; u < n; u++ {
 			nw := width << 1
 			out := buf1[:nw]
-			pu := probs[u]
+			pu := b.probs[u]
 			for m2 := 0; m2 < width; m2++ {
 				w := cur[m2]
 				out[m2] = w * (1 - pu)
@@ -258,10 +335,11 @@ func bipsStep(g *graph.Graph, cfg Config, source int, dist, next []float64, buf0
 			buf0, buf1 = buf1, buf0
 			width = nw
 		}
-		for m2 := 0; m2 < size; m2++ {
-			next[m2] += cur[m2]
+		for m2, q := range cur {
+			b.next[m2] += q
 		}
 	}
+	b.dist, b.next = b.next, b.dist
 }
 
 // infectProb returns the probability that vertex u is in the next
@@ -284,18 +362,17 @@ func infectProb(g *graph.Graph, cfg Config, a uint32, u, source int) float64 {
 		if a&(1<<uint(u)) != 0 {
 			self = 1
 		}
-		q = 0.5*self + 0.5*q
+		q = float64(0.5*self) + float64(0.5*q)
 	}
 	switch {
 	case cfg.Branch == 3:
-		miss := (1 - q) * (1 - q) * (1 - q)
-		return 1 - miss
+		return 1 - float64((1-q)*(1-q)*(1-q))
 	case cfg.Branch == 2:
-		return 1 - (1-q)*(1-q)
+		return 1 - float64((1-q)*(1-q))
 	case cfg.Rho == 0:
 		return q
 	default:
-		return 1 - (1-q)*(1-cfg.Rho*q)
+		return 1 - float64((1-q)*(1-float64(cfg.Rho*q)))
 	}
 }
 
@@ -304,43 +381,24 @@ func infectProb(g *graph.Graph, cfg Config, a uint32, u, source int) float64 {
 //
 // Cost: O(T · n · 4ⁿ) in the worst case (practical for n <= ~12).
 func BipsMeetComplementProbability(g *graph.Graph, cfg Config, source int, c []int, T int) (float64, error) {
-	if err := validate(cfg); err != nil {
+	b, err := newBips(g, cfg, source)
+	if err != nil {
 		return 0, err
 	}
-	if err := checkGraph(g); err != nil {
+	cMask, err := vertexMask(g, "C", c)
+	if err != nil {
 		return 0, err
-	}
-	if source < 0 || source >= g.N() {
-		return 0, fmt.Errorf("%w: source %d", ErrInput, source)
-	}
-	if len(c) == 0 {
-		return 0, fmt.Errorf("%w: empty C", ErrInput)
 	}
 	if T < 0 {
 		return 0, fmt.Errorf("%w: negative T", ErrInput)
 	}
-	n := g.N()
-	var cMask uint32
-	for _, v := range c {
-		if v < 0 || v >= n {
-			return 0, fmt.Errorf("%w: C member %d", ErrInput, v)
-		}
-		cMask |= 1 << uint(v)
-	}
-	size := 1 << uint(n)
-	dist := make([]float64, size)
-	dist[1<<uint(source)] = 1
-	next := make([]float64, size)
-	buf0 := make([]float64, size)
-	buf1 := make([]float64, size)
 	for t := 0; t < T; t++ {
-		bipsStep(g, cfg, source, dist, next, buf0, buf1)
-		dist, next = next, dist
+		b.step()
 	}
 	var miss float64
-	for mask := 0; mask < size; mask++ {
+	for mask, p := range b.dist {
 		if uint32(mask)&cMask == 0 {
-			miss += dist[mask]
+			miss += p
 		}
 	}
 	return miss, nil
@@ -349,135 +407,27 @@ func BipsMeetComplementProbability(g *graph.Graph, cfg Config, source int, c []i
 // ExpectedInfectionTime computes E[infec(source)] exactly as
 // Σ_{t≥0} P(A_t ≠ V), truncating when the residual probability falls
 // below tol (default 1e-12 when tol <= 0). Returns an error if the
-// expectation has not converged within maxRounds (default 10⁶/n).
+// expectation has not converged within 2^20 rounds.
 func ExpectedInfectionTime(g *graph.Graph, cfg Config, source int, tol float64) (float64, error) {
-	if err := validate(cfg); err != nil {
+	b, err := newBips(g, cfg, source)
+	if err != nil {
 		return 0, err
-	}
-	if err := checkGraph(g); err != nil {
-		return 0, err
-	}
-	if source < 0 || source >= g.N() {
-		return 0, fmt.Errorf("%w: source %d", ErrInput, source)
 	}
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	n := g.N()
-	size := 1 << uint(n)
-	full := size - 1
-	dist := make([]float64, size)
-	dist[1<<uint(source)] = 1
-	next := make([]float64, size)
-	buf0 := make([]float64, size)
-	buf1 := make([]float64, size)
+	full := len(b.dist) - 1
 	var expect float64
-	maxRounds := 1 << 20
 	for t := 0; t < maxRounds; t++ {
-		notFull := 1 - dist[full]
+		notFull := 1 - b.dist[full]
 		if notFull < tol {
 			return expect, nil
 		}
 		expect += notFull
-		bipsStep(g, cfg, source, dist, next, buf0, buf1)
-		dist, next = next, dist
-		// A_t = V is absorbing: once fully infected every vertex has all
-		// neighbours infected, so p_u = 1 for all u. The recursion keeps
-		// that mass at `full` automatically; no special casing needed.
+		// A_t = V is absorbing: every vertex then has all neighbours
+		// infected, so p_u = 1 for all u and the recursion keeps that
+		// mass at `full` with no special casing.
+		b.step()
 	}
 	return expect, fmt.Errorf("%w: expectation did not converge (bipartite non-lazy oscillation?)", ErrInput)
-}
-
-// ExpectedHitTime computes E[Hit(target)] for COBRA from starts exactly
-// as Σ_{T≥0} P(Hit > T), truncating at tol.
-func ExpectedHitTime(g *graph.Graph, cfg Config, starts []int, target int, tol float64) (float64, error) {
-	if err := validate(cfg); err != nil {
-		return 0, err
-	}
-	if err := checkGraph(g); err != nil {
-		return 0, err
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	n := g.N()
-	var startMask uint32
-	for _, v := range starts {
-		if v < 0 || v >= n {
-			return 0, fmt.Errorf("%w: start %d", ErrInput, v)
-		}
-		startMask |= 1 << uint(v)
-	}
-	if startMask == 0 {
-		return 0, fmt.Errorf("%w: empty start set", ErrInput)
-	}
-	if target < 0 || target >= n {
-		return 0, fmt.Errorf("%w: target %d", ErrInput, target)
-	}
-	targetBit := uint32(1) << uint(target)
-	if startMask&targetBit != 0 {
-		return 0, nil
-	}
-	size := 1 << uint(n)
-	dist := make([]float64, size)
-	dist[startMask] = 1
-	next := make([]float64, size)
-	outcomes := make([]map[uint32]float64, n)
-	for v := 0; v < n; v++ {
-		outcomes[v] = outcomeDist(g, cfg, v)
-	}
-	scratch := make(map[uint32]float64, size)
-	var expect float64
-	maxRounds := 1 << 20
-	for t := 0; t < maxRounds; t++ {
-		var surv float64
-		for _, p := range dist {
-			surv += p
-		}
-		if surv < tol {
-			return expect, nil
-		}
-		expect += surv
-		for i := range next {
-			next[i] = 0
-		}
-		for mask := 1; mask < size; mask++ {
-			p := dist[mask]
-			if p == 0 {
-				continue
-			}
-			for k := range scratch {
-				delete(scratch, k)
-			}
-			scratch[0] = p
-			m := uint32(mask)
-			for m != 0 {
-				v := trailingZeros(m)
-				m &^= 1 << uint(v)
-				conv := make(map[uint32]float64, len(scratch)*2)
-				for acc, pw := range scratch {
-					for om, op := range outcomes[v] {
-						conv[acc|om] += pw * op
-					}
-				}
-				for k := range scratch {
-					delete(scratch, k)
-				}
-				for k, v2 := range conv {
-					scratch[k] = v2
-				}
-			}
-			for nm, np := range scratch {
-				if nm&targetBit != 0 {
-					continue
-				}
-				next[nm] += np
-			}
-		}
-		dist, next = next, dist
-	}
-	if expect > float64(maxRounds)/2 {
-		return expect, fmt.Errorf("%w: hit-time expectation did not converge", ErrInput)
-	}
-	return expect, nil
 }

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -334,5 +335,48 @@ func TestBranchThreeFasterThanTwo(t *testing.T) {
 	}
 	if !(e3 < e2 && e2 < e1) {
 		t.Fatalf("expected hit times not ordered: b3=%v b2=%v b1=%v", e3, e2, e1)
+	}
+}
+
+// Every entry point returns the same bits on every call: each sum runs
+// in a fixed order, never in Go's randomised map order.
+func TestSameBitsEveryCall(t *testing.T) {
+	cases := []struct {
+		g   *graph.Graph
+		cfg Config
+	}{
+		{graph.Petersen(), Config{Branch: 2}},
+		{graph.Cycle(9), Config{Branch: 1, Rho: 0.5}},
+		{graph.Star(8), Config{Branch: 2, Lazy: true}},
+	}
+	for _, c := range cases {
+		target := c.g.N() - 1
+		calls := map[string]func() (float64, error){
+			"ExpectedHitTime": func() (float64, error) {
+				return ExpectedHitTime(c.g, c.cfg, []int{0}, target, 0)
+			},
+			"ExpectedInfectionTime": func() (float64, error) {
+				return ExpectedInfectionTime(c.g, c.cfg, 0, 0)
+			},
+		}
+		for _, T := range []int{4, 8} {
+			calls[fmt.Sprintf("CobraHitProbability T=%d", T)] = func() (float64, error) {
+				return CobraHitProbability(c.g, c.cfg, []int{0}, target, T)
+			}
+			calls[fmt.Sprintf("BipsMeetComplementProbability T=%d", T)] = func() (float64, error) {
+				return BipsMeetComplementProbability(c.g, c.cfg, target, []int{0}, T)
+			}
+		}
+		for name, call := range calls {
+			first, err := call()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 20; i++ {
+				if v, _ := call(); math.Float64bits(v) != math.Float64bits(first) {
+					t.Fatalf("%s %+v %s: call %d gave %.17g, call 0 %.17g", c.g.Name(), c.cfg, name, i, v, first)
+				}
+			}
+		}
 	}
 }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 
 	"github.com/repro/cobra/internal/batch"
 	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/gossip"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/walk"
 	"github.com/repro/cobra/internal/xrand"
 )
@@ -37,27 +36,20 @@ func E6Fractional(p Params) (*sim.Table, error) {
 	n := pick(p, 64, 512)
 	rhos := []float64{1, 0.5, 0.25, 0.125}
 	sweep := batch.SweepSpec{
-		Graphs:      []string{fmt.Sprintf("rreg:%d:4", n), fmt.Sprintf("complete:%d", n)},
-		Processes:   []string{"cobra", "bips"},
-		Branches:    []int{1},
-		Rhos:        rhos,
-		Trials:      trials,
-		Seed:        p.Seed,
-		Workers:     sweepTrialWorkers(p),
-		CellWorkers: runtime.GOMAXPROCS(0),
+		Graphs:    []string{fmt.Sprintf("rreg:%d:4", n), fmt.Sprintf("complete:%d", n)},
+		Processes: []string{"cobra", "bips"},
+		Branches:  []int{1},
+		Rhos:      rhos,
+		Trials:    trials,
 	}
-	sw, err := batch.CompileSweep(sweep, nil)
+	compiled, cells, err := runSweep(p, "E6", sweep)
 	if err != nil {
-		return nil, fmt.Errorf("E6: %w", err)
-	}
-	cells, err := sw.Run(context.Background(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("E6: %w", err)
+		return nil, err
 	}
 	// Cell order: graphs outermost, then process, then rho innermost.
 	perGraph := len(sweep.Processes) * len(rhos)
 	for gi := range sweep.Graphs {
-		name := sw.Cells()[gi*perGraph].Graph().Name()
+		name := compiled[gi*perGraph].Graph().Name()
 		for ri, rho := range rhos {
 			cover := cells[gi*perGraph+ri].Aggregate.Rounds.Mean
 			infect := cells[gi*perGraph+len(rhos)+ri].Aggregate.Rounds.Mean
@@ -101,11 +93,7 @@ func E12Baselines(p Params) (*sim.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", g.Name(), err)
 		}
-		var a agg
-		for _, v := range results {
-			a.cobraR += v
-		}
-		a.cobraR /= float64(len(results))
+		a := agg{cobraR: stats.Mean(results)}
 		// COBRA messages ≈ 2 msgs per active vertex per round; measure
 		// exactly with one instrumented run.
 		{
@@ -125,10 +113,7 @@ func E12Baselines(p Params) (*sim.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range rws {
-			a.rw += v
-		}
-		a.rw /= float64(len(rws))
+		a.rw = stats.Mean(rws)
 		multis, err := runner.Run(trials, func(trial int, rng *xrand.RNG) (float64, error) {
 			s, err := walk.MultiCoverTime(g, 16, 0, rng)
 			return float64(s), err
@@ -136,10 +121,7 @@ func E12Baselines(p Params) (*sim.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range multis {
-			a.multi += v
-		}
-		a.multi /= float64(len(multis))
+		a.multi = stats.Mean(multis)
 		var pr, pm float64
 		for k := 0; k < trials; k++ {
 			res, err := gossip.Push(g, 0, xrand.NewStream(p.Seed^0x12b, uint64(gi*1000+k)))

@@ -6,6 +6,7 @@ import (
 
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -43,11 +44,7 @@ func E14Concentration(p Params) (*sim.Table, error) {
 			return nil, fmt.Errorf("E14 %s: %w", g.Name(), err)
 		}
 		sort.Float64s(xs)
-		var mean float64
-		for _, x := range xs {
-			mean += x
-		}
-		mean /= float64(len(xs))
+		mean := stats.Mean(xs)
 		q := func(f float64) float64 {
 			idx := int(f * float64(len(xs)-1))
 			return xs[idx]

@@ -10,12 +10,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
+	"github.com/repro/cobra/internal/batch"
 	"github.com/repro/cobra/internal/bips"
 	"github.com/repro/cobra/internal/bounds"
 	"github.com/repro/cobra/internal/core"
@@ -23,7 +26,6 @@ import (
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
 	"github.com/repro/cobra/internal/spectral"
-	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -59,17 +61,23 @@ func (p Params) runner() sim.Runner {
 	return sim.Runner{Seed: p.Seed, Workers: p.Workers}
 }
 
-// sweepTrialWorkers is the trial workers per cell worker for
-// sweep-backed experiments (E6, E16): those already run CellWorkers =
-// GOMAXPROCS, and a sweep computes on CellWorkers × Workers goroutines,
-// so Workers stays 1 unless the caller explicitly asked for trial
-// workers — CellWorkers x GOMAXPROCS CPU-bound goroutines would
-// oversubscribe every core for zero result difference.
-func sweepTrialWorkers(p Params) int {
-	if p.Workers > 0 {
-		return p.Workers
+// runSweep runs a sweep-backed experiment's grid (E6, E16) with p's seed
+// and GOMAXPROCS cell workers, and returns its compiled cells and their
+// summaries in cell order; id prefixes its errors. A sweep computes on
+// CellWorkers × Workers goroutines, so Workers stays 1 unless the caller
+// explicitly asked for trial workers: CellWorkers × GOMAXPROCS CPU-bound
+// goroutines would oversubscribe every core for zero result difference.
+func runSweep(p Params, id string, s batch.SweepSpec) ([]*batch.Campaign, []batch.CellSummary, error) {
+	s.Seed, s.Workers, s.CellWorkers = p.Seed, max(p.Workers, 1), runtime.GOMAXPROCS(0)
+	sw, err := batch.CompileSweep(s, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", id, err)
 	}
-	return 1
+	sums, err := sw.Run(context.Background(), nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", id, err)
+	}
+	return sw.Cells(), sums, nil
 }
 
 // pick returns q at Quick scale and f at Full scale.
@@ -176,9 +184,6 @@ func meanCover(p Params, g *graph.Graph, cfg core.Config, trials int) (float64, 
 	return p.runner().RunMeans(trials, coverTrial(g, cfg))
 }
 
-// generalBound evaluates the Theorem 1.1 shape m + dmax^2 ln n.
-func generalBound(g *graph.Graph) float64 { return bounds.General(g) }
-
 // regularBound evaluates the Theorem 1.2 shape (r/gap + r^2) ln n.
 // Experiments always call it with gaps in (0, 1], so errors cannot occur;
 // fall back to +Inf defensively.
@@ -190,20 +195,10 @@ func regularBound(r int, gap float64, n int) float64 {
 	return v
 }
 
-// lazyGap returns the lazy-walk eigenvalue gap, the right parameter when
-// the process itself is lazy (bipartite families).
-func lazyGap(g *graph.Graph) (float64, error) {
-	lam, err := spectral.SecondEigenvalueLazy(g, spectral.Options{Tol: 1e-9})
-	if err != nil {
-		return 0, err
-	}
-	return 1 - lam, nil
-}
-
-// plainGap returns the plain-walk eigenvalue gap 1 − λ.
-func plainGap(g *graph.Graph) (float64, error) {
-	return spectral.Gap(g, spectral.Options{Tol: 1e-9})
-}
+// gapOpts is the tolerance every experiment computes eigenvalue gaps at:
+// spectral.Gap for the plain walk, spectral.LazyGap when the process
+// itself is lazy (bipartite families).
+var gapOpts = spectral.Options{Tol: 1e-9}
 
 // cfgFor returns the b=2 configuration appropriate for g: lazy on
 // bipartite graphs (per the remark under Theorem 1.2), plain otherwise.
@@ -213,8 +208,3 @@ func cfgFor(g *graph.Graph) core.Config {
 
 // fmtRatio renders a ratio with sensible precision.
 func fmtRatio(r float64) string { return fmt.Sprintf("%.4f", r) }
-
-// semiLogFit and logLogFit re-export the stats fits with the package's
-// short names.
-func semiLogFit(xs, ys []float64) (stats.Fit, error) { return stats.SemiLogFit(xs, ys) }
-func logLogFit(xs, ys []float64) (stats.Fit, error)  { return stats.LogLogFit(xs, ys) }

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/repro/cobra/internal/bips"
+	"github.com/repro/cobra/internal/bounds"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/spectral"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -39,12 +42,10 @@ func generalFamilies() []familySpec {
 	}
 }
 
+// logf returns ⌈log₂ n⌉·ln 2, the natural log of n rounded up to a
+// power of two.
 func logf(n int) float64 {
-	l := 0.0
-	for m := 1; m < n; m *= 2 {
-		l++
-	}
-	return l * 0.6931471805599453
+	return float64(bits.Len(uint(n-1))) * 0.6931471805599453
 }
 
 // E1GeneralGraphs regenerates the Theorem 1.1 check: for each family and
@@ -71,7 +72,7 @@ func E1GeneralGraphs(p Params) (*sim.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", fam.name, n, err)
 			}
-			bound := generalBound(g)
+			bound := bounds.General(g)
 			tb.AddRow(fam.name, g.N(), g.M(), g.MaxDegree(), cfg.Lazy,
 				fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f", bound), fmtRatio(mean/bound))
 		}
@@ -103,7 +104,7 @@ func E5BIPS(p Params) (*sim.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E5 %s: %w", fam.name, err)
 			}
-			bound := generalBound(g)
+			bound := bounds.General(g)
 			tb.AddRow(fam.name, g.N(), "general",
 				fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f", bound), fmtRatio(mean/bound))
 		}
@@ -120,7 +121,7 @@ func E5BIPS(p Params) (*sim.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E5 rreg: %w", err)
 			}
-			gap, err := plainGap(g)
+			gap, err := spectral.Gap(g, gapOpts)
 			if err != nil {
 				return nil, err
 			}

@@ -7,6 +7,7 @@ import (
 	"github.com/repro/cobra/internal/bips"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/spectral"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -90,7 +91,7 @@ func E9Growth(p Params) (*sim.Table, error) {
 }
 
 func lambdaOf(g *graph.Graph) (float64, error) {
-	gap, err := plainGap(g)
+	gap, err := spectral.Gap(g, gapOpts)
 	if err != nil {
 		return 0, err
 	}
@@ -194,7 +195,7 @@ func E11Candidates(p Params) (*sim.Table, error) {
 		graph.DoubleCycle(pick(p, 40, 120)),
 	}
 	for gi, g := range graphs {
-		gap, err := plainGap(g)
+		gap, err := spectral.Gap(g, gapOpts)
 		if err != nil {
 			return nil, err
 		}

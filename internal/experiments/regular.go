@@ -7,6 +7,8 @@ import (
 	"github.com/repro/cobra/internal/core"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/spectral"
+	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -54,9 +56,9 @@ func E2RegularGraphs(p Params) (*sim.Table, error) {
 		var gap float64
 		var err error
 		if j.lazy {
-			gap, err = lazyGap(j.g)
+			gap, err = spectral.LazyGap(j.g, gapOpts)
 		} else {
-			gap, err = plainGap(j.g)
+			gap, err = spectral.Gap(j.g, gapOpts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("E2 %s: %w", j.g.Name(), err)
@@ -139,7 +141,7 @@ func E7Expanders(p Params) (*sim.Table, error) {
 			xs = append(xs, float64(n))
 			ys = append(ys, mean)
 		}
-		fit, err := semiLogFit(xs, ys)
+		fit, err := stats.SemiLogFit(xs, ys)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +191,7 @@ func E8Grids(p Params) (*sim.Table, error) {
 				minRatio = r
 			}
 		}
-		fit, err := logLogFit(xs, ys)
+		fit, err := stats.LogLogFit(xs, ys)
 		if err != nil {
 			return nil, err
 		}

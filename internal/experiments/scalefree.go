@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 
 	"github.com/repro/cobra/internal/batch"
+	"github.com/repro/cobra/internal/bounds"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/sim"
+	"github.com/repro/cobra/internal/spectral"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -41,7 +41,7 @@ func E15ScaleFree(p Params) (*sim.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E15 %s: %w", g.Name(), err)
 			}
-			bound := generalBound(g)
+			bound := bounds.General(g)
 			dmax := g.MaxDegree()
 			tail := float64(dmax) * float64(dmax) * math.Log(float64(g.N()))
 			tb.AddRow(g.Name(), g.N(), g.M(), dmax,
@@ -78,29 +78,21 @@ func E16SmallWorld(p Params) (*sim.Table, error) {
 	for i, beta := range betas {
 		specs[i] = fmt.Sprintf("ws:%d:%d:%s", n, k, strconv.FormatFloat(beta, 'g', -1, 64))
 	}
-	sweep := batch.SweepSpec{
-		Graphs:      specs,
-		Processes:   []string{"cobra"},
-		Branches:    []int{2},
-		Trials:      trials,
-		Seed:        p.Seed,
-		Workers:     sweepTrialWorkers(p),
-		CellWorkers: runtime.GOMAXPROCS(0),
-	}
-	sw, err := batch.CompileSweep(sweep, nil)
+	compiled, cells, err := runSweep(p, "E16", batch.SweepSpec{
+		Graphs:    specs,
+		Processes: []string{"cobra"},
+		Branches:  []int{2},
+		Trials:    trials,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("E16: %w", err)
-	}
-	cells, err := sw.Run(context.Background(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("E16: %w", err)
+		return nil, err
 	}
 	for i, beta := range betas {
-		g := sw.Cells()[i].Graph()
+		g := compiled[i].Graph()
 		// The sweep runs the plain (non-lazy) process on every cell — WS
 		// graphs with k >= 4 have triangles, so they are never bipartite —
 		// and the gap must describe the chain that was simulated.
-		gap, err := plainGap(g)
+		gap, err := spectral.Gap(g, gapOpts)
 		if err != nil {
 			return nil, fmt.Errorf("E16 ws beta=%g gap: %w", beta, err)
 		}

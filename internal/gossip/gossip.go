@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/repro/cobra/internal/bitset"
+	"github.com/repro/cobra/internal/engine"
 	"github.com/repro/cobra/internal/graph"
 	"github.com/repro/cobra/internal/xrand"
 )
@@ -47,12 +48,8 @@ func Push(g *graph.Graph, start int, rng *xrand.RNG) (Result, error) {
 	members := make([]int, 0, n)
 	// Push covers any connected graph in O(n log n) rounds w.h.p. (the
 	// star is the coupon-collector worst case: only the hub can inform
-	// leaves); cap well above that.
-	lg := 1
-	for 1<<uint(lg) < n {
-		lg++
-	}
-	limit := 64*n*lg + 64
+	// leaves); the kernel's default cap is well above that.
+	limit := engine.DefaultMaxRounds(n)
 
 	for count < n {
 		if res.Rounds >= limit {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file contains the deterministic graph families used across the
 // experiments. Random families (Erdős–Rényi, random regular) are in
@@ -336,18 +333,4 @@ func Petersen() *Graph {
 		b.AddEdge(i, 5+i)
 	}
 	return b.MustBuild("petersen")
-}
-
-// IsPowerOfTwo reports whether n is a positive power of two; exported for
-// hypercube-driving experiment code.
-func IsPowerOfTwo(n int) bool {
-	return n > 0 && n&(n-1) == 0
-}
-
-// Log2 returns log2(n) for exact powers of two and panics otherwise.
-func Log2(n int) int {
-	if !IsPowerOfTwo(n) {
-		panic("graph: Log2 requires a power of two")
-	}
-	return int(math.Round(math.Log2(float64(n))))
 }

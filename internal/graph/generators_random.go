@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/repro/cobra/internal/xrand"
 )
@@ -55,13 +56,13 @@ func sampleGnp(b *Builder, n int, p float64, rng *xrand.RNG) {
 	}
 	// Enumerate candidate pairs (u,v), u<v, in row-major order, skipping
 	// ahead geometrically.
-	logq := log1p(-p)
+	logq := math.Log1p(-p)
 	u, v := 0, 0
 	for u < n-1 {
 		// Draw skip ~ Geometric(p): number of pairs to jump over.
 		// float64(·) rounds Float64's multiply by 2^-53 so the
 		// subtraction cannot fuse with it (see package stats).
-		skip := int(log(1-float64(rng.Float64()))/logq) + 1
+		skip := int(math.Log(1-float64(rng.Float64()))/logq) + 1
 		v += skip
 		for v >= n && u < n-1 {
 			u++

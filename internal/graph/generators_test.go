@@ -381,21 +381,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-func TestIsPowerOfTwoAndLog2(t *testing.T) {
-	if !IsPowerOfTwo(1) || !IsPowerOfTwo(64) || IsPowerOfTwo(0) || IsPowerOfTwo(12) {
-		t.Fatal("IsPowerOfTwo wrong")
-	}
-	if Log2(1024) != 10 {
-		t.Fatal("Log2 wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Log2(12) did not panic")
-		}
-	}()
-	Log2(12)
-}
-
 func TestGeneratorPanics(t *testing.T) {
 	cases := []func(){
 		func() { Cycle(2) },

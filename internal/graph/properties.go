@@ -1,15 +1,11 @@
 package graph
 
-import "math"
+import "math/bits"
 
 // Structural properties used by the theorems: connectivity (all results
 // assume connected G), bipartiteness (Theorem 1.2 needs non-bipartite, or
 // lazy processes), BFS distances and diameter (the lower bound
 // max{log2 n, Diam(G)} from the introduction).
-
-// log and log1p are tiny indirections so generator code reads cleanly.
-func log(x float64) float64   { return math.Log(x) }
-func log1p(x float64) float64 { return math.Log1p(x) }
 
 // IsConnected reports whether the graph is connected (true for n = 1).
 // The O(n+m) traversal runs once per graph; later calls, from any
@@ -145,7 +141,7 @@ func (g *Graph) DiameterApprox() int {
 // max{log2 n, Diam(G)} — the informed set at most doubles per round, and
 // information travels one hop per round.
 func (g *Graph) CoverTimeLowerBound() int {
-	lg := int(math.Ceil(math.Log2(float64(g.n))))
+	lg := bits.Len(uint(g.n - 1)) // ⌈log₂ n⌉
 	d := g.DiameterApprox()
 	if d > lg {
 		return d

@@ -104,10 +104,3 @@ func minMax(xs []float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -10,11 +10,14 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
-	"github.com/repro/cobra/internal/batch"
+	"github.com/repro/cobra/internal/stats"
 	"github.com/repro/cobra/internal/xrand"
 )
 
@@ -33,11 +36,13 @@ type Runner struct {
 	Workers int
 }
 
-// Run executes `trials` independent trials and returns their measurements
-// in trial order, delegating the fan-out to the shared batch scheduler
-// (internal/batch.ForEach). A failure stops workers from claiming further
-// trials, and every trial error that occurred is returned, combined with
-// errors.Join in trial-index order and tagged with its trial index.
+// Run executes `trials` independent trials across Workers goroutines and
+// returns their measurements in trial order. It is the library's
+// unordered trial fan-out; campaigns and sweeps run on internal/batch's
+// ordered trial loop instead, with the same stream per trial. A failure
+// stops workers from claiming further trials (already-running trials
+// finish), and every trial error that occurred is returned, combined
+// with errors.Join in trial-index order and tagged with its trial index.
 func (r Runner) Run(trials int, fn TrialFunc) ([]float64, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("%w: trials < 1", ErrInput)
@@ -45,20 +50,53 @@ func (r Runner) Run(trials int, fn TrialFunc) ([]float64, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("%w: nil trial function", ErrInput)
 	}
-	out := make([]float64, trials)
-	err := batch.ForEach(context.Background(), r.Seed, r.Workers, trials,
-		func(trial int, rng *xrand.RNG) error {
-			v, err := fn(trial, rng)
-			if err != nil {
-				return err
-			}
-			out[trial] = v
-			return nil
-		})
-	if err != nil {
-		return nil, err
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return out, nil
+	type failure struct {
+		trial int
+		err   error
+	}
+	var (
+		out      = make([]float64, trials)
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		failures []failure // one entry per failed trial
+		wg       sync.WaitGroup
+	)
+	for w := min(workers, trials); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= trials {
+					return
+				}
+				v, err := fn(k, xrand.NewStream(r.Seed, uint64(k)))
+				if err != nil {
+					mu.Lock()
+					failures = append(failures, failure{k, err})
+					mu.Unlock()
+					failed.Store(true)
+					continue
+				}
+				out[k] = v
+			}
+		}()
+	}
+	wg.Wait()
+	if len(failures) == 0 {
+		return out, nil
+	}
+	slices.SortFunc(failures, func(a, b failure) int { return a.trial - b.trial })
+	errs := make([]error, len(failures))
+	for i, f := range failures {
+		errs[i] = fmt.Errorf("trial %d: %w", f.trial, f.err)
+	}
+	return nil, errors.Join(errs...)
 }
 
 // RunMeans is a convenience wrapper returning the mean measurement.
@@ -67,9 +105,5 @@ func (r Runner) RunMeans(trials int, fn TrialFunc) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
+	return stats.Mean(xs), nil
 }

@@ -70,8 +70,24 @@ func TestRunJoinsAllErrors(t *testing.T) {
 	if !errors.Is(err, boomA) || !errors.Is(err, boomB) {
 		t.Fatalf("lost an error: %v", err)
 	}
-	if !strings.Contains(err.Error(), "trial 0:") || !strings.Contains(err.Error(), "trial 1:") {
+	if !strings.Contains(err.Error(), "trial 0: boomA") || !strings.Contains(err.Error(), "trial 1: boomB") {
 		t.Fatalf("missing trial tags: %v", err)
+	}
+}
+
+func TestRunAllTrialsFailReportsTrialZero(t *testing.T) {
+	// When every trial fails, how many start before the fail-fast flag
+	// is seen is not fixed; trial 0 is always claimed first, so its
+	// error is always present, tagged, and keeps its identity.
+	errA := errors.New("a")
+	_, err := Runner{Seed: 1, Workers: 4}.Run(4, func(int, *xrand.RNG) (float64, error) {
+		return 0, errA
+	})
+	if !errors.Is(err, errA) {
+		t.Fatalf("lost error identity: %v", err)
+	}
+	if !strings.Contains(err.Error(), "trial 0: a") {
+		t.Fatalf("missing trial tag: %v", err)
 	}
 }
 

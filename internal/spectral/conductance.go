@@ -1,7 +1,9 @@
 package spectral
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/repro/cobra/internal/graph"
 )
@@ -65,18 +67,13 @@ func ConductanceSweep(g *graph.Graph, opt Options) (float64, error) {
 	if n < 2 {
 		return 0, nil
 	}
-	vec, err := secondVector(g, opt)
-	if err != nil {
-		return 0, err
-	}
-	// Sort vertex ids by eigenvector entry.
+	vec := secondVector(g, opt)
+	// Vertex ids in ascending eigenvector entry, ties by id.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion-free sort via sort.Slice equivalent; implemented with
-	// simple index sort to avoid importing sort twice across files.
-	sortByKey(order, vec)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(vec[a], vec[b]) })
 
 	inS := make([]bool, n)
 	total := float64(g.DegreeSum())
@@ -106,22 +103,9 @@ func ConductanceSweep(g *graph.Graph, opt Options) (float64, error) {
 // secondVector runs deflated power iteration on the lazy symmetrised
 // matrix and returns the resulting vector mapped back to walk coordinates
 // (D^{-1/2} x), which is the correct ordering key for sweep cuts.
-func secondVector(g *graph.Graph, opt Options) ([]float64, error) {
-	n := g.N()
-	perron := make([]float64, n)
-	var norm float64
-	for v := 0; v < n; v++ {
-		perron[v] = math.Sqrt(float64(g.Degree(v)))
-		norm += perron[v] * perron[v]
-	}
-	norm = math.Sqrt(norm)
-	for v := range perron {
-		perron[v] /= norm
-	}
-	x := pseudoStart(n, opt.Seed)
-	y := make([]float64, n)
-	deflate(x, perron)
-	normalize(x)
+func secondVector(g *graph.Graph, opt Options) []float64 {
+	perron, x := deflatedStart(g, opt.Seed)
+	y := make([]float64, len(x))
 	prev := 0.0
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		applySym(g, true, x, y)
@@ -134,50 +118,8 @@ func secondVector(g *graph.Graph, opt Options) ([]float64, error) {
 		prev = lam
 	}
 	// Map to walk coordinates.
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		out[v] = x[v] / math.Sqrt(float64(g.Degree(v)))
+	for v := range x {
+		x[v] /= math.Sqrt(float64(g.Degree(v)))
 	}
-	return out, nil
-}
-
-// sortByKey sorts ids ascending by key[id] (simple top-down mergesort to
-// keep the package dependency-free and deterministic).
-func sortByKey(ids []int, key []float64) {
-	if len(ids) < 2 {
-		return
-	}
-	buf := make([]int, len(ids))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if key[ids[i]] <= key[ids[j]] {
-				buf[k] = ids[i]
-				i++
-			} else {
-				buf[k] = ids[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			buf[k] = ids[i]
-			i++
-			k++
-		}
-		for j < hi {
-			buf[k] = ids[j]
-			j++
-			k++
-		}
-		copy(ids[lo:hi], buf[lo:hi])
-	}
-	rec(0, len(ids))
+	return x
 }

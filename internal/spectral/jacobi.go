@@ -1,8 +1,10 @@
 package spectral
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/repro/cobra/internal/graph"
 )
@@ -34,17 +36,7 @@ func FullSpectrum(g *graph.Graph) ([]float64, error) {
 		}
 	}
 	eig := jacobiEigenvalues(a, n)
-	// Sort non-increasing (insertion-free heap-less approach: simple
-	// selection is O(n²), dominated by Jacobi's O(n³) anyway).
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if eig[j] > eig[best] {
-				best = j
-			}
-		}
-		eig[i], eig[best] = eig[best], eig[i]
-	}
+	slices.SortFunc(eig, func(x, y float64) int { return cmp.Compare(y, x) })
 	return eig, nil
 }
 
@@ -80,7 +72,7 @@ func jacobiEigenvalues(a []float64, n int) []float64 {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += 2 * a[i*n+j] * a[i*n+j]
+				off += float64(2 * a[i*n+j] * a[i*n+j])
 			}
 		}
 		if off < tol*tol {
@@ -99,13 +91,13 @@ func jacobiEigenvalues(a []float64, n int) []float64 {
 				// Apply the rotation J^T A J restricted to rows/cols p,q.
 				for k := 0; k < n; k++ {
 					akp, akq := a[k*n+p], a[k*n+q]
-					a[k*n+p] = c*akp - s*akq
-					a[k*n+q] = s*akp + c*akq
+					a[k*n+p] = float64(c*akp) - float64(s*akq)
+					a[k*n+q] = float64(s*akp) + float64(c*akq)
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := a[p*n+k], a[q*n+k]
-					a[p*n+k] = c*apk - s*aqk
-					a[q*n+k] = s*apk + c*aqk
+					a[p*n+k] = float64(c*apk) - float64(s*aqk)
+					a[q*n+k] = float64(s*apk) + float64(c*aqk)
 				}
 			}
 		}

@@ -64,21 +64,28 @@ func SecondEigenvalueLazy(g *graph.Graph, opt Options) (float64, error) {
 
 // Gap returns the eigenvalue gap 1−λ of the plain walk.
 func Gap(g *graph.Graph, opt Options) (float64, error) {
-	lam, err := SecondEigenvalue(g, opt)
+	return gap(g, false, opt)
+}
+
+// LazyGap returns the eigenvalue gap 1−λ of the lazy walk (I+P)/2.
+func LazyGap(g *graph.Graph, opt Options) (float64, error) {
+	return gap(g, true, opt)
+}
+
+func gap(g *graph.Graph, lazy bool, opt Options) (float64, error) {
+	lam, err := secondEigenvalue(g, lazy, opt)
 	if err != nil {
 		return 0, err
 	}
 	return 1 - lam, nil
 }
 
-func secondEigenvalue(g *graph.Graph, lazy bool, opt Options) (float64, error) {
-	opt = opt.withDefaults()
+// deflatedStart returns the unit Perron vector of the symmetrised matrix
+// S, w(v) ∝ sqrt(deg v), and the seeded start vector deflated against it
+// and normalised: the power iterations' shared starting point.
+func deflatedStart(g *graph.Graph, seed uint64) (perron, x []float64) {
 	n := g.N()
-	if n == 1 {
-		return 0, nil
-	}
-	// Perron vector of the symmetrised matrix S: w(v) ∝ sqrt(deg v).
-	perron := make([]float64, n)
+	perron = make([]float64, n)
 	var norm float64
 	for v := 0; v < n; v++ {
 		perron[v] = math.Sqrt(float64(g.Degree(v)))
@@ -88,11 +95,20 @@ func secondEigenvalue(g *graph.Graph, lazy bool, opt Options) (float64, error) {
 	for v := range perron {
 		perron[v] /= norm
 	}
-
-	x := pseudoStart(n, opt.Seed)
-	y := make([]float64, n)
+	x = pseudoStart(n, seed)
 	deflate(x, perron)
 	normalize(x)
+	return perron, x
+}
+
+func secondEigenvalue(g *graph.Graph, lazy bool, opt Options) (float64, error) {
+	opt = opt.withDefaults()
+	n := g.N()
+	if n == 1 {
+		return 0, nil
+	}
+	perron, x := deflatedStart(g, opt.Seed)
+	y := make([]float64, n)
 
 	// Power iteration on S² (two applications per step) so that both ends
 	// of the spectrum (λ₂ near +1 and λ_n near −1) are captured by the

@@ -31,7 +31,8 @@ func Stationary(g *graph.Graph) []float64 {
 
 // EvolveDistribution advances the walk distribution p by one step:
 // out(v) = Σ_{u ~ v} p(u)/deg(u), lazily if lazy is set. out must have
-// length n and may not alias p.
+// length n and may not alias p. The lazy mix rounds each product before
+// the sum, float64(x*y) + z, so no target fuses them (see package stats).
 func EvolveDistribution(g *graph.Graph, p, out []float64, lazy bool) {
 	n := g.N()
 	for v := 0; v < n; v++ {
@@ -40,7 +41,7 @@ func EvolveDistribution(g *graph.Graph, p, out []float64, lazy bool) {
 			acc += p[u] / float64(g.Degree(int(u)))
 		}
 		if lazy {
-			out[v] = 0.5*p[v] + 0.5*acc
+			out[v] = float64(0.5*p[v]) + float64(0.5*acc)
 		} else {
 			out[v] = acc
 		}

@@ -251,11 +251,13 @@ func (r *RNG) Shuffle(p []int) {
 
 // NormFloat64 returns a standard normal variate using the polar
 // (Marsaglia) method. Used only by statistics tests, not by hot paths.
+// Each float64(·) rounds a product before the sum that follows it, so no
+// target fuses the two (see package stats).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := 2*float64(r.Float64()) - 1
+		v := 2*float64(r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
